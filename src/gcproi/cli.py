@@ -4,7 +4,8 @@ Subcommands: gcp, roi, pvgcp-board, compare, scatter, histogram, breakeven,
 summary, validate, synth. Outputs are CSV (default) or JSON, written to
 --out or stdout, and are byte-identical across runs on identical inputs.
 
-Exit codes: 0 success, 1 validation failure, 2 schema/data error,
+Exit codes: 0 success, 1 validation failure, 2 schema/data error (an
+unreadable or malformed input, an unknown id, or a bad flag value),
 3 missing-salary error.
 """
 
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -111,6 +113,8 @@ def cmd_gcp(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    if not 0.0 < args.bin_width < math.inf:
+        raise GcproiError(f"--bin-width must be a positive number, got {args.bin_width}")
     ds = _load(args)
     bins = reporting.gcp_histogram(ds, bin_width=args.bin_width)
     header = ["bin_lo", "bin_hi", "count"]
@@ -138,6 +142,8 @@ def cmd_roi(args) -> int:
 
 
 def cmd_pvgcp_board(args) -> int:
+    if args.top < 0:
+        raise GcproiError(f"--top must not be negative, got {args.top}")
     ds = _load(args)
     salaries = parse_salaries(args.salaries)
     reports = gcp.season_reports(ds)
@@ -358,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingSalary as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_SALARY
-    except (GcproiError, KeyError) as exc:
+    except GcproiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

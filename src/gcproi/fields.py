@@ -5,6 +5,9 @@ field set. Most fields are copied straight from a published source stat;
 nine are adjusted by subtraction so that no activity is counted twice
 (makes vs. attempts, contests vs. blocks, passes vs. assists, chances vs.
 contested rebounds).
+
+A stat row is a tuple of 37 floats in canonical order, indexed by FieldId:
+``row[FieldId.MIN]``. This module alone decides that format.
 """
 
 from __future__ import annotations
@@ -15,46 +18,46 @@ from dataclasses import dataclass, field
 from .errors import NegativeDerivedField
 
 
-class FieldId(enum.Enum):
-    """Canonical stat fields, in canonical order."""
+class FieldId(enum.IntEnum):
+    """Canonical stat fields; each member's value is its position in a stat row."""
 
-    MIN = "Minutes Played"
-    FG2O = "2 Point Field Goals Made"
-    FG2X = "2 Point Field Goals Missed"
-    FG3O = "3 Point Field Goals Made"
-    FG3X = "3 Point Field Goals Missed"
-    FTO = "Free Throws Made"
-    FTX = "Free Throws Missed"
-    PF = "Personal Fouls"
-    STL = "Steals"
-    BLK = "Blocks"
-    TOV = "Turnovers"
-    BLKA = "Blocks Against"
-    PFD = "Personal Fouls Drawn"
-    POSS = "Possessions Played"
-    SAST = "Screen Assists"
-    DEFL = "Deflections"
-    CHGD = "Charges Drawn"
-    AC2P = "Adj. Contested 2PT Shots Defensive"
-    C3PT = "Contested 3PT Shots Defensive"
-    OBOX = "Offensive Box Outs"
-    DBOX = "Defensive Box Outs"
-    OLBR = "Offensive Loose Balls Recovered"
-    DLBR = "Defensive Loose Balls Recovered"
-    DFGO = "Defended Field Goals Made"
-    DFGX = "Defended Field Goals Missed"
-    DRV = "Drives"
-    ODIS = "Distance Miles Offense"
-    DDIS = "Distance Miles Defense"
-    TCH = "Touches"
-    APM = "Adj. Passes Made"
-    PASR = "Passes Received"
-    AST2 = "Secondary Assists"
-    PAST = "Potential Assists"
-    OCRB = "Contested Offensive Rebounds"
-    AORC = "Adj. Offensive Rebound Chances"
-    DCRB = "Contested Defensive Rebounds"
-    ADRC = "Adj. Defensive Rebound Chances"
+    MIN = 0  # Minutes Played
+    FG2O = 1  # 2 Point Field Goals Made
+    FG2X = 2  # 2 Point Field Goals Missed
+    FG3O = 3  # 3 Point Field Goals Made
+    FG3X = 4  # 3 Point Field Goals Missed
+    FTO = 5  # Free Throws Made
+    FTX = 6  # Free Throws Missed
+    PF = 7  # Personal Fouls
+    STL = 8  # Steals
+    BLK = 9  # Blocks
+    TOV = 10  # Turnovers
+    BLKA = 11  # Blocks Against
+    PFD = 12  # Personal Fouls Drawn
+    POSS = 13  # Possessions Played
+    SAST = 14  # Screen Assists
+    DEFL = 15  # Deflections
+    CHGD = 16  # Charges Drawn
+    AC2P = 17  # Adj. Contested 2PT Shots Defensive
+    C3PT = 18  # Contested 3PT Shots Defensive
+    OBOX = 19  # Offensive Box Outs
+    DBOX = 20  # Defensive Box Outs
+    OLBR = 21  # Offensive Loose Balls Recovered
+    DLBR = 22  # Defensive Loose Balls Recovered
+    DFGO = 23  # Defended Field Goals Made
+    DFGX = 24  # Defended Field Goals Missed
+    DRV = 25  # Drives
+    ODIS = 26  # Distance Miles Offense
+    DDIS = 27  # Distance Miles Defense
+    TCH = 28  # Touches
+    APM = 29  # Adj. Passes Made
+    PASR = 30  # Passes Received
+    AST2 = 31  # Secondary Assists
+    PAST = 32  # Potential Assists
+    OCRB = 33  # Contested Offensive Rebounds
+    AORC = 34  # Adj. Offensive Rebound Chances
+    DCRB = 35  # Contested Defensive Rebounds
+    ADRC = 36  # Adj. Defensive Rebound Chances
 
 
 #: Canonical field ordering (definition order of the enum).
@@ -62,8 +65,13 @@ FIELD_ORDER: tuple[FieldId, ...] = tuple(FieldId)
 
 assert len(FIELD_ORDER) == 37
 
-#: Fractional fields; everything else is an event count.
-FRACTIONAL_FIELDS = frozenset({FieldId.MIN, FieldId.ODIS, FieldId.DDIS})
+#: One stat row: 37 floats in FIELD_ORDER, indexed by FieldId.
+StatRow = tuple[float, ...]
+
+#: Fractional fields; everything else is an event count. A tuple, not a
+#: set: synthetic data draws them in this order, which must not depend on
+#: the interpreter's hash seed.
+FRACTIONAL_FIELDS = (FieldId.ODIS, FieldId.DDIS, FieldId.MIN)
 
 #: Source stat columns, as published, for the optional pre-adjustment input.
 RAW_STATS: tuple[str, ...] = (
@@ -161,8 +169,8 @@ def derive_fields(raw: RawStatLine, clamp_negative: bool = False) -> dict[FieldI
     return {fid: out[fid] for fid in FIELD_ORDER}
 
 
-def underive_fields(player_id: str, values: dict[FieldId, float]) -> RawStatLine:
-    """Reconstruct the source stats from canonical field values.
+def underive_fields(player_id: str, values: StatRow) -> RawStatLine:
+    """Reconstruct the source stats from a stat row.
 
     Exact inverse of derive_fields for consistent data:
     derive_fields(underive_fields(...)) reproduces the input.

@@ -120,11 +120,7 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
     per-team stints, each stint spanning the team's games from his first to
     his last appearance with that team; stints may not overlap in time.
     """
-    appearances: dict[str, list[int]] = {}
-    for idx, g in enumerate(ds.games):
-        for ln in g.lines:
-            if ln.player_id == player_id and ln.active:
-                appearances.setdefault(ln.team_id, []).append(idx)
+    appearances = ds.player_appearances(player_id)
     if not appearances:
         raise UnknownPlayer(f"player {player_id!r} never appears in the dataset")
 
@@ -137,7 +133,7 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
 
     stints = []
     for team, idxs in appearances.items():
-        first, last = ds.games[min(idxs)], ds.games[max(idxs)]
+        first, last = ds.games[idxs[0]], ds.games[idxs[-1]]
         window = tuple(g for g in ds.games_for_team(team)
                        if (first.date, first.game_id) <= (g.date, g.game_id)
                        <= (last.date, last.game_id))
@@ -150,6 +146,13 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
     return tuple((g, team) for team, window in stints for g in window)
 
 
+def slot_shares(reports: dict[str, GameGcpReport], player_id: str,
+                slots: tuple[tuple[GameRecord, str], ...]) -> list[float]:
+    """The player's GCP in each (game, team) schedule slot; 0.0 where the
+    player did not play."""
+    return [reports[g.game_id].team(team).gcp.get(player_id, 0.0) for g, team in slots]
+
+
 def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
                value: SingleGameValue, salary: float) -> CashFlowSeries:
     """Realized cash-flow series for one player: SGV times GCP per scheduled
@@ -157,21 +160,15 @@ def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: 
     if salary <= 0:
         raise NonPositiveInvestment(f"salary must be positive, got {salary}")
     slots = player_schedule(ds, player_id)
-    flows = []
-    for game, team in slots:
-        share = reports[game.game_id].team(team).gcp.get(player_id, 0.0)
-        flows.append(value.dollars * share)
-    return CashFlowSeries(player_id=player_id, cf0=float(salary),
-                          flows=tuple(flows),
+    flows = tuple(value.dollars * share for share in slot_shares(reports, player_id, slots))
+    return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
                           schedule=tuple(g.game_id for g, _ in slots),
                           teams=tuple(t for _, t in slots))
 
 
 def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str) -> PvGcp:
     """Sum the player's GCPs over his schedule."""
-    slots = player_schedule(ds, player_id)
-    shares = [reports[game.game_id].team(team).gcp.get(player_id, 0.0)
-              for game, team in slots]
+    shares = slot_shares(reports, player_id, player_schedule(ds, player_id))
     return PvGcp(player_id=player_id, value=math.fsum(shares),
                  games_played=sum(1 for s in shares if s > 0.0))
 
@@ -191,9 +188,10 @@ def npv(rate: float, series: CashFlowSeries) -> float:
         disc *= inv
         if cf != 0.0:  # avoid 0 * inf when the discount overflows
             terms.append(cf * disc)
-    total = math.fsum(terms)
-    if math.isinf(total):
-        return total
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # finite terms whose sum exceeds the float range
+        return math.inf
     return total - series.cf0
 
 

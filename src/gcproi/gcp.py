@@ -21,17 +21,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
-from .fields import FIELD_ORDER, FieldId
-from .ingest import GameRecord, SeasonDataset
+from .fields import FieldId, StatRow
+from .ingest import GameRecord, PlayerGameLine, SeasonDataset
 
 
 @dataclass(frozen=True)
 class TeamGameTotals:
-    """Per-field totals for one team in one game."""
+    """Per-field totals for one team in one game, as a stat row."""
 
     game_id: str
     team_id: str
-    totals: dict[FieldId, float]
+    totals: StatRow
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,20 @@ class GameGcpReport:
                 return t
         raise UnknownTeam(f"team {team_id!r} not in game {self.game_id!r}")
 
-    def gcp_for(self, player_id: str) -> float | None:
-        for t in self.teams:
-            if player_id in t.gcp:
-                return t.gcp[player_id]
-        return None
-
 
 def team_totals(game: GameRecord, team_id: str) -> TeamGameTotals:
     """Sum every field over the team's lines for this game."""
     if team_id not in game.teams:
         raise UnknownTeam(f"team {team_id!r} not in game {game.game_id!r}")
-    roster = game.roster(team_id)
-    totals = {f: math.fsum(ln.values.get(f, 0.0) for ln in roster) for f in FIELD_ORDER}
+    # FieldId heads each column, so an empty roster still gives 37 zeros.
+    columns = zip(FieldId, *(ln.values for ln in game.roster(team_id)))
+    totals = tuple(math.fsum(col[1:]) for col in columns)
     return TeamGameTotals(game_id=game.game_id, team_id=team_id, totals=totals)
 
 
 def active_fields(totals: TeamGameTotals) -> frozenset[FieldId]:
     """Fields with a positive team total."""
-    active = frozenset(f for f, v in totals.totals.items() if v > 0.0)
+    active = frozenset(f for f, v in zip(FieldId, totals.totals) if v > 0.0)
     if not active:
         raise EmptyActiveSet(totals.game_id, totals.team_id)
     return active
@@ -86,24 +81,29 @@ def omega(active: frozenset[FieldId]) -> float:
     return 1.0 / len(active)
 
 
-def _share_sum(line_values: dict[FieldId, float], totals: dict[FieldId, float],
-               active: frozenset[FieldId]) -> float:
-    return math.fsum(line_values.get(f, 0.0) / totals[f] for f in FIELD_ORDER if f in active)
+def _share_sum(values: StatRow, totals: StatRow) -> float:
+    """Sum of the player's shares of the fields with a positive team total."""
+    return math.fsum(v / t for v, t in zip(values, totals) if t > 0.0)
+
+
+def _player_side(game: GameRecord, team_id: str,
+                 player_id: str) -> tuple[PlayerGameLine, StatRow, float]:
+    """The player's line, plus the totals and the weight of the team."""
+    totals = team_totals(game, team_id)
+    w = omega(active_fields(totals))
+    for ln in game.roster(team_id):
+        if ln.player_id == player_id:
+            return ln, totals.totals, w
+    raise UnknownPlayer(f"player {player_id!r} not on team {team_id!r} "
+                        f"in game {game.game_id!r}")
 
 
 def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
     """GCP of one active player; see the module docstring for the formula."""
-    totals = team_totals(game, team_id)
-    active = active_fields(totals)
-    w = omega(active)
-    for ln in game.roster(team_id):
-        if ln.player_id == player_id:
-            if not ln.active:
-                raise UnknownPlayer(
-                    f"player {player_id!r} is inactive in game {game.game_id!r}")
-            return w * _share_sum(ln.values, totals.totals, active)
-    raise UnknownPlayer(f"player {player_id!r} not on team {team_id!r} "
-                        f"in game {game.game_id!r}")
+    ln, totals, w = _player_side(game, team_id, player_id)
+    if not ln.active:
+        raise UnknownPlayer(f"player {player_id!r} is inactive in game {game.game_id!r}")
+    return w * _share_sum(ln.values, totals)
 
 
 def game_report(game: GameRecord) -> GameGcpReport:
@@ -118,7 +118,7 @@ def game_report(game: GameRecord) -> GameGcpReport:
         active = active_fields(totals)
         w = omega(active)
         gcp = {
-            ln.player_id: w * _share_sum(ln.values, totals.totals, active)
+            ln.player_id: w * _share_sum(ln.values, totals.totals)
             for ln in game.roster(team_id) if ln.active
         }
         sides.append(TeamGcp(team_id=team_id, weight=w,
@@ -130,21 +130,13 @@ def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     """Largest GCP the player could have recorded given his minutes and
     possessions: 1 - weight * (missing minutes share + missing possessions
     share). Requires positive team totals for both."""
-    totals = team_totals(game, team_id)
-    active = active_fields(totals)
-    w = omega(active)
-    min_t = totals.totals[FieldId.MIN]
-    poss_t = totals.totals[FieldId.POSS]
+    ln, totals, w = _player_side(game, team_id, player_id)
+    min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
     if min_t <= 0.0 or poss_t <= 0.0:
         raise DivisionDomain(
             f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
-    for ln in game.roster(team_id):
-        if ln.player_id == player_id:
-            min_p = ln.values.get(FieldId.MIN, 0.0)
-            poss_p = ln.values.get(FieldId.POSS, 0.0)
-            return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
-    raise UnknownPlayer(f"player {player_id!r} not on team {team_id!r} "
-                        f"in game {game.game_id!r}")
+    min_p, poss_p = ln.values[FieldId.MIN], ln.values[FieldId.POSS]
+    return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
 
 
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcpReport]:

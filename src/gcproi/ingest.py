@@ -22,16 +22,18 @@ import csv
 import io
 from dataclasses import dataclass, field
 from datetime import date as Date
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 from .errors import (
     DuplicateLine,
+    GcproiError,
     NegativeDerivedField,
     NonPositiveSalary,
     SchemaError,
 )
-from .fields import FIELD_ORDER, RAW_STATS, FieldId, RawStatLine, derive_fields, underive_fields
+from .fields import FIELD_ORDER, RAW_STATS, RawStatLine, StatRow, derive_fields, underive_fields
 
 ID_COLUMNS = ("game_id", "date", "team", "opponent", "player_id", "player_name")
 GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + tuple(f.name for f in FIELD_ORDER)
@@ -41,17 +43,17 @@ SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
 
 @dataclass(frozen=True, eq=True)
 class PlayerGameLine:
-    """One player's 37-field stat vector for one game."""
+    """One player's stat row for one game."""
 
     player_id: str
     team_id: str
     game_id: str
-    values: dict[FieldId, float]
+    values: StatRow
 
     @property
     def active(self) -> bool:
         """A player is active iff at least one field value is positive."""
-        return any(v > 0.0 for v in self.values.values())
+        return any(v > 0.0 for v in self.values)
 
 
 @dataclass(frozen=True, eq=True)
@@ -74,7 +76,8 @@ class GameRecord:
 
 @dataclass(frozen=True, eq=True)
 class SeasonDataset:
-    """Games ordered by (date, game_id), plus the player-name lookup."""
+    """Games ordered by (date, game_id), plus the player-name lookup. Team
+    and player lookups read an index built on first use; equality ignores it."""
 
     games: tuple[GameRecord, ...]
     player_names: dict[str, str]
@@ -85,22 +88,38 @@ class SeasonDataset:
         ordered = tuple(sorted(games, key=lambda g: (g.date, g.game_id)))
         return cls(games=ordered, player_names=dict(player_names or {}))
 
-    @property
-    def team_ids(self) -> set[str]:
-        return {t for g in self.games for t in g.teams}
+    @cached_property
+    def _index(self):
+        """(team -> its games, player -> team -> indices of the games the player
+        was active in), in dataset order; players with no active line map to {}."""
+        team_games: dict[str, list[GameRecord]] = {}
+        appearances: dict[str, dict[str, list[int]]] = {}
+        for idx, g in enumerate(self.games):
+            for t in dict.fromkeys(g.teams):
+                team_games.setdefault(t, []).append(g)
+            for ln in g.lines:
+                teams = appearances.setdefault(ln.player_id, {})
+                if ln.active:
+                    teams.setdefault(ln.team_id, []).append(idx)
+        return {t: tuple(gs) for t, gs in team_games.items()}, appearances
 
     @property
     def player_ids(self) -> set[str]:
-        return {ln.player_id for g in self.games for ln in g.lines}
+        return set(self._index[1])
+
+    def player_appearances(self, player_id: str) -> dict[str, list[int]]:
+        """Team -> indices into games of the player's active games for that
+        team, teams in order of first appearance; empty if none. Read-only."""
+        return self._index[1].get(player_id, {})
 
     def get_game(self, game_id: str) -> GameRecord:
         for g in self.games:
             if g.game_id == game_id:
                 return g
-        raise KeyError(game_id)
+        raise GcproiError(f"game {game_id!r} is not in the dataset")
 
     def games_for_team(self, team_id: str) -> tuple[GameRecord, ...]:
-        return tuple(g for g in self.games if team_id in g.teams)
+        return self._index[0].get(team_id, ())
 
     def player_name(self, player_id: str) -> str:
         return self.player_names.get(player_id, player_id)
@@ -150,23 +169,28 @@ def _parse_stat(text: str, line_no: int, column: str) -> float:
 
 
 def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
-    # utf-8-sig tolerates the BOM spreadsheet exports tend to prepend
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file, expected a header row", 1) from None
-        if tuple(header) != expected_header:
-            raise SchemaError(
-                f"bad header; expected {','.join(expected_header)!r}", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
+    try:
+        # utf-8-sig tolerates the BOM spreadsheet exports tend to prepend
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError("empty file, expected a header row", 1) from None
+            if tuple(header) != expected_header:
                 raise SchemaError(
-                    f"expected {len(expected_header)} columns, got {len(row)}", line_no)
-            yield line_no, row
+                    f"bad header; expected {','.join(expected_header)!r}", 1)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise SchemaError(
+                        f"expected {len(expected_header)} columns, got {len(row)}", line_no)
+                yield line_no, row
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def parse_games(path: str | Path, fmt: str = "derived",
@@ -197,17 +221,17 @@ def parse_games(path: str | Path, fmt: str = "derived",
             raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
 
         if fmt == "derived":
-            values = {
-                fid: _parse_stat(row[6 + i], line_no, fid.name)
-                for i, fid in enumerate(FIELD_ORDER)
-            }
+            values = tuple(_parse_stat(text, line_no, fid.name)
+                           for text, fid in zip(row[6:], FIELD_ORDER))
         else:
             raw_values = {
                 name: _parse_stat(row[6 + i], line_no, name)
                 for i, name in enumerate(RAW_STATS)
             }
             try:
-                values = derive_fields(RawStatLine(player_id, raw_values), clamp_negative)
+                # derive_fields returns the fields in FIELD_ORDER
+                values = tuple(derive_fields(RawStatLine(player_id, raw_values),
+                                             clamp_negative).values())
             except NegativeDerivedField as exc:
                 raise NegativeDerivedField(exc.field, exc.value, line_no) from None
 
@@ -296,21 +320,18 @@ def _fmt_stat(v: float) -> str:
     return repr(v)
 
 
-def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None:
-    """Write a SeasonDataset in the canonical games schema.
-
-    The emitted form is byte-stable: parsing it back and re-writing yields
-    identical bytes.
-    """
+def _write_lines(ds: SeasonDataset, path: str | Path | io.TextIOBase,
+                 header: tuple[str, ...], stats) -> None:
+    """Write header, then each player-game as its id columns and stats(line)."""
     def emit(fh) -> None:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(GAMES_HEADER)
+        w.writerow(header)
         for g in ds.games:
             for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
                 for ln in g.roster(team):
                     w.writerow([g.game_id, g.date.isoformat(), team, opp,
                                 ln.player_id, ds.player_name(ln.player_id)]
-                               + [_fmt_stat(ln.values[f]) for f in FIELD_ORDER])
+                               + [_fmt_stat(v) for v in stats(ln)])
 
     if isinstance(path, io.TextIOBase):
         emit(path)
@@ -319,18 +340,19 @@ def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None
             emit(fh)
 
 
+def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None:
+    """Write a SeasonDataset in the canonical games schema.
+
+    The emitted form is byte-stable: parsing it back and re-writing yields
+    identical bytes.
+    """
+    _write_lines(ds, path, GAMES_HEADER, lambda ln: ln.values)
+
+
 def write_raw_games_csv(ds: SeasonDataset, path: str | Path) -> None:
     """Write a SeasonDataset in the source-stat schema (inverse adjustments)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RAW_GAMES_HEADER)
-        for g in ds.games:
-            for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
-                for ln in g.roster(team):
-                    raw = underive_fields(ln.player_id, ln.values)
-                    w.writerow([g.game_id, g.date.isoformat(), team, opp,
-                                ln.player_id, ds.player_name(ln.player_id)]
-                               + [_fmt_stat(raw.get(name)) for name in RAW_STATS])
+    _write_lines(ds, path, RAW_GAMES_HEADER,
+                 lambda ln: map(underive_fields(ln.player_id, ln.values).get, RAW_STATS))
 
 
 def write_salaries_csv(table: SalaryTable, path: str | Path) -> None:
@@ -383,13 +405,12 @@ def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> Validati
                                      game_id=g.game_id, player_id=ln.player_id))
             players_seen.add(ln.player_id)
 
-            missing = [f for f in FIELD_ORDER if f not in ln.values]
-            if missing or len(ln.values) != len(FIELD_ORDER):
+            if len(ln.values) != len(FIELD_ORDER):
                 out.append(Violation("MissingField",
                                      f"player {ln.player_id!r} in game {g.game_id!r} has "
                                      f"{len(ln.values)} of {len(FIELD_ORDER)} fields",
                                      game_id=g.game_id, player_id=ln.player_id))
-            for f, v in ln.values.items():
+            for f, v in zip(FIELD_ORDER, ln.values):
                 if v != v or v in (float("inf"), float("-inf")):
                     out.append(Violation("NonFiniteValue",
                                          f"{f.name} is {v} for player {ln.player_id!r} "
@@ -410,14 +431,10 @@ def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> Validati
                                      game_id=g.game_id, team_id=team))
 
     if strict_season:
-        counts: dict[str, int] = {}
-        for g in ds.games:
-            for t in g.teams:
-                counts[t] = counts.get(t, 0) + 1
-        for team in sorted(counts):
-            if counts[team] > 82:
+        for team, games in sorted(ds._index[0].items()):
+            if len(games) > 82:
                 out.append(Violation("TeamOver82",
-                                     f"team {team!r} appears in {counts[team]} games",
+                                     f"team {team!r} appears in {len(games)} games",
                                      team_id=team))
 
     return ValidationReport(violations=tuple(out))

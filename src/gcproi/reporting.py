@@ -11,8 +11,8 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .errors import MissingSalary, UnknownPlayer
-from .finance import SingleGameValue, cash_flows, irr, player_schedule, pvgcp
+from .errors import MissingSalary
+from .finance import SingleGameValue, cash_flows, irr, player_schedule, pvgcp, slot_shares
 from .gcp import GameGcpReport, nonzero_gcp_distribution
 from .ingest import SalaryTable, SeasonDataset
 
@@ -197,15 +197,10 @@ def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                player_a: str, player_b: str) -> ComparisonSeries:
     """Game-by-game GCP series for two players, with running sums."""
-    for p in (player_a, player_b):
-        if p not in ds.player_ids:
-            raise UnknownPlayer(f"player {p!r} never appears in the dataset")
-
     def one(player_id: str):
         slots = player_schedule(ds, player_id)
         games = tuple(g.game_id for g, _ in slots)
-        shares = tuple(reports[g.game_id].team(t).gcp.get(player_id, 0.0)
-                       for g, t in slots)
+        shares = tuple(slot_shares(reports, player_id, slots))
         # Compensated prefix sums so the last entry matches pvgcp exactly.
         cumulative = tuple(math.fsum(shares[:i + 1]) for i in range(len(shares)))
         return games, shares, cumulative

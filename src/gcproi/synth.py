@@ -149,7 +149,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                 team_lines = []
                 for player in actives:
                     appearances[player] += 1
-                    values = {}
+                    values = [0.0] * len(FIELD_ORDER)
                     for f in count_fields:
                         values[f] = 0.0 if f in silenced else float(rng.randint(0, cfg.count_max))
                     for f in FRACTIONAL_FIELDS:
@@ -165,7 +165,8 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                     for v in team_lines:
                         v[FieldId.MIN] = v[FieldId.MIN] * 240.0 / total_min
                 lines.extend(
-                    PlayerGameLine(player_id=p, team_id=team, game_id=game_id, values=v)
+                    PlayerGameLine(player_id=p, team_id=team, game_id=game_id,
+                                   values=tuple(v))
                     for p, v in zip(actives, team_lines))
             games.append(GameRecord(game_id=game_id, date=day, team1=home,
                                     team2=away, lines=tuple(lines)))

@@ -53,11 +53,11 @@ def bosphi_reports(bosphi):
 
 def make_line(player_id: str, team_id: str, game_id: str, **stats) -> PlayerGameLine:
     """A 37-field line that is zero except for the named fields."""
-    values = {f: 0.0 for f in FieldId}
+    values = [0.0] * len(FieldId)
     for name, v in stats.items():
         values[FieldId[name]] = float(v)
     return PlayerGameLine(player_id=player_id, team_id=team_id,
-                          game_id=game_id, values=values)
+                          game_id=game_id, values=tuple(values))
 
 
 def make_game(game_id: str, day: date, team1: str, team2: str, lines) -> GameRecord:

@@ -167,7 +167,7 @@ def test_criterion_5_property_suites():
             scaled_lines = [
                 make_line(ln.player_id, ln.team_id, ln.game_id,
                           **{f.name: (v * scale if f is field else v)
-                             for f, v in ln.values.items()})
+                             for f, v in zip(FieldId, ln.values)})
                 for ln in g.lines
             ]
             scaled = game_report(make_game(g.game_id, g.date, g.team1, g.team2,

@@ -103,6 +103,30 @@ def test_schema_error_exits_2(tmp_path):
     assert rc == 2
 
 
+BAD_INPUTS = {
+    "missing-file": ["histogram", "--games", "{tmp}/missing.csv"],
+    "directory": ["histogram", "--games", "{tmp}"],
+    "games-not-utf8": ["histogram", "--games", "{tmp}/latin1.csv"],
+    "salaries-not-utf8": ["roi", "--games", "{games}", "--salaries", "{tmp}/latin1.csv"],
+    "bin-width-zero": ["histogram", "--games", "{games}", "--bin-width", "0"],
+    "bin-width-negative": ["histogram", "--games", "{games}", "--bin-width", "-0.5"],
+    "bin-width-nan": ["histogram", "--games", "{games}", "--bin-width", "nan"],
+    "top-negative": ["pvgcp-board", "--games", "{games}", "--salaries", "{salaries}",
+                     "--top", "-3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys):
+    (tmp_path / "latin1.csv").write_bytes("game_id,joué\n".encode("latin-1"))
+    paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv",
+             "salaries": data_dir / "bosphi_salaries.csv"}
+    argv = [arg.format(**paths) for arg in BAD_INPUTS[case]]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validate_clean_exits_0_and_dirty_exits_1(tmp_path, data_dir):
     rc, body = run(["validate", "--games", str(data_dir / "bosphi_games.csv")],
                    tmp_path)

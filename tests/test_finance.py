@@ -11,6 +11,7 @@ from gcproi import (
     breakeven_gcp,
     cash_flows,
     irr,
+    irr_oracle,
     npv,
     player_schedule,
     pvgcp,
@@ -239,6 +240,15 @@ def test_npv_survives_discount_overflow_near_minus_one():
     # zero flows must not poison the sum with 0 * inf.
     s = series(100.0, [0.0] * 29 + [1e-6])
     assert npv(-1.0 + 1e-13, s) == math.inf
+    # Here every discounted term is finite at the solver's first bracket
+    # point, but their sum overflows; the solver must still find the root.
+    flows = [0.0] * 160
+    flows[152], flows[153] = 100.0, 1.5
+    s = series(1e6, flows)
+    assert npv(-0.99, s) == math.inf
+    result = irr(s)
+    assert result.rate == pytest.approx(irr_oracle(s), abs=1e-9)
+    assert result.rate == pytest.approx(-0.0583, abs=1e-4)
 
 
 # --- internal rate of return ---------------------------------------------

@@ -218,7 +218,7 @@ def test_scaling_one_field_leaves_gcp_unchanged(bosphi):
     for scale in (0.25, 3.0, 1000.0):
         lines = []
         for ln in game.lines:
-            values = dict(ln.values)
+            values = dict(zip(FieldId, ln.values))
             values[FieldId.TCH] = values[FieldId.TCH] * scale
             lines.append(make_line(ln.player_id, ln.team_id, ln.game_id,
                                    **{f.name: v for f, v in values.items()}))
@@ -235,7 +235,7 @@ def test_dropping_a_zero_total_field_changes_nothing(bosphi):
     base = game_report(game).team("BOS")
     lines = []
     for ln in game.lines:
-        stats = {f.name: v for f, v in ln.values.items()}
+        stats = {f.name: v for f, v in zip(FieldId, ln.values)}
         if ln.team_id == "BOS":
             stats["CHGD"] = 0.0
         lines.append(make_line(ln.player_id, ln.team_id, ln.game_id, **stats))

@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gcproi
 from gcproi import (
     CashFlowSeries,
     FieldId,
@@ -157,3 +162,15 @@ def test_cli_writes_parseable_synthetic_files(tmp_path):
     assert len(ds.games) == 10
     assert ds.player_ids <= set(salaries.entries)
     assert validate_dataset(ds).ok
+
+
+def test_synth_bytes_do_not_depend_on_hash_seed(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(gcproi.__file__).parents[1]))
+    written = []
+    for hash_seed in ("1", "5"):
+        out_dir = tmp_path / hash_seed
+        subprocess.run([sys.executable, "-m", "gcproi.cli", "synth", "--seed", "7",
+                        "--teams", "4", "--games", "6", "--out-dir", str(out_dir)],
+                       env=dict(env, PYTHONHASHSEED=hash_seed), check=True, timeout=60)
+        written.append((out_dir / "games.csv").read_bytes())
+    assert written[0] == written[1]
