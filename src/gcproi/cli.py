@@ -59,7 +59,10 @@ def _emit(header: list[str], rows: list[list], args) -> None:
 
 def _write_text(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(out).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise GcproiError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -54,8 +54,8 @@ class SingleGameValue:
 
     @classmethod
     def override(cls, dollars: float) -> "SingleGameValue":
-        if dollars <= 0.0:
-            raise NonPositiveInput(f"SGV override must be positive, got {dollars}")
+        if not 0.0 < dollars < math.inf:
+            raise NonPositiveInput(f"SGV override must be a positive finite number, got {dollars}")
         return cls(dollars=float(dollars))
 
 
@@ -146,29 +146,39 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
     return tuple((g, team) for team, window in stints for g in window)
 
 
-def slot_shares(reports: dict[str, GameGcpReport], player_id: str,
-                slots: tuple[tuple[GameRecord, str], ...]) -> list[float]:
-    """The player's GCP in each (game, team) schedule slot; 0.0 where the
-    player did not play."""
-    return [reports[g.game_id].team(team).gcp.get(player_id, 0.0) for g, team in slots]
+#: A player's schedule slots and his GCP in each slot.
+Scheduled = tuple[tuple[tuple[GameRecord, str], ...], tuple[float, ...]]
+
+
+def scheduled_shares(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+                     player_id: str) -> Scheduled:
+    """The player's schedule (see player_schedule) and his GCP in each
+    (game, team) slot; 0.0 where the player did not play."""
+    slots = player_schedule(ds, player_id)
+    return slots, tuple(reports[g.game_id].team(team).gcp.get(player_id, 0.0)
+                        for g, team in slots)
 
 
 def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
-               value: SingleGameValue, salary: float) -> CashFlowSeries:
+               value: SingleGameValue, salary: float,
+               scheduled: Scheduled | None = None) -> CashFlowSeries:
     """Realized cash-flow series for one player: SGV times GCP per scheduled
-    game, zero where the player did not appear."""
+    game, zero where the player did not appear. scheduled, when given, is
+    the player's scheduled_shares, so that callers needing it too compute
+    it once."""
     if salary <= 0:
         raise NonPositiveInvestment(f"salary must be positive, got {salary}")
-    slots = player_schedule(ds, player_id)
-    flows = tuple(value.dollars * share for share in slot_shares(reports, player_id, slots))
+    slots, shares = scheduled or scheduled_shares(ds, reports, player_id)
+    flows = tuple(value.dollars * share for share in shares)
     return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
                           schedule=tuple(g.game_id for g, _ in slots),
                           teams=tuple(t for _, t in slots))
 
 
-def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str) -> PvGcp:
-    """Sum the player's GCPs over his schedule."""
-    shares = slot_shares(reports, player_id, player_schedule(ds, player_id))
+def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
+          scheduled: Scheduled | None = None) -> PvGcp:
+    """Sum the player's GCPs over his schedule; scheduled as in cash_flows."""
+    _, shares = scheduled or scheduled_shares(ds, reports, player_id)
     return PvGcp(player_id=player_id, value=math.fsum(shares),
                  games_played=sum(1 for s in shares if s > 0.0))
 
@@ -279,10 +289,10 @@ def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
 def breakeven_gcp(salary: float, n_games: int, value: SingleGameValue) -> float:
     """Constant per-game GCP at which the salary is exactly recovered at a
     0% rate over n_games: salary / (n_games * SGV)."""
-    if salary <= 0:
-        raise NonPositiveInput(f"salary must be positive, got {salary}")
+    if not 0.0 < salary < math.inf:
+        raise NonPositiveInput(f"salary must be a positive finite number, got {salary}")
     if n_games <= 0:
         raise NonPositiveInput(f"n_games must be positive, got {n_games}")
-    if value.dollars <= 0:
-        raise NonPositiveInput(f"SGV must be positive, got {value.dollars}")
+    if not 0.0 < value.dollars < math.inf:
+        raise NonPositiveInput(f"SGV must be a positive finite number, got {value.dollars}")
     return salary / (n_games * value.dollars)

@@ -18,10 +18,11 @@ holds to 1e-12 even for large rosters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
-from .fields import FieldId, StatRow
+from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, PlayerGameLine, SeasonDataset
 
 
@@ -60,15 +61,14 @@ def team_totals(game: GameRecord, team_id: str) -> TeamGameTotals:
     """Sum every field over the team's lines for this game."""
     if team_id not in game.teams:
         raise UnknownTeam(f"team {team_id!r} not in game {game.game_id!r}")
-    # FieldId heads each column, so an empty roster still gives 37 zeros.
-    columns = zip(FieldId, *(ln.values for ln in game.roster(team_id)))
-    totals = tuple(math.fsum(col[1:]) for col in columns)
+    rows = [ln.values for ln in game.roster(team_id)]
+    totals = tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
     return TeamGameTotals(game_id=game.game_id, team_id=team_id, totals=totals)
 
 
 def active_fields(totals: TeamGameTotals) -> frozenset[FieldId]:
     """Fields with a positive team total."""
-    active = frozenset(f for f, v in zip(FieldId, totals.totals) if v > 0.0)
+    active = frozenset(f for f, v in zip(FIELD_ORDER, totals.totals) if v > 0.0)
     if not active:
         raise EmptyActiveSet(totals.game_id, totals.team_id)
     return active
@@ -81,9 +81,18 @@ def omega(active: frozenset[FieldId]) -> float:
     return 1.0 / len(active)
 
 
-def _share_sum(values: StatRow, totals: StatRow) -> float:
-    """Sum of the player's shares of the fields with a positive team total."""
-    return math.fsum(v / t for v, t in zip(values, totals) if t > 0.0)
+def _divisors(totals: StatRow) -> StatRow:
+    """The team totals with every zero total replaced by inf."""
+    return tuple(t if t > 0.0 else math.inf for t in totals)
+
+
+def _share_sum(values: StatRow, divisors: StatRow) -> float:
+    """Sum of the player's shares of the fields with a positive team total.
+
+    A field the team never recorded has divisor inf and adds an exact +0.0
+    term; fsum is correctly rounded, so that term changes nothing.
+    """
+    return math.fsum(map(operator.truediv, values, divisors))
 
 
 def _player_side(game: GameRecord, team_id: str,
@@ -103,7 +112,7 @@ def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
     ln, totals, w = _player_side(game, team_id, player_id)
     if not ln.active:
         raise UnknownPlayer(f"player {player_id!r} is inactive in game {game.game_id!r}")
-    return w * _share_sum(ln.values, totals)
+    return w * _share_sum(ln.values, _divisors(totals))
 
 
 def game_report(game: GameRecord) -> GameGcpReport:
@@ -117,8 +126,9 @@ def game_report(game: GameRecord) -> GameGcpReport:
         totals = team_totals(game, team_id)
         active = active_fields(totals)
         w = omega(active)
+        divisors = _divisors(totals.totals)
         gcp = {
-            ln.player_id: w * _share_sum(ln.values, totals.totals)
+            ln.player_id: w * _share_sum(ln.values, divisors)
             for ln in game.roster(team_id) if ln.active
         }
         sides.append(TeamGcp(team_id=team_id, weight=w,

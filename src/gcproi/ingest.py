@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from functools import cached_property
@@ -168,6 +169,24 @@ def _parse_stat(text: str, line_no: int, column: str) -> float:
     return v
 
 
+def _parse_stats(cells: list[str], line_no: int, columns: tuple[str, ...]) -> StatRow:
+    """Parse a row's stat cells, as _parse_stat would one by one.
+
+    The whole row is parsed and screened at once; only a row that fails the
+    screen is scanned cell by cell, to raise _parse_stat's error for the
+    first bad cell. The screen catches NaN and inf (through the sum) and
+    negative values (through the min). A row of valid cells whose sum
+    overflows fails the screen but passes the scan.
+    """
+    try:
+        values = tuple(map(float, cells))
+        if min(values) >= 0.0 and sum(values) < math.inf:
+            return values
+    except ValueError:
+        pass
+    return tuple(_parse_stat(text, line_no, column) for text, column in zip(cells, columns))
+
+
 def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
     try:
         # utf-8-sig tolerates the BOM spreadsheet exports tend to prepend
@@ -204,6 +223,7 @@ def parse_games(path: str | Path, fmt: str = "derived",
     if fmt not in ("derived", "raw"):
         raise ValueError(f"unknown games format {fmt!r}")
     header = GAMES_HEADER if fmt == "derived" else RAW_GAMES_HEADER
+    stat_columns = header[len(ID_COLUMNS):]
 
     # game_id -> parse state
     pending: dict[str, dict] = {}
@@ -220,14 +240,9 @@ def parse_games(path: str | Path, fmt: str = "derived",
         except ValueError:
             raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
 
-        if fmt == "derived":
-            values = tuple(_parse_stat(text, line_no, fid.name)
-                           for text, fid in zip(row[6:], FIELD_ORDER))
-        else:
-            raw_values = {
-                name: _parse_stat(row[6 + i], line_no, name)
-                for i, name in enumerate(RAW_STATS)
-            }
+        values = _parse_stats(row[6:], line_no, stat_columns)
+        if fmt == "raw":
+            raw_values = dict(zip(RAW_STATS, values))
             try:
                 # derive_fields returns the fields in FIELD_ORDER
                 values = tuple(derive_fields(RawStatLine(player_id, raw_values),
@@ -264,10 +279,11 @@ def parse_games(path: str | Path, fmt: str = "derived",
             raise DuplicateLine(player_id, game_id, line_no)
         state["players"].add(player_id)
 
-        line = PlayerGameLine(player_id=player_id, team_id=team,
-                              game_id=game_id, values=values)
-        if line.active:
-            state["lines"][team].append(line)
+        # Every value is finite and non-negative here, so max() is the
+        # active test.
+        if max(values) > 0.0:
+            state["lines"][team].append(PlayerGameLine(
+                player_id=player_id, team_id=team, game_id=game_id, values=values))
 
     games = []
     for game_id, state in pending.items():

@@ -11,8 +11,10 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .errors import MissingSalary
-from .finance import SingleGameValue, cash_flows, irr, player_schedule, pvgcp, slot_shares
+from .errors import GcproiError, MissingSalary
+from .finance import SingleGameValue, cash_flows, irr, pvgcp, scheduled_shares
+# benchmarks/test_benchmark.py checks that tracing restores this binding.
+from .finance import player_schedule  # noqa: F401
 from .gcp import GameGcpReport, nonzero_gcp_distribution
 from .ingest import SalaryTable, SeasonDataset
 
@@ -21,6 +23,10 @@ STATUS_TOTAL_DEFAULT = "total_default"
 STATUS_BELOW_MIN_GAMES = "below_min_games"
 
 DEFAULT_MIN_GAMES = 25
+
+#: Most bins a histogram may have; a narrower bin width is an error, not an
+#: allocation that grows with 1 / bin_width.
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,9 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
             rows.append(RoiRow(player_id, name, salary, 0, 0.0, None,
                                STATUS_TOTAL_DEFAULT))
             continue
-        m = pvgcp(ds, reports, player_id)
-        series = cash_flows(ds, reports, player_id, value, salary)
+        scheduled = scheduled_shares(ds, reports, player_id)
+        m = pvgcp(ds, reports, player_id, scheduled)
+        series = cash_flows(ds, reports, player_id, value, salary, scheduled)
         rate = irr(series, abs_tol=abs_tol).rate
         status = STATUS_OK if m.games_played >= min_games else STATUS_BELOW_MIN_GAMES
         rows.append(RoiRow(player_id, ds.player_name(player_id), salary,
@@ -198,9 +205,8 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                player_a: str, player_b: str) -> ComparisonSeries:
     """Game-by-game GCP series for two players, with running sums."""
     def one(player_id: str):
-        slots = player_schedule(ds, player_id)
+        slots, shares = scheduled_shares(ds, reports, player_id)
         games = tuple(g.game_id for g, _ in slots)
-        shares = tuple(slot_shares(reports, player_id, slots))
         # Compensated prefix sums so the last entry matches pvgcp exactly.
         cumulative = tuple(math.fsum(shares[:i + 1]) for i in range(len(shares)))
         return games, shares, cumulative
@@ -228,17 +234,23 @@ def histogram_bins(values: list[float], bin_width: float = 0.01) -> list[Histogr
     """Fixed-width half-open bins [k*w, (k+1)*w) covering the data range.
 
     Interior empty bins are emitted with a zero count so the output shape is
-    plot-ready.
+    plot-ready. A bin width that needs more than MAX_HISTOGRAM_BINS bins
+    raises GcproiError before any bin is made.
     """
     if bin_width <= 0.0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     if not values:
         return []
+    lo, hi = min(values) / bin_width, max(values) / bin_width
+    if not (-math.inf < lo <= hi < math.inf
+            and math.floor(hi) - math.floor(lo) < MAX_HISTOGRAM_BINS):
+        raise GcproiError(f"bin width {bin_width} gives more than {MAX_HISTOGRAM_BINS} "
+                          f"bins over the data range")
+    lo_k, hi_k = math.floor(lo), math.floor(hi)
     counts: dict[int, int] = {}
     for v in values:
         k = math.floor(v / bin_width)
         counts[k] = counts.get(k, 0) + 1
-    lo_k, hi_k = min(counts), max(counts)
     return [HistogramBin(lo=k * bin_width, hi=(k + 1) * bin_width,
                          count=counts.get(k, 0))
             for k in range(lo_k, hi_k + 1)]

@@ -113,6 +113,16 @@ BAD_INPUTS = {
     "bin-width-nan": ["histogram", "--games", "{games}", "--bin-width", "nan"],
     "top-negative": ["pvgcp-board", "--games", "{games}", "--salaries", "{salaries}",
                      "--top", "-3"],
+    "bin-width-too-many-bins": ["histogram", "--games", "{games}", "--bin-width", "1e-9"],
+    "bin-width-overflows": ["histogram", "--games", "{games}", "--bin-width", "1e-320"],
+    "sgv-override-nan": ["roi", "--games", "{games}", "--salaries", "{salaries}",
+                         "--sgv-override", "nan"],
+    "breakeven-sgv-nan": ["breakeven", "--salary", "1000000", "--n-games", "10",
+                          "--sgv", "nan"],
+    "breakeven-sgv-inf": ["breakeven", "--salary", "1000000", "--n-games", "10",
+                          "--sgv", "inf"],
+    "out-missing-parent": ["histogram", "--games", "{games}", "--out", "{tmp}/missing/x"],
+    "out-directory": ["histogram", "--games", "{games}", "--out", "{tmp}"],
 }
 
 
@@ -122,7 +132,9 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys)
     paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv",
              "salaries": data_dir / "bosphi_salaries.csv"}
     argv = [arg.format(**paths) for arg in BAD_INPUTS[case]]
-    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

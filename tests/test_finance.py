@@ -60,8 +60,9 @@ def test_sgv_rejects_non_positive_inputs():
         sgv(0, 10)
     with pytest.raises(NonPositiveInput):
         sgv(100, 0)
-    with pytest.raises(NonPositiveInput):
-        SingleGameValue.override(0.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveInput):
+            SingleGameValue.override(bad)
 
 
 # --- schedules and cash flows ------------------------------------------
@@ -345,3 +346,8 @@ def test_breakeven_rejects_non_positive_inputs():
         breakeven_gcp(0.0, 5, value)
     with pytest.raises(NonPositiveInput):
         breakeven_gcp(10.0, 0, value)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveInput):
+            breakeven_gcp(10.0, 5, SingleGameValue(dollars=bad))
+        with pytest.raises(NonPositiveInput):
+            breakeven_gcp(bad, 5, value)

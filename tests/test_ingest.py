@@ -1,7 +1,11 @@
 import math
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcproi import (
     FieldId,
@@ -14,8 +18,9 @@ from gcproi import (
     write_raw_games_csv,
     write_salaries_csv,
 )
+from gcproi import ingest
 from gcproi.errors import DuplicateLine, NonPositiveSalary, SchemaError
-from gcproi.ingest import GAMES_HEADER, SALARIES_HEADER
+from gcproi.ingest import GAMES_HEADER, SALARIES_HEADER, _parse_stat
 from gcproi.synth import SynthConfig, synth_season
 
 from conftest import make_game, make_line
@@ -86,6 +91,74 @@ def test_malformed_rows_report_1_based_line_numbers(tmp_path, bosphi):
     with pytest.raises(SchemaError) as exc:
         parse_games(negative)
     assert exc.value.line == 6
+
+
+BAD_CELLS = ("x", "", "-1", "nan", "inf", "1e309")
+
+
+def _rewrite_row(path, src, line_no, cells):
+    """Copy the games file src to path with the cells {column index: text}
+    replaced on the 1-based line line_no."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    row = lines[line_no - 1].split(",")
+    for i, text in cells.items():
+        row[6 + i] = text
+    lines[line_no - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_no=st.integers(2, 21),
+       bad=st.dictionaries(st.integers(0, len(FieldId) - 1), st.sampled_from(BAD_CELLS),
+                           min_size=1, max_size=5))
+def test_a_bad_stat_cell_is_reported_at_its_line_and_first_column(data_dir, line_no, bad):
+    first = min(bad)
+    column = GAMES_HEADER[6 + first]
+    with pytest.raises(SchemaError) as expected:
+        _parse_stat(bad[first], line_no, column)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "games.csv"
+        _rewrite_row(path, data_dir / "bosphi_games.csv", line_no, bad)
+        with pytest.raises(SchemaError) as exc:
+            parse_games(path)
+    assert (exc.value.line, exc.value.column) == (line_no, column)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_finite_cells_whose_row_sum_overflows_parse(tmp_path, data_dir):
+    path = tmp_path / "big.csv"
+    _rewrite_row(path, data_dir / "bosphi_games.csv", 3,
+                 {FieldId.TCH: "1e308", FieldId.PASR: "1e308"})
+    values = next(ln.values for ln in parse_games(path).games[0].lines
+                  if ln.player_id == "grant-williams")
+    assert values[FieldId.TCH] == values[FieldId.PASR] == 1e308
+
+
+def test_valid_rows_never_take_the_per_cell_scan(tmp_path, data_dir, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _parse_stat(*args)
+
+    monkeypatch.setattr(ingest, "_parse_stat", counting)
+    assert parse_games(data_dir / "bosphi_games.csv").games
+    assert calls == []
+    bad = tmp_path / "bad.csv"
+    _rewrite_row(bad, data_dir / "bosphi_games.csv", 2, {3: "x"})
+    with pytest.raises(SchemaError):
+        parse_games(bad)
+    assert len(calls) == 4  # the scan stops at the first bad cell
+
+
+def test_stat_cells_accept_what_float_accepts_if_finite_and_non_negative(tmp_path, data_dir):
+    cells = {0: " 12.5 ", 1: "1_000", 2: "-0", 3: "2e1", 4: "+3"}
+    path = tmp_path / "syntax.csv"
+    _rewrite_row(path, data_dir / "bosphi_games.csv", 2, cells)
+    values = next(ln.values for ln in parse_games(path).games[0].lines
+                  if ln.player_id == "jayson-tatum")
+    assert values[:5] == (12.5, 1000.0, 0.0, 20.0, 3.0)
+    assert math.copysign(1.0, values[2]) == -1.0  # "-0" is kept as -0.0
 
 
 def test_repeated_player_game_pair_is_rejected(tmp_path, bosphi):

@@ -22,7 +22,8 @@ from gcproi import (
     sgv,
     synth_season,
 )
-from gcproi.errors import MissingSalary, UnknownPlayer
+from gcproi import reporting
+from gcproi.errors import GcproiError, MissingSalary, UnknownPlayer
 from gcproi.reporting import STATUS_BELOW_MIN_GAMES, STATUS_OK, STATUS_TOTAL_DEFAULT
 
 
@@ -201,6 +202,16 @@ def test_histogram_empty_and_bad_width():
     assert histogram_bins([], 0.01) == []
     with pytest.raises(ValueError):
         histogram_bins([0.1], 0.0)
+
+
+def test_histogram_bin_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(reporting, "MAX_HISTOGRAM_BINS", 10)
+    assert len(histogram_bins([0.0, 9.5], 1.0)) == 10
+    with pytest.raises(GcproiError):
+        histogram_bins([0.0, 10.0], 1.0)
+    # a quotient that overflows to inf is refused, not floored
+    with pytest.raises(GcproiError):
+        histogram_bins([0.5], 1e-320)
 
 
 def test_salary_summary_statistics(synth_world):
