@@ -75,7 +75,9 @@ def _sgv_for(args, ds: SeasonDataset, salaries) -> finance.SingleGameValue:
     override = getattr(args, "sgv_override", None)
     if override is not None:
         return finance.SingleGameValue.override(override)
-    games = getattr(args, "season_games", None) or len(ds.games)
+    games = getattr(args, "season_games", None)
+    if games is None:
+        games = len(ds.games)
     return finance.sgv(salaries.total, games)
 
 
@@ -261,9 +263,13 @@ def cmd_synth(args) -> int:
                             miss_prob=args.miss_prob, realistic=args.realistic)
     ds, salaries, _ = synth.synth_season(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_games_csv(ds, out_dir / "games.csv")
-    write_salaries_csv(salaries, out_dir / "salaries.csv")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_games_csv(ds, out_dir / "games.csv")
+        write_salaries_csv(salaries, out_dir / "salaries.csv")
+    except OSError as exc:
+        raise GcproiError(
+            f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
     return EXIT_OK
 
 

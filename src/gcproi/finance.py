@@ -219,7 +219,7 @@ def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
         raise NonPositiveInvestment(f"cf0 must be positive, got {series.cf0}")
     if not any(cf > 0.0 for cf in series.flows):
         raise AllZeroFlows(f"player {series.player_id!r} produced no positive cash flow")
-    if abs_tol <= 0.0:
+    if not abs_tol > 0.0:  # NaN too
         raise NonPositiveInput(f"abs_tol must be positive, got {abs_tol}")
 
     evals = 0

@@ -336,18 +336,32 @@ def _fmt_stat(v: float) -> str:
     return repr(v)
 
 
+class _StatText(dict):
+    """Cell text by value, for one write call: _fmt_stat(v), remembered only
+    for the values it writes as integers. Equal keys give equal text there:
+    -0.0 finds 0.0's entry, and both are '0'."""
+
+    def __missing__(self, v: float) -> str:
+        text = _fmt_stat(v)
+        if v == int(v) and abs(v) < 1e16:
+            self[v] = text
+        return text
+
+
 def _write_lines(ds: SeasonDataset, path: str | Path | io.TextIOBase,
                  header: tuple[str, ...], stats) -> None:
     """Write header, then each player-game as its id columns and stats(line)."""
     def emit(fh) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
+        cell = _StatText().__getitem__
+        name = ds.player_name
         for g in ds.games:
+            day = g.date.isoformat()
             for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
-                for ln in g.roster(team):
-                    w.writerow([g.game_id, g.date.isoformat(), team, opp,
-                                ln.player_id, ds.player_name(ln.player_id)]
-                               + [_fmt_stat(v) for v in stats(ln)])
+                w.writerows([g.game_id, day, team, opp, ln.player_id,
+                             name(ln.player_id), *map(cell, stats(ln))]
+                            for ln in g.roster(team))
 
     if isinstance(path, io.TextIOBase):
         emit(path)

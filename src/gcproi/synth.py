@@ -104,6 +104,9 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     """
     cfg.validate()
     rng = random.Random(cfg.seed)
+    # randint(0, n) is randrange(n + 1): the same draws, one call fewer.
+    rand, randrange, uniform = rng.random, rng.randrange, rng.uniform
+    count_stop = cfg.count_max + 1
 
     teams = [f"T{i:02d}" for i in range(cfg.teams)]
     rosters = {
@@ -130,10 +133,13 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
             lines: list[PlayerGameLine] = []
             for team in (home, away):
                 silenced = set(cfg.zero_fields.get(team, ()))
+                # A silenced field is never drawn; the rest are drawn in order.
+                drawn_counts = [f for f in count_fields if f not in silenced]
+                drawn_fractions = [f for f in FRACTIONAL_FIELDS if f not in silenced]
                 actives = []
                 for player in rosters[team]:
                     prob = cfg.miss_prob_overrides.get(player, cfg.miss_prob)
-                    if rng.random() < prob:
+                    if rand() < prob:
                         missed[player].append(game_id)
                     else:
                         actives.append(player)
@@ -150,15 +156,15 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                 for player in actives:
                     appearances[player] += 1
                     values = [0.0] * len(FIELD_ORDER)
-                    for f in count_fields:
-                        values[f] = 0.0 if f in silenced else float(rng.randint(0, cfg.count_max))
-                    for f in FRACTIONAL_FIELDS:
-                        values[f] = 0.0 if f in silenced else rng.uniform(1.0, cfg.minutes_max)
+                    for f in drawn_counts:
+                        values[f] = float(randrange(count_stop))
+                    for f in drawn_fractions:
+                        values[f] = uniform(1.0, cfg.minutes_max)
                     team_lines.append(values)
                 # Guarantee every non-silenced count field has a positive
                 # team total so the active set is exactly the planted one.
-                for f in count_fields:
-                    if f not in silenced and not any(v[f] > 0.0 for v in team_lines):
+                for f in drawn_counts:
+                    if not any(v[f] > 0.0 for v in team_lines):
                         team_lines[0][f] = 1.0
                 if cfg.realistic and FieldId.MIN not in silenced:
                     total_min = math.fsum(v[FieldId.MIN] for v in team_lines)

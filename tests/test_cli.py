@@ -123,16 +123,30 @@ BAD_INPUTS = {
                           "--sgv", "inf"],
     "out-missing-parent": ["histogram", "--games", "{games}", "--out", "{tmp}/missing/x"],
     "out-directory": ["histogram", "--games", "{games}", "--out", "{tmp}"],
+    "synth-out-dir-is-a-file": ["synth", "--out-dir", "{games}"],
+    "synth-out-dir-under-a-file": ["synth", "--out-dir", "{games}/sub"],
+    "synth-games-csv-is-a-directory": ["synth", "--out-dir", "{tmp}/taken"],
+    "tol-nan": ["roi", "--games", "{games}", "--salaries", "{salaries}", "--tol", "nan"],
+    "tol-zero": ["roi", "--games", "{games}", "--salaries", "{salaries}", "--tol", "0"],
+    "roi-season-games-zero": ["roi", "--games", "{games}", "--salaries", "{salaries}",
+                              "--season-games", "0"],
+    "scatter-season-games-zero": ["scatter", "--games", "{games}", "--salaries",
+                                  "{salaries}", "--season-games", "0"],
+    "breakeven-season-games-zero": ["breakeven", "--salary", "1000000", "--n-games", "10",
+                                    "--games", "{games}", "--salaries", "{salaries}",
+                                    "--season-games", "0"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys):
     (tmp_path / "latin1.csv").write_bytes("game_id,joué\n".encode("latin-1"))
+    (tmp_path / "taken" / "games.csv").mkdir(parents=True)
     paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv",
              "salaries": data_dir / "bosphi_salaries.csv"}
     argv = [arg.format(**paths) for arg in BAD_INPUTS[case]]
-    if "--out" not in argv:
+    # synth has no --out (argparse would take it for --out-dir)
+    if "--out" not in argv and argv[0] != "synth":
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -297,6 +297,12 @@ def test_non_positive_investment_rejected():
         irr(series(0.0, [1.0]))
 
 
+def test_non_positive_tolerance_rejected():
+    for bad in (0.0, -1e-6, math.nan):
+        with pytest.raises(NonPositiveInput):
+            irr(series(100.0, [110.0]), abs_tol=bad)
+
+
 def test_solver_result_meets_both_tolerances():
     rng = random.Random(7)
     for _ in range(25):

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from gcproi import parse_games, write_raw_games_csv
 from gcproi.cli import main
 
 SYNTH = ["synth", "--seed", "7", "--teams", "8", "--games", "20"]
@@ -65,6 +66,12 @@ GOLDEN = {
         "f09561d1d3a186987437c47d5819a666fd2c9520e9afdec65a82d620b6712c53",
     "synth/salaries.csv":
         "bcf80a035d1e9432e21398b55bb46f8b7333f256f990a28f20cf1065bef63c1e",
+    "synth-realistic/games.csv":
+        "8c1d7aad7fdb29a69e25316ed496baf0c7f186e275dfa142ad438ac119c3842b",
+    "synth-realistic/salaries.csv":
+        "bcf80a035d1e9432e21398b55bb46f8b7333f256f990a28f20cf1065bef63c1e",
+    "raw/games.csv":
+        "ae629cf479c6cf73863a3d597f078111fd0fafb368e4909f50bed3fffb1dd3ef",
     "validate/csv":
         "91825ce680c70e06eafc7b68f86d0d4148e28f5825e65c1906a3801c894fcdd1",
     "validate/json":
@@ -83,6 +90,13 @@ def pair(tmp_path_factory):
     return out_dir
 
 
+@pytest.fixture(scope="module")
+def realistic_pair(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("realistic")
+    assert main(SYNTH + ["--realistic", "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
 def run_case(sub: str, form: str, pair, out) -> str:
     salaried, extra = CASES[sub]
     argv = [sub, "--games", str(pair / "games.csv")]
@@ -95,6 +109,16 @@ def run_case(sub: str, form: str, pair, out) -> str:
 @pytest.mark.parametrize("name", ["games.csv", "salaries.csv"])
 def test_synth_output_is_golden(name, pair):
     assert sha256(pair / name) == GOLDEN[f"synth/{name}"]
+
+
+@pytest.mark.parametrize("name", ["games.csv", "salaries.csv"])
+def test_realistic_synth_output_is_golden(name, realistic_pair):
+    assert sha256(realistic_pair / name) == GOLDEN[f"synth-realistic/{name}"]
+
+
+def test_raw_schema_output_is_golden(pair, tmp_path):
+    write_raw_games_csv(parse_games(pair / "games.csv"), tmp_path / "raw.csv")
+    assert sha256(tmp_path / "raw.csv") == GOLDEN["raw/games.csv"]
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tempfile
 from datetime import date
@@ -20,7 +22,7 @@ from gcproi import (
 )
 from gcproi import ingest
 from gcproi.errors import DuplicateLine, NonPositiveSalary, SchemaError
-from gcproi.ingest import GAMES_HEADER, SALARIES_HEADER, _parse_stat
+from gcproi.ingest import GAMES_HEADER, SALARIES_HEADER, PlayerGameLine, _parse_stat
 from gcproi.synth import SynthConfig, synth_season
 
 from conftest import make_game, make_line
@@ -243,6 +245,43 @@ def test_synthetic_round_trip_preserves_the_dataset(tmp_path):
     path2 = tmp_path / "games2.csv"
     write_games_csv(ds2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+#: Values whose text is easy to get wrong: signed zeros, the smallest
+#: subnormals, and integral values on both sides of the 1e16 cut.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0 ** 53, 1e16 - 2.0,
+               1e16, -1e16, 1e16 + 2.0, 1e17, 1e300)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+def written_cells(rows) -> list[list[str]]:
+    """The stat cells write_games_csv emits for one game holding one line per row."""
+    lines = [PlayerGameLine(f"p{i}", "A", "g1", tuple(row)) for i, row in enumerate(rows)]
+    ds = SeasonDataset.from_games([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
+    buf = io.StringIO()
+    write_games_csv(ds, buf)
+    return [row[6:] for row in csv.reader(io.StringIO(buf.getvalue()))][1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(FINITE, min_size=37, max_size=37), min_size=1, max_size=3))
+def test_written_stat_cells_are_fmt_stat_of_each_value(rows):
+    assert written_cells(rows) == [[ingest._fmt_stat(v) for v in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), at=st.integers(0, 36),
+       fill=FINITE)
+def test_non_finite_stat_values_raise_as_fmt_stat_does(bad, at, fill):
+    with pytest.raises(Exception) as expected:
+        ingest._fmt_stat(bad)
+    row = [fill] * 37
+    row[at] = bad
+    with pytest.raises(expected.type) as got:
+        written_cells([row])
+    assert type(got.value) is expected.type
 
 
 def test_raw_stat_schema_round_trips_through_the_adjustments(tmp_path, bosphi):
