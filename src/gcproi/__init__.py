@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     DuplicateLine,
     EmptyActiveSet,
-    EmptySchedule,
     GcproiError,
     InvalidConfig,
     MissingSalary,
@@ -22,7 +21,6 @@ from .errors import (
     NonPositiveInvestment,
     NonPositiveSalary,
     NoSignChange,
-    OverlappingStints,
     SchemaError,
     UnknownPlayer,
     UnknownTeam,

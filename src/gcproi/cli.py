@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -276,8 +277,11 @@ def cmd_synth(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcproi",
-        description="Game contribution percentage and contractual ROI toolkit.")
+        description="Game contribution percentage and contractual ROI toolkit.",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: a flag a subcommand lacks must not bind to a longer one.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     io_flags = argparse.ArgumentParser(add_help=False)
     io_flags.add_argument("--out", help="output path (default stdout)")
@@ -298,39 +302,39 @@ def build_parser() -> argparse.ArgumentParser:
     roi_flags.add_argument("--sgv-override", type=float, default=None,
                            help="use this SGV (dollars) instead of deriving it")
 
-    p = sub.add_parser("gcp", parents=[io_flags, games_flag],
-                       help="per-player contribution shares for one game")
+    p = add_parser("gcp", parents=[io_flags, games_flag],
+                   help="per-player contribution shares for one game")
     p.add_argument("--game-id", required=True)
     p.add_argument("--team", default=None)
     p.set_defaults(func=cmd_gcp)
 
-    p = sub.add_parser("histogram", parents=[io_flags, games_flag],
-                       help="binned distribution of all non-zero shares")
+    p = add_parser("histogram", parents=[io_flags, games_flag],
+                   help="binned distribution of all non-zero shares")
     p.add_argument("--bin-width", type=float, default=0.01)
     p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("roi", parents=[io_flags, games_flag, salary_flag, roi_flags],
-                       help="per-player contractual return table")
+    p = add_parser("roi", parents=[io_flags, games_flag, salary_flag, roi_flags],
+                   help="per-player contractual return table")
     p.add_argument("--tol", type=float, default=finance.DEFAULT_NPV_TOL)
     p.set_defaults(func=cmd_roi)
 
-    p = sub.add_parser("pvgcp-board", parents=[io_flags, games_flag, salary_flag],
-                       help="cumulative-contribution leaderboard")
+    p = add_parser("pvgcp-board", parents=[io_flags, games_flag, salary_flag],
+                   help="cumulative-contribution leaderboard")
     p.add_argument("--top", type=int, default=50)
     p.set_defaults(func=cmd_pvgcp_board)
 
-    p = sub.add_parser("compare", parents=[io_flags, games_flag],
-                       help="game-by-game series for two players")
+    p = add_parser("compare", parents=[io_flags, games_flag],
+                   help="game-by-game series for two players")
     p.add_argument("--player-a", required=True)
     p.add_argument("--player-b", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("scatter", parents=[io_flags, games_flag, salary_flag, roi_flags],
-                       help="return-vs-salary points for qualifying players")
+    p = add_parser("scatter", parents=[io_flags, games_flag, salary_flag, roi_flags],
+                   help="return-vs-salary points for qualifying players")
     p.set_defaults(func=cmd_scatter)
 
-    p = sub.add_parser("breakeven", parents=[io_flags],
-                       help="per-game cash flow and share needed to recover a salary")
+    p = add_parser("breakeven", parents=[io_flags],
+                   help="per-game cash flow and share needed to recover a salary")
     p.add_argument("--salary", type=float, required=True)
     p.add_argument("--n-games", type=int, required=True)
     p.add_argument("--sgv", type=float, default=None)
@@ -339,18 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--season-games", type=int, default=None)
     p.set_defaults(func=cmd_breakeven)
 
-    p = sub.add_parser("summary", parents=[io_flags, games_flag, salary_flag],
-                       help="salary statistics of the qualifying pool")
+    p = add_parser("summary", parents=[io_flags, games_flag, salary_flag],
+                   help="salary statistics of the qualifying pool")
     p.add_argument("--min-games", type=int, default=reporting.DEFAULT_MIN_GAMES)
     p.set_defaults(func=cmd_summary)
 
-    p = sub.add_parser("validate", parents=[io_flags, games_flag],
-                       help="report dataset consistency violations")
+    p = add_parser("validate", parents=[io_flags, games_flag],
+                   help="report dataset consistency violations")
     p.add_argument("--salaries", default=None)
     p.add_argument("--strict-season", action="store_true")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("synth", help="write a synthetic games/salaries pair")
+    p = add_parser("synth", help="write a synthetic games/salaries pair")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--teams", type=int, default=4)
     p.add_argument("--games", dest="games_per_team", type=int, default=6,

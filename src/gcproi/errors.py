@@ -83,14 +83,6 @@ class NonPositiveInput(GcproiError):
     pass
 
 
-class EmptySchedule(GcproiError):
-    pass
-
-
-class OverlappingStints(GcproiError):
-    """A traded player's per-team appearance windows overlap in time."""
-
-
 class AllZeroFlows(GcproiError):
     """Every game cash flow is zero: the series has no internal rate of
     return. Callers should surface this as a total-default outcome."""

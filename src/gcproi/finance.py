@@ -23,10 +23,8 @@ from .errors import (
     AllZeroFlows,
     ConvergenceError,
     DomainError,
-    EmptySchedule,
     NonPositiveInput,
     NonPositiveInvestment,
-    OverlappingStints,
     UnknownPlayer,
 )
 from .gcp import GameGcpReport
@@ -116,34 +114,19 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
     """The player's ordered game slots as (game, team) pairs.
 
     A one-team player is on the hook for his team's entire schedule. A
-    traded player's schedule is the chronological concatenation of his
-    per-team stints, each stint spanning the team's games from his first to
-    his last appearance with that team; stints may not overlap in time.
+    traded player's schedule is the chronological concatenation of the
+    player's stints: each maximal run of consecutive appearances with one
+    team spans that team's games from the run's first appearance to its
+    last. A player who goes A -> C -> A has three stints.
     """
-    appearances = ds.player_appearances(player_id)
-    if not appearances:
+    runs = ds.player_runs(player_id)
+    if not runs:
         raise UnknownPlayer(f"player {player_id!r} never appears in the dataset")
-
-    if len(appearances) == 1:
-        team = next(iter(appearances))
-        games = ds.games_for_team(team)
-        if not games:
-            raise EmptySchedule(f"team {team!r} has no games")
-        return tuple((g, team) for g in games)
-
-    stints = []
-    for team, idxs in appearances.items():
-        first, last = ds.games[idxs[0]], ds.games[idxs[-1]]
-        window = tuple(g for g in ds.games_for_team(team)
-                       if (first.date, first.game_id) <= (g.date, g.game_id)
-                       <= (last.date, last.game_id))
-        stints.append((team, window))
-    stints.sort(key=lambda s: (s[1][0].date, s[1][0].game_id))
-    for (_, a), (team_b, b) in zip(stints, stints[1:]):
-        if (b[0].date, b[0].game_id) <= (a[-1].date, a[-1].game_id):
-            raise OverlappingStints(
-                f"player {player_id!r} has overlapping stints around team {team_b!r}")
-    return tuple((g, team) for team, window in stints for g in window)
+    if len(runs) == 1:
+        team = runs[0][0]
+        return tuple((g, team) for g in ds.games_for_team(team))
+    return tuple((g, team) for team, first, last in runs
+                 for g in ds.games[first:last + 1] if team in g.teams)
 
 
 #: A player's schedule slots and his GCP in each slot.
@@ -235,10 +218,9 @@ def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
     lo, hi = -0.99, 1.0
     flo = f(lo)
     while flo < 0.0:
-        gap = (1.0 + lo) * 0.5
-        if gap <= 0.0:
+        lo = -1.0 + (1.0 + lo) * 0.5
+        if lo <= -1.0:  # the halved gap rounds away
             raise ConvergenceError("root is indistinguishable from rate -1")
-        lo = -1.0 + gap
         flo = f(lo)
     fhi = f(hi)
     while fhi > 0.0:

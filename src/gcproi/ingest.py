@@ -59,29 +59,73 @@ class PlayerGameLine:
 
 @dataclass(frozen=True, eq=True)
 class GameRecord:
-    """One game: two team ids and the player lines of both rosters."""
+    """One game: two distinct team ids and the player lines of both rosters.
+    Building one rejects a line of another game or team, a second line of
+    one player and a row without the 37 fields, and splits the lines into
+    the two rosters, each in lines order."""
 
     game_id: str
     date: Date
     team1: str
     team2: str
     lines: tuple[PlayerGameLine, ...]
+    _rosters: dict[str, tuple[PlayerGameLine, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.team1 == self.team2:
+            raise SchemaError(f"game {self.game_id!r} lists team {self.team1!r} twice")
+        game_id, width = self.game_id, len(FIELD_ORDER)
+        rosters: dict[str, list[PlayerGameLine]] = {self.team1: [], self.team2: []}
+        players: set[str] = set()
+        for ln in self.lines:
+            roster = rosters.get(ln.team_id)
+            if roster is None or ln.game_id != game_id:
+                raise SchemaError(f"line of player {ln.player_id!r} ({ln.team_id!r}, game "
+                                  f"{ln.game_id!r}) is not part of game {game_id!r}")
+            if ln.player_id in players:
+                raise DuplicateLine(ln.player_id, game_id)
+            if len(ln.values) != width:
+                raise SchemaError(f"player {ln.player_id!r} in game {game_id!r} has "
+                                  f"{len(ln.values)} of {width} fields")
+            players.add(ln.player_id)
+            roster.append(ln)
+        object.__setattr__(self, "_rosters", {t: tuple(r) for t, r in rosters.items()})
 
     @property
     def teams(self) -> tuple[str, str]:
         return (self.team1, self.team2)
 
     def roster(self, team_id: str) -> tuple[PlayerGameLine, ...]:
-        return tuple(ln for ln in self.lines if ln.team_id == team_id)
+        """The team's lines in lines order; () for a team not in the game."""
+        return self._rosters.get(team_id, ())
 
 
 @dataclass(frozen=True, eq=True)
 class SeasonDataset:
-    """Games ordered by (date, game_id), plus the player-name lookup. Team
-    and player lookups read an index built on first use; equality ignores it."""
+    """Games ordered by (date, game_id), plus the player-name lookup.
+    Building one rejects games out of that order and a repeated game id, and
+    maps each game id to its game and each team to its games (team_games,
+    read-only); the player index is built on first use. Equality ignores them."""
 
     games: tuple[GameRecord, ...]
     player_names: dict[str, str]
+    _games_by_id: dict[str, GameRecord] = field(init=False, repr=False, compare=False)
+    team_games: dict[str, tuple[GameRecord, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id: dict[str, GameRecord] = {}
+        team_games: dict[str, list[GameRecord]] = {}
+        for prev, g in zip((None, *self.games), self.games):
+            if prev is not None and (g.date, g.game_id) < (prev.date, prev.game_id):
+                raise SchemaError(f"game {g.game_id!r} is out of (date, game_id) order")
+            if g.game_id in by_id:
+                raise SchemaError(f"game id {g.game_id!r} is repeated")
+            by_id[g.game_id] = g
+            for t in g.teams:
+                team_games.setdefault(t, []).append(g)
+        object.__setattr__(self, "_games_by_id", by_id)
+        object.__setattr__(self, "team_games",
+                           {t: tuple(gs) for t, gs in team_games.items()})
 
     @classmethod
     def from_games(cls, games: Iterable[GameRecord],
@@ -90,37 +134,38 @@ class SeasonDataset:
         return cls(games=ordered, player_names=dict(player_names or {}))
 
     @cached_property
-    def _index(self):
-        """(team -> its games, player -> team -> indices of the games the player
-        was active in), in dataset order; players with no active line map to {}."""
-        team_games: dict[str, list[GameRecord]] = {}
-        appearances: dict[str, dict[str, list[int]]] = {}
+    def _runs(self) -> dict[str, list[list]]:
+        """Player -> the player's runs (see player_runs); [] for a player
+        with no active line."""
+        runs: dict[str, list[list]] = {}
         for idx, g in enumerate(self.games):
-            for t in dict.fromkeys(g.teams):
-                team_games.setdefault(t, []).append(g)
             for ln in g.lines:
-                teams = appearances.setdefault(ln.player_id, {})
+                player_runs = runs.setdefault(ln.player_id, [])
                 if ln.active:
-                    teams.setdefault(ln.team_id, []).append(idx)
-        return {t: tuple(gs) for t, gs in team_games.items()}, appearances
+                    if player_runs and player_runs[-1][0] == ln.team_id:
+                        player_runs[-1][2] = idx
+                    else:
+                        player_runs.append([ln.team_id, idx, idx])
+        return runs
 
     @property
     def player_ids(self) -> set[str]:
-        return set(self._index[1])
+        return set(self._runs)
 
-    def player_appearances(self, player_id: str) -> dict[str, list[int]]:
-        """Team -> indices into games of the player's active games for that
-        team, teams in order of first appearance; empty if none. Read-only."""
-        return self._index[1].get(player_id, {})
+    def player_runs(self, player_id: str) -> list[list]:
+        """[team, first, last] for each maximal run of consecutive active
+        games the player had with one team, first and last being indices
+        into games, in dataset order; empty if none. Read-only."""
+        return self._runs.get(player_id, [])
 
     def get_game(self, game_id: str) -> GameRecord:
-        for g in self.games:
-            if g.game_id == game_id:
-                return g
-        raise GcproiError(f"game {game_id!r} is not in the dataset")
+        game = self._games_by_id.get(game_id)
+        if game is None:
+            raise GcproiError(f"game {game_id!r} is not in the dataset")
+        return game
 
     def games_for_team(self, team_id: str) -> tuple[GameRecord, ...]:
-        return self._index[0].get(team_id, ())
+        return self.team_games.get(team_id, ())
 
     def player_name(self, player_id: str) -> str:
         return self.player_names.get(player_id, player_id)
@@ -174,17 +219,22 @@ def _parse_stats(cells: list[str], line_no: int, columns: tuple[str, ...]) -> St
 
     The whole row is parsed and screened at once; only a row that fails the
     screen is scanned cell by cell, to raise _parse_stat's error for the
-    first bad cell. The screen catches NaN and inf (through the sum) and
-    negative values (through the min). A row of valid cells whose sum
-    overflows fails the screen but passes the scan.
+    first bad cell. A row of valid cells whose sum overflows fails the
+    screen (_row_ok) but passes the scan.
     """
     try:
         values = tuple(map(float, cells))
-        if min(values) >= 0.0 and sum(values) < math.inf:
+        if _row_ok(values):
             return values
     except ValueError:
         pass
     return tuple(_parse_stat(text, line_no, column) for text, column in zip(cells, columns))
+
+
+def _row_ok(values: StatRow) -> bool:
+    """True when every value is finite and non-negative and their sum does
+    not overflow: NaN and inf fail through the sum, negatives through the min."""
+    return min(values) >= 0.0 and sum(values) < math.inf
 
 
 def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
@@ -206,6 +256,8 @@ def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
                     raise SchemaError(
                         f"expected {len(expected_header)} columns, got {len(row)}", line_no)
                 yield line_no, row
+    except csv.Error as exc:  # a NUL byte (3.10) or a cell over csv.field_size_limit()
+        raise SchemaError(f"malformed CSV: {exc}", reader.line_num) from None
     except UnicodeDecodeError:
         raise SchemaError(f"{path} is not UTF-8 text") from None
     except OSError as exc:
@@ -394,74 +446,32 @@ def write_salaries_csv(table: SalaryTable, path: str | Path) -> None:
 
 
 def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> ValidationReport:
-    """Report-only consistency checks; the dataset is never modified.
-
-    With strict_season set, teams appearing in more than 82 games are also
-    flagged.
-    """
+    """Report-only checks of what a built dataset can still get wrong: a
+    non-finite or negative stat value, a team with no active player in a
+    game and, with strict_season set, a team in more than 82 games."""
     out: list[Violation] = []
-
-    seen_games: set[str] = set()
-    prev_key = None
     for g in ds.games:
-        key = (g.date, g.game_id)
-        if prev_key is not None and key < prev_key:
-            out.append(Violation("UnsortedGames",
-                                 f"game {g.game_id!r} out of (date, game_id) order",
-                                 game_id=g.game_id))
-        prev_key = key
-        if g.game_id in seen_games:
-            out.append(Violation("DuplicateGame", f"game id {g.game_id!r} repeated",
-                                 game_id=g.game_id))
-        seen_games.add(g.game_id)
-
-        if g.team1 == g.team2:
-            out.append(Violation("TeamMismatch",
-                                 f"game {g.game_id!r} lists the same team twice",
-                                 game_id=g.game_id, team_id=g.team1))
-
-        players_seen: set[str] = set()
-        active_by_team = {g.team1: 0, g.team2: 0}
         for ln in g.lines:
-            if ln.team_id not in g.teams:
-                out.append(Violation("TeamMismatch",
-                                     f"line team {ln.team_id!r} not in game {g.game_id!r}",
-                                     game_id=g.game_id, team_id=ln.team_id,
-                                     player_id=ln.player_id))
+            if _row_ok(ln.values):
                 continue
-            if ln.player_id in players_seen:
-                out.append(Violation("DuplicatePlayer",
-                                     f"player {ln.player_id!r} repeated in game {g.game_id!r}",
-                                     game_id=g.game_id, player_id=ln.player_id))
-            players_seen.add(ln.player_id)
-
-            if len(ln.values) != len(FIELD_ORDER):
-                out.append(Violation("MissingField",
-                                     f"player {ln.player_id!r} in game {g.game_id!r} has "
-                                     f"{len(ln.values)} of {len(FIELD_ORDER)} fields",
-                                     game_id=g.game_id, player_id=ln.player_id))
             for f, v in zip(FIELD_ORDER, ln.values):
-                if v != v or v in (float("inf"), float("-inf")):
-                    out.append(Violation("NonFiniteValue",
-                                         f"{f.name} is {v} for player {ln.player_id!r} "
-                                         f"in game {g.game_id!r}",
-                                         game_id=g.game_id, player_id=ln.player_id))
+                if v != v or v in (math.inf, -math.inf):
+                    kind = "NonFiniteValue"
                 elif v < 0.0:
-                    out.append(Violation("NegativeValue",
-                                         f"{f.name} is {v} for player {ln.player_id!r} "
-                                         f"in game {g.game_id!r}",
-                                         game_id=g.game_id, player_id=ln.player_id))
-            if ln.active:
-                active_by_team[ln.team_id] += 1
-
-        for team, count in active_by_team.items():
-            if count == 0:
+                    kind = "NegativeValue"
+                else:
+                    continue
+                out.append(Violation(kind, f"{f.name} is {v} for player {ln.player_id!r} "
+                                           f"in game {g.game_id!r}",
+                                     game_id=g.game_id, player_id=ln.player_id))
+        for team in g.teams:
+            if not any(ln.active for ln in g.roster(team)):
                 out.append(Violation("EmptyTeamGame",
                                      f"team {team!r} has no active player in game {g.game_id!r}",
                                      game_id=g.game_id, team_id=team))
 
     if strict_season:
-        for team, games in sorted(ds._index[0].items()):
+        for team, games in sorted(ds.team_games.items()):
             if len(games) > 82:
                 out.append(Violation("TeamOver82",
                                      f"team {team!r} appears in {len(games)} games",

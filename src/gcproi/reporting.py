@@ -11,7 +11,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .errors import GcproiError, MissingSalary
+from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
 from .finance import SingleGameValue, cash_flows, irr, pvgcp, scheduled_shares
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
@@ -21,6 +21,7 @@ from .ingest import SalaryTable, SeasonDataset
 STATUS_OK = "ok"
 STATUS_TOTAL_DEFAULT = "total_default"
 STATUS_BELOW_MIN_GAMES = "below_min_games"
+STATUS_NO_RATE = "no_rate"
 
 DEFAULT_MIN_GAMES = 25
 
@@ -61,6 +62,7 @@ class RoiBoards:
     qualifying: int
     total_defaults: int
     below_min_games: int
+    no_rate: int
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,12 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
               abs_tol: float = 1e-6) -> list[RoiRow]:
     """ROI accounting for every salaried player.
 
-    Salaried players absent from the games data produced nothing and are
-    reported as total defaults, never as a numeric rate. Players appearing
-    in the games data without a salary entry make the calculation
-    impossible and raise MissingSalary listing all of them.
+    Salaried players absent from the games data, or whose cash flows all
+    round to zero, are reported as total defaults, never as a numeric
+    rate; a player whose rate the solver cannot find (ConvergenceError) is
+    reported as no_rate. Players appearing in the games data without a
+    salary entry make the calculation impossible and raise MissingSalary
+    listing all of them.
     """
     _check_salaries(ds, salaries)
     dataset_players = ds.player_ids
@@ -157,12 +161,19 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
         scheduled = scheduled_shares(ds, reports, player_id)
         m = pvgcp(ds, reports, player_id, scheduled)
         series = cash_flows(ds, reports, player_id, value, salary, scheduled)
-        rate = irr(series, abs_tol=abs_tol).rate
-        status = STATUS_OK if m.games_played >= min_games else STATUS_BELOW_MIN_GAMES
+        try:
+            rate = irr(series, abs_tol=abs_tol).rate
+        except AllZeroFlows:
+            rate, status = None, STATUS_TOTAL_DEFAULT
+        except ConvergenceError:
+            rate, status = None, STATUS_NO_RATE
+        else:
+            status = STATUS_OK if m.games_played >= min_games else STATUS_BELOW_MIN_GAMES
         rows.append(RoiRow(player_id, ds.player_name(player_id), salary,
                            m.games_played, m.value, rate, status))
 
-    status_rank = {STATUS_OK: 0, STATUS_BELOW_MIN_GAMES: 1, STATUS_TOTAL_DEFAULT: 2}
+    status_rank = {STATUS_OK: 0, STATUS_BELOW_MIN_GAMES: 1, STATUS_NO_RATE: 2,
+                   STATUS_TOTAL_DEFAULT: 3}
     rows.sort(key=lambda r: (status_rank[r.status],
                              -(r.roi if r.roi is not None else 0.0),
                              r.player_name, r.player_id))
@@ -175,7 +186,7 @@ def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                     min_games: int = DEFAULT_MIN_GAMES,
                     abs_tol: float = 1e-6) -> RoiBoards:
     """Top and bottom ROI boards over players with at least min_games
-    appearances. Total defaults are excluded and only counted."""
+    appearances. Players of every other status are excluded and only counted."""
     rows = roi_table(ds, reports, salaries, value, min_games=min_games, abs_tol=abs_tol)
     qualifying = [r for r in rows if r.status == STATUS_OK]
     metrics = {r.player_id: r for r in qualifying}
@@ -198,6 +209,7 @@ def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
         qualifying=len(qualifying),
         total_defaults=sum(1 for r in rows if r.status == STATUS_TOTAL_DEFAULT),
         below_min_games=sum(1 for r in rows if r.status == STATUS_BELOW_MIN_GAMES),
+        no_rate=sum(1 for r in rows if r.status == STATUS_NO_RATE),
     )
 
 

@@ -135,6 +135,9 @@ BAD_INPUTS = {
     "breakeven-season-games-zero": ["breakeven", "--salary", "1000000", "--n-games", "10",
                                     "--games", "{games}", "--salaries", "{salaries}",
                                     "--season-games", "0"],
+    "salaries-cell-over-field-limit": ["summary", "--games", "{games}",
+                                       "--salaries", "{tmp}/huge.csv"],
+    "salaries-nul-byte": ["summary", "--games", "{games}", "--salaries", "{tmp}/nul.csv"],
 }
 
 
@@ -142,15 +145,47 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys):
     (tmp_path / "latin1.csv").write_bytes("game_id,joué\n".encode("latin-1"))
     (tmp_path / "taken" / "games.csv").mkdir(parents=True)
+    (tmp_path / "huge.csv").write_text(
+        "player_id,player_name,salary_usd\np1," + "x" * 131_073 + ",5\n", encoding="utf-8")
+    (tmp_path / "nul.csv").write_bytes(b"player_id,player_name,salary_usd\np1,P One,5\x00\n")
     paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv",
              "salaries": data_dir / "bosphi_salaries.csv"}
     argv = [arg.format(**paths) for arg in BAD_INPUTS[case]]
-    # synth has no --out (argparse would take it for --out-dir)
+    # synth has no --out flag
     if "--out" not in argv and argv[0] != "synth":
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, status", [
+    (["--season-games", "99999999999999999999"], "no_rate"),
+    (["--sgv-override", "1e-310"], "no_rate"),
+    (["--sgv-override", "1e308"], "no_rate"),
+    (["--sgv-override", "5e-324"], "total_default"),
+], ids=["root-rounds-to-minus-one", "subnormal-sgv", "root-above-max-rate", "flows-underflow"])
+def test_a_solver_failure_is_a_per_player_status(flags, status, tmp_path, data_dir):
+    rc, body = run(["roi", "--games", str(data_dir / "bosphi_games.csv"),
+                    "--salaries", str(data_dir / "bosphi_salaries.csv")] + flags, tmp_path)
+    assert rc == 0
+    rows = [ln.split(",") for ln in body.decode().splitlines()[1:]]
+    assert len(rows) == 20
+    assert all(r[5] == "" and r[6] == status for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "{tmp}/x"],
+    ["roi", "--games", "{games}", "--salaries", "{salaries}", "--sgv", "5"],
+], ids=["synth-out", "roi-sgv"])
+def test_a_flag_prefix_is_a_usage_error(argv, tmp_path, data_dir, capsys):
+    paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv",
+             "salaries": data_dir / "bosphi_salaries.csv"}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: gcproi ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_validate_clean_exits_0_and_dirty_exits_1(tmp_path, data_dir):

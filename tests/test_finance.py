@@ -20,10 +20,10 @@ from gcproi import (
 )
 from gcproi.errors import (
     AllZeroFlows,
+    ConvergenceError,
     DomainError,
     NonPositiveInput,
     NonPositiveInvestment,
-    OverlappingStints,
     UnknownPlayer,
 )
 
@@ -122,7 +122,7 @@ def test_fifty_six_appearances_of_eighty_two_leave_26_defaults():
 
 def _trade_dataset():
     # A and B meet daily; C and D meet daily. "journeyman" plays for A early
-    # and C late; "bad" overlaps his windows.
+    # and C late; "bad" goes A -> C -> A.
     games = []
     for i in range(4):
         day = date(2024, 2, 1 + i)
@@ -152,10 +152,9 @@ def test_traded_player_schedule_concatenates_his_stints():
     assert len(slots) == 2 + 2
 
 
-def test_overlapping_stints_are_an_input_error():
-    ds = _trade_dataset()
-    with pytest.raises(OverlappingStints):
-        player_schedule(ds, "bad")
+def test_traded_back_player_has_one_stint_per_run():
+    slots = player_schedule(_trade_dataset(), "bad")
+    assert [(g.game_id, t) for g, t in slots] == [("ab0", "A"), ("cd1", "C"), ("ab3", "A")]
 
 
 def test_trade_windows_span_missed_games_inside_a_stint():
@@ -278,6 +277,12 @@ def test_rate_is_per_period_and_can_be_deeply_negative():
     assert result.residual == npv(result.rate, series(1e8, [1.0]))
     lo, hi = result.bracket
     assert lo < result.rate < hi
+
+
+def test_a_root_that_rounds_to_minus_one_is_a_convergence_error():
+    # 1 + rate would be 1e-20, below the spacing of doubles next to -1.
+    with pytest.raises(ConvergenceError, match="indistinguishable"):
+        irr(series(1.0, [1e-20]))
 
 
 def test_huge_upside_expands_the_upper_bracket():

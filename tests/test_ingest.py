@@ -3,6 +3,7 @@ import io
 import math
 import tempfile
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,17 @@ from gcproi import (
     write_salaries_csv,
 )
 from gcproi import ingest
-from gcproi.errors import DuplicateLine, NonPositiveSalary, SchemaError
-from gcproi.ingest import GAMES_HEADER, SALARIES_HEADER, PlayerGameLine, _parse_stat
+from gcproi.errors import DuplicateLine, GcproiError, NonPositiveSalary, SchemaError
+from gcproi.ingest import (
+    GAMES_HEADER,
+    RAW_GAMES_HEADER,
+    SALARIES_HEADER,
+    PlayerGameLine,
+    _parse_stat,
+)
 from gcproi.synth import SynthConfig, synth_season
 
-from conftest import make_game, make_line
+from conftest import DATA_DIR, make_game, make_line
 
 
 def test_golden_game_parses_to_one_record_with_ten_a_side(bosphi):
@@ -388,15 +395,15 @@ def test_validate_finds_exactly_the_injected_violations():
     g1_bad = make_game("g1", date(2024, 1, 1), "A", "B",
                        [bad_line] + [ln for ln in g1.lines if ln.player_id != "A-p0"])
     injected.append("NegativeValue")
-    # 2. a duplicated player line
-    g2_bad = make_game("g2", date(2024, 1, 2), "A", "C",
-                       g2.lines + (g2.lines[0],))
-    injected.append("DuplicatePlayer")
-    # 3. a repeated game id
+    # 2. a duplicated player line cannot be built
+    with pytest.raises(DuplicateLine):
+        make_game("g2", date(2024, 1, 2), "A", "C", g2.lines + (g2.lines[0],))
+    # 3. nor can a repeated game id
     g3_dup = make_game("g3", date(2024, 1, 4), "B", "C", g3.lines)
-    injected.append("DuplicateGame")
+    with pytest.raises(SchemaError, match="repeated"):
+        SeasonDataset(games=(g1_bad, g2, g3, g3_dup), player_names={})
 
-    ds = SeasonDataset(games=(g1_bad, g2_bad, g3, g3_dup), player_names={})
+    ds = SeasonDataset(games=(g1_bad, g2, g3), player_names={})
     report = validate_dataset(ds)
     assert sorted(v.kind for v in report.violations) == sorted(injected)
 
@@ -426,3 +433,113 @@ def test_validate_team_totals_equal_player_sums(bosphi):
         roster = game.roster(team)
         for f in FieldId:
             assert totals.totals[f] == math.fsum(ln.values[f] for ln in roster)
+
+
+# --- construction-time invariants ------------------------------------------
+
+DAY = date(2024, 1, 1)
+PAIR = (make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1", MIN=1))
+
+
+@pytest.mark.parametrize("team2, extra, error", [
+    ("A", (), SchemaError),
+    ("B", (make_line("c", "C", "g1", MIN=1),), SchemaError),
+    ("B", (make_line("c", "A", "g2", MIN=1),), SchemaError),
+    ("B", (make_line("a", "B", "g1", MIN=2),), DuplicateLine),
+    ("B", (PlayerGameLine("c", "A", "g1", (1.0,) * 36),), SchemaError),
+], ids=["team-listed-twice", "line-of-another-team", "line-of-another-game",
+        "repeated-player", "row-of-36-fields"])
+def test_a_game_that_breaks_an_invariant_cannot_be_built(team2, extra, error):
+    with pytest.raises(error):
+        make_game("g1", DAY, "A", team2, PAIR + extra)
+
+
+def test_a_game_stores_each_roster_in_lines_order():
+    lines = [make_line("b2", "B", "g1", MIN=1), make_line("a1", "A", "g1", MIN=1),
+             make_line("b1", "B", "g1", MIN=1)]
+    game = make_game("g1", DAY, "A", "B", lines)
+    assert game.roster("B") == (lines[0], lines[2])
+    assert game.roster("A") == (lines[1],)
+    assert game.roster("C") == ()
+
+
+def test_a_season_that_breaks_an_invariant_cannot_be_built():
+    g1 = make_game("g1", DAY, "A", "B", PAIR)
+    g2 = make_game("g2", DAY, "A", "B", [make_line(ln.player_id, ln.team_id, "g2", MIN=1)
+                                        for ln in PAIR])
+    g1_later = make_game("g1", date(2024, 1, 2), "A", "B", PAIR)
+    with pytest.raises(SchemaError, match="order"):
+        SeasonDataset(games=(g2, g1), player_names={})
+    with pytest.raises(SchemaError, match="order"):
+        SeasonDataset(games=(g1_later, g2), player_names={})
+    with pytest.raises(SchemaError, match="repeated"):
+        SeasonDataset(games=(g1, g1), player_names={})
+    with pytest.raises(SchemaError, match="repeated"):
+        SeasonDataset.from_games([g1_later, g2, g1])
+
+    ds = SeasonDataset.from_games([g2, g1])
+    assert ds.games == (g1, g2)
+    assert ds.get_game("g2") is g2
+    assert ds.games_for_team("A") == (g1, g2)
+    assert ds.games_for_team("C") == ()
+
+
+def test_validate_reports_each_bad_cell_in_field_order_then_empty_teams():
+    values = [0.0] * len(FieldId)
+    values[FieldId.MIN] = 5.0
+    values[FieldId.FG2O] = math.nan
+    values[FieldId.STL] = -2.0
+    values[FieldId.POSS] = math.inf
+    lines = [PlayerGameLine("a", "A", "g1", tuple(values)),
+             make_line("b", "B", "g1")]  # all zero: inactive
+    report = validate_dataset(SeasonDataset.from_games([make_game("g1", DAY, "A", "B", lines)]))
+    assert [(v.kind, v.message.split()[0]) for v in report.violations] == [
+        ("NonFiniteValue", "FG2O"), ("NegativeValue", "STL"), ("NonFiniteValue", "POSS"),
+        ("EmptyTeamGame", "team")]
+    assert report.violations[-1].team_id == "B"
+
+
+# --- parsers on arbitrary bytes ---------------------------------------------
+
+def _first_rows(write, ds, n=3) -> list[bytes]:
+    buf = io.StringIO()
+    write(ds, buf)
+    return [ln.encode() + b"\n" for ln in buf.getvalue().splitlines()[1:n + 1]]
+
+
+_BOSPHI = parse_games(DATA_DIR / "bosphi_games.csv")
+HEADERS = [",".join(h).encode() + b"\n"
+           for h in (GAMES_HEADER, RAW_GAMES_HEADER, SALARIES_HEADER)]
+CHUNKS = st.one_of(
+    st.binary(max_size=64),
+    st.sampled_from([b"\x00", b"\xff", b"\xc3", b"\xef\xbb\xbf", b",", b'"', b"\n",
+                     b"\r\n", b"-1", b"nan", b"1e309", b"2024-01-01", b"A", b"B", b"g1"]),
+    st.sampled_from(_first_rows(write_games_csv, _BOSPHI)
+                    + _first_rows(write_raw_games_csv, _BOSPHI)
+                    + (DATA_DIR / "bosphi_salaries.csv").read_bytes().splitlines(True)[1:4]),
+)
+PARSERS = (parse_games, partial(parse_games, fmt="raw"), parse_salaries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bom=st.sampled_from([b"", b"\xef\xbb\xbf"]), header=st.sampled_from(HEADERS + [b""]),
+       chunks=st.lists(CHUNKS, max_size=60))
+def test_parsers_return_or_raise_a_gcproi_error_on_any_bytes(bom, header, chunks):
+    data = (bom + header + b"".join(chunks))[:4096]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        for parse in PARSERS:
+            try:
+                parse(path)
+            except GcproiError:
+                pass
+
+
+@pytest.mark.parametrize("parse, header", zip(PARSERS, HEADERS), ids=["games", "raw", "salaries"])
+def test_a_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, parse, header):
+    path = tmp_path / "input.csv"
+    path.write_bytes(header + b"x" * 131_073 + b"\n")
+    with pytest.raises(SchemaError, match="field limit") as exc:
+        parse(path)
+    assert exc.value.line == 2

@@ -24,7 +24,12 @@ from gcproi import (
 )
 from gcproi import reporting
 from gcproi.errors import GcproiError, MissingSalary, UnknownPlayer
-from gcproi.reporting import STATUS_BELOW_MIN_GAMES, STATUS_OK, STATUS_TOTAL_DEFAULT
+from gcproi.reporting import (
+    STATUS_BELOW_MIN_GAMES,
+    STATUS_NO_RATE,
+    STATUS_OK,
+    STATUS_TOTAL_DEFAULT,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +133,23 @@ def test_roi_boards_filter_and_count(synth_world):
     excluded = {r.player_id for r in rows if r.status != STATUS_OK}
     assert not excluded & set(top_ids)
     assert not excluded & set(bottom_ids)
+
+
+def test_a_player_without_a_rate_ranks_between_below_min_games_and_total_default(synth_world):
+    ds, salaries, _, reports, _ = synth_world
+    # A subnormal slot value pushes each root toward -1; for some players
+    # 1 + rate falls below the spacing of doubles there.
+    value = SingleGameValue.override(1e-310)
+    rows = roi_table(ds, reports, salaries, value, min_games=1)
+    statuses = [r.status for r in rows]
+    assert STATUS_NO_RATE in statuses and STATUS_TOTAL_DEFAULT in statuses
+    rank = [STATUS_OK, STATUS_BELOW_MIN_GAMES, STATUS_NO_RATE, STATUS_TOTAL_DEFAULT]
+    assert statuses == sorted(statuses, key=rank.index)
+    assert all(r.roi is None for r in rows if r.status == STATUS_NO_RATE)
+    boards = leaderboard_roi(ds, reports, salaries, value, min_games=1)
+    assert boards.no_rate == statuses.count(STATUS_NO_RATE)
+    assert (boards.qualifying + boards.below_min_games + boards.no_rate
+            + boards.total_defaults) == len(rows)
 
 
 def test_below_min_games_player_is_absent_from_both_boards(synth_world):
