@@ -25,7 +25,7 @@ from .errors import (
     UnknownPlayer,
     UnknownTeam,
 )
-from .fields import FIELD_ORDER, RAW_STATS, FieldId, RawStatLine, derive_fields, underive_fields
+from .fields import FIELD_ORDER, RAW_STATS, FieldId, derive_fields, underive_fields
 from .finance import (
     CashFlowSeries,
     PvGcp,

@@ -13,7 +13,6 @@ A stat row is a tuple of 37 floats in canonical order, indexed by FieldId:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .errors import NegativeDerivedField
 
@@ -118,36 +117,25 @@ _COPIED: dict[FieldId, str] = {
 }
 
 
-@dataclass(frozen=True)
-class RawStatLine:
-    """One player's source stats for one game, keyed by the names in
-    RAW_STATS. Missing keys are treated as zero."""
-
-    player_id: str
-    values: dict[str, float] = field(default_factory=dict)
-
-    def get(self, name: str) -> float:
-        return self.values.get(name, 0.0)
-
-
-def derive_fields(raw: RawStatLine, clamp_negative: bool = False) -> dict[FieldId, float]:
-    """Apply the adjustment formulas, producing all 37 canonical fields.
+def derive_fields(row: StatRow, clamp_negative: bool = False) -> StatRow:
+    """Apply the adjustment formulas to one row of source stats in RAW_STATS
+    order, producing a stat row of all 37 canonical fields.
 
     A subtraction that goes negative signals inconsistent source data and
     raises NegativeDerivedField unless clamp_negative is set, in which case
     the value is floored at zero.
     """
-    unknown = set(raw.values) - set(RAW_STATS)
-    if unknown:
-        raise ValueError(f"unknown source stat(s): {sorted(unknown)}")
-    for name, v in raw.values.items():
+    if len(row) != len(RAW_STATS):
+        raise ValueError(f"expected {len(RAW_STATS)} source stats, got {len(row)}")
+    src = dict(zip(RAW_STATS, row))
+    for name, v in src.items():
         if not (0.0 <= v < float("inf")):
             raise ValueError(f"source stat {name!r} must be a finite non-negative number, got {v}")
 
-    g = raw.get
-    out: dict[FieldId, float] = {}
-    for fid, src in _COPIED.items():
-        out[fid] = g(src)
+    g = src.__getitem__
+    out = [0.0] * len(FIELD_ORDER)
+    for fid, name in _COPIED.items():
+        out[fid] = g(name)
 
     def adj(fid: FieldId, value: float) -> None:
         if value < 0.0:
@@ -165,17 +153,16 @@ def derive_fields(raw: RawStatLine, clamp_negative: bool = False) -> dict[FieldI
     adj(FieldId.APM, g("Passes Made") - g("Secondary Assist") - g("Potential Assists"))
     adj(FieldId.AORC, g("OREB Chances") - g("Contested OREB"))
     adj(FieldId.ADRC, g("DREB Chances") - g("Contested DREB"))
+    return tuple(out)
 
-    return {fid: out[fid] for fid in FIELD_ORDER}
 
-
-def underive_fields(player_id: str, values: StatRow) -> RawStatLine:
-    """Reconstruct the source stats from a stat row.
+def underive_fields(row: StatRow) -> StatRow:
+    """Reconstruct the source stats, in RAW_STATS order, from a stat row.
 
     Exact inverse of derive_fields for consistent data:
-    derive_fields(underive_fields(...)) reproduces the input.
+    derive_fields(underive_fields(row)) reproduces the row.
     """
-    v = values
+    v = row
     raw = {src: v[fid] for fid, src in _COPIED.items()}
     raw["FGM"] = v[FieldId.FG2O] + v[FieldId.FG3O]
     raw["FGA"] = v[FieldId.FG2O] + v[FieldId.FG2X] + v[FieldId.FG3O] + v[FieldId.FG3X]
@@ -186,4 +173,4 @@ def underive_fields(player_id: str, values: StatRow) -> RawStatLine:
     raw["Passes Made"] = v[FieldId.APM] + v[FieldId.AST2] + v[FieldId.PAST]
     raw["OREB Chances"] = v[FieldId.AORC] + v[FieldId.OCRB]
     raw["DREB Chances"] = v[FieldId.ADRC] + v[FieldId.DCRB]
-    return RawStatLine(player_id=player_id, values=raw)
+    return tuple(map(raw.__getitem__, RAW_STATS))

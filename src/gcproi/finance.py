@@ -76,14 +76,13 @@ class CashFlowSeries:
     """Time-zero investment plus the ordered per-game cash flows.
 
     schedule[i] is the game id behind flows[i]; a zero flow is a default
-    (missed game). teams[i] is the team whose schedule produced slot i.
+    (missed game).
     """
 
     player_id: str
     cf0: float
     flows: tuple[float, ...]
     schedule: tuple[str, ...]
-    teams: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -154,8 +153,7 @@ def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: 
     slots, shares = scheduled or scheduled_shares(ds, reports, player_id)
     flows = tuple(value.dollars * share for share in shares)
     return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
-                          schedule=tuple(g.game_id for g, _ in slots),
-                          teams=tuple(t for _, t in slots))
+                          schedule=tuple(g.game_id for g, _ in slots))
 
 
 def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,

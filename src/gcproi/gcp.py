@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
 from .fields import FIELD_ORDER, FieldId, StatRow
-from .ingest import GameRecord, PlayerGameLine, SeasonDataset
+from .ingest import GameRecord, SeasonDataset
 
 
 @dataclass(frozen=True)
@@ -95,24 +95,24 @@ def _share_sum(values: StatRow, divisors: StatRow) -> float:
     return math.fsum(map(operator.truediv, values, divisors))
 
 
-def _player_side(game: GameRecord, team_id: str,
-                 player_id: str) -> tuple[PlayerGameLine, StatRow, float]:
-    """The player's line, plus the totals and the weight of the team."""
+def _side(game: GameRecord, team_id: str) -> tuple[TeamGcp, StatRow]:
+    """One team's side of the game report, and the team's totals row."""
     totals = team_totals(game, team_id)
-    w = omega(active_fields(totals))
-    for ln in game.roster(team_id):
-        if ln.player_id == player_id:
-            return ln, totals.totals, w
-    raise UnknownPlayer(f"player {player_id!r} not on team {team_id!r} "
-                        f"in game {game.game_id!r}")
+    active = active_fields(totals)
+    w = omega(active)
+    divisors = _divisors(totals.totals)
+    gcp = {ln.player_id: w * _share_sum(ln.values, divisors)
+           for ln in game.roster(team_id)}
+    return TeamGcp(team_id=team_id, weight=w, active_fields=active, gcp=gcp), totals.totals
 
 
 def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
     """GCP of one active player; see the module docstring for the formula."""
-    ln, totals, w = _player_side(game, team_id, player_id)
-    if not ln.active:
-        raise UnknownPlayer(f"player {player_id!r} is inactive in game {game.game_id!r}")
-    return w * _share_sum(ln.values, _divisors(totals))
+    gcp = _side(game, team_id)[0].gcp.get(player_id)
+    if gcp is None:
+        raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
+                            f"in game {game.game_id!r}")
+    return gcp
 
 
 def game_report(game: GameRecord) -> GameGcpReport:
@@ -121,32 +121,25 @@ def game_report(game: GameRecord) -> GameGcpReport:
     Player order inside each team map follows roster order, so output is
     deterministic for a given dataset.
     """
-    sides = []
-    for team_id in game.teams:
-        totals = team_totals(game, team_id)
-        active = active_fields(totals)
-        w = omega(active)
-        divisors = _divisors(totals.totals)
-        gcp = {
-            ln.player_id: w * _share_sum(ln.values, divisors)
-            for ln in game.roster(team_id) if ln.active
-        }
-        sides.append(TeamGcp(team_id=team_id, weight=w,
-                             active_fields=active, gcp=gcp))
-    return GameGcpReport(game_id=game.game_id, teams=(sides[0], sides[1]))
+    t1, t2 = (_side(game, team_id)[0] for team_id in game.teams)
+    return GameGcpReport(game_id=game.game_id, teams=(t1, t2))
 
 
 def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     """Largest GCP the player could have recorded given his minutes and
     possessions: 1 - weight * (missing minutes share + missing possessions
     share). Requires positive team totals for both."""
-    ln, totals, w = _player_side(game, team_id, player_id)
+    side, totals = _side(game, team_id)
+    ln = next((ln for ln in game.roster(team_id) if ln.player_id == player_id), None)
+    if ln is None:
+        raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
+                            f"in game {game.game_id!r}")
     min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
     if min_t <= 0.0 or poss_t <= 0.0:
         raise DivisionDomain(
             f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
     min_p, poss_p = ln.values[FieldId.MIN], ln.values[FieldId.POSS]
-    return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
+    return 1.0 - side.weight * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
 
 
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcpReport]:

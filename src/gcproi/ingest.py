@@ -1,6 +1,6 @@
 """Per-game dataset and salary table: file formats, parsing, validation.
 
-Input formats (all UTF-8 CSV, errors reported with 1-based line numbers):
+Input formats (all UTF-8 CSV; errors name the 1-based line a row starts on):
 
 * games CSV: header ``game_id,date,team,opponent,player_id,player_name``
   followed by the 37 canonical field names in canonical order; one row per
@@ -9,7 +9,7 @@ Input formats (all UTF-8 CSV, errors reported with 1-based line numbers):
   in RAW_STATS order; rows are run through the adjustment formulas while
   parsing.
 * salaries CSV: header ``player_id,player_name,salary_usd``; salary as
-  integer dollars with no separators.
+  positive integer dollars, in any form ``int()`` accepts.
 
 Rows whose 37 stat values are all zero describe an inactive player and are
 dropped. Parsing is single-pass; the resulting SeasonDataset is treated as
@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveSalary,
     SchemaError,
 )
-from .fields import FIELD_ORDER, RAW_STATS, RawStatLine, StatRow, derive_fields, underive_fields
+from .fields import FIELD_ORDER, RAW_STATS, StatRow, derive_fields, underive_fields
 
 ID_COLUMNS = ("game_id", "date", "team", "opponent", "player_id", "player_name")
 GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + tuple(f.name for f in FIELD_ORDER)
@@ -54,15 +54,15 @@ class PlayerGameLine:
     @property
     def active(self) -> bool:
         """A player is active iff at least one field value is positive."""
-        return any(v > 0.0 for v in self.values)
+        return any(map((0.0).__lt__, self.values))
 
 
 @dataclass(frozen=True, eq=True)
 class GameRecord:
-    """One game: two distinct team ids and the player lines of both rosters.
+    """One game: two distinct team ids and the player lines of both teams.
     Building one rejects a line of another game or team, a second line of
-    one player and a row without the 37 fields, and splits the lines into
-    the two rosters, each in lines order."""
+    one player and a row without the 37 fields, and splits the active lines
+    into the two rosters, each in lines order."""
 
     game_id: str
     date: Date
@@ -88,7 +88,8 @@ class GameRecord:
                 raise SchemaError(f"player {ln.player_id!r} in game {game_id!r} has "
                                   f"{len(ln.values)} of {width} fields")
             players.add(ln.player_id)
-            roster.append(ln)
+            if ln.active:
+                roster.append(ln)
         object.__setattr__(self, "_rosters", {t: tuple(r) for t, r in rosters.items()})
 
     @property
@@ -96,7 +97,7 @@ class GameRecord:
         return (self.team1, self.team2)
 
     def roster(self, team_id: str) -> tuple[PlayerGameLine, ...]:
-        """The team's lines in lines order; () for a team not in the game."""
+        """The team's active lines in lines order; () for a team not in the game."""
         return self._rosters.get(team_id, ())
 
 
@@ -135,17 +136,17 @@ class SeasonDataset:
 
     @cached_property
     def _runs(self) -> dict[str, list[list]]:
-        """Player -> the player's runs (see player_runs); [] for a player
-        with no active line."""
+        """Player -> the player's runs (see player_runs), for every player
+        with an active line."""
         runs: dict[str, list[list]] = {}
         for idx, g in enumerate(self.games):
-            for ln in g.lines:
-                player_runs = runs.setdefault(ln.player_id, [])
-                if ln.active:
-                    if player_runs and player_runs[-1][0] == ln.team_id:
+            for team in g.teams:
+                for ln in g.roster(team):
+                    player_runs = runs.setdefault(ln.player_id, [])
+                    if player_runs and player_runs[-1][0] == team:
                         player_runs[-1][2] = idx
                     else:
-                        player_runs.append([ln.team_id, idx, idx])
+                        player_runs.append([team, idx, idx])
         return runs
 
     @property
@@ -249,7 +250,10 @@ def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
             if tuple(header) != expected_header:
                 raise SchemaError(
                     f"bad header; expected {','.join(expected_header)!r}", 1)
-            for line_no, row in enumerate(reader, start=2):
+            # Each record is numbered by the physical line it starts on.
+            start = reader.line_num + 1
+            for row in reader:
+                line_no, start = start, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != len(expected_header):
@@ -294,11 +298,8 @@ def parse_games(path: str | Path, fmt: str = "derived",
 
         values = _parse_stats(row[6:], line_no, stat_columns)
         if fmt == "raw":
-            raw_values = dict(zip(RAW_STATS, values))
             try:
-                # derive_fields returns the fields in FIELD_ORDER
-                values = tuple(derive_fields(RawStatLine(player_id, raw_values),
-                                             clamp_negative).values())
+                values = derive_fields(values, clamp_negative)
             except NegativeDerivedField as exc:
                 raise NegativeDerivedField(exc.field, exc.value, line_no) from None
 
@@ -413,7 +414,7 @@ def _write_lines(ds: SeasonDataset, path: str | Path | io.TextIOBase,
             for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
                 w.writerows([g.game_id, day, team, opp, ln.player_id,
                              name(ln.player_id), *map(cell, stats(ln))]
-                            for ln in g.roster(team))
+                            for ln in g.lines if ln.team_id == team)
 
     if isinstance(path, io.TextIOBase):
         emit(path)
@@ -434,7 +435,7 @@ def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None
 def write_raw_games_csv(ds: SeasonDataset, path: str | Path) -> None:
     """Write a SeasonDataset in the source-stat schema (inverse adjustments)."""
     _write_lines(ds, path, RAW_GAMES_HEADER,
-                 lambda ln: map(underive_fields(ln.player_id, ln.values).get, RAW_STATS))
+                 lambda ln: underive_fields(ln.values))
 
 
 def write_salaries_csv(table: SalaryTable, path: str | Path) -> None:
@@ -465,7 +466,7 @@ def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> Validati
                                            f"in game {g.game_id!r}",
                                      game_id=g.game_id, player_id=ln.player_id))
         for team in g.teams:
-            if not any(ln.active for ln in g.roster(team)):
+            if not g.roster(team):
                 out.append(Violation("EmptyTeamGame",
                                      f"team {team!r} has no active player in game {g.game_id!r}",
                                      game_id=g.game_id, team_id=team))

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcproi import FIELD_ORDER, RAW_STATS, FieldId, RawStatLine, derive_fields, underive_fields
+from gcproi import FIELD_ORDER, RAW_STATS, FieldId, derive_fields, underive_fields
 from gcproi.errors import NegativeDerivedField
+
+
+def source_row(**named) -> tuple:
+    """A row of source stats in RAW_STATS order, zero except for the named ones."""
+    assert set(named) <= set(RAW_STATS), set(named) - set(RAW_STATS)
+    return tuple(float(named.get(name, 0.0)) for name in RAW_STATS)
 
 
 def test_exactly_37_fields_in_canonical_order():
@@ -17,7 +23,7 @@ def test_exactly_37_fields_in_canonical_order():
 
 def test_two_point_makes_split_off_threes():
     # 7 field goals with 2 threes leave 5 two-point makes.
-    out = derive_fields(RawStatLine("p", {"FGM": 7, "FG3M": 2, "FGA": 20, "FG3A": 8}))
+    out = derive_fields(source_row(FGM=7, FG3M=2, FGA=20, FG3A=8))
     assert out[FieldId.FG2O] == 5
     assert out[FieldId.FG3O] == 2
     assert out[FieldId.FG2X] == 7
@@ -25,9 +31,9 @@ def test_two_point_makes_split_off_threes():
 
 
 def test_all_zero_sources_give_all_zero_fields():
-    out = derive_fields(RawStatLine("p", {}))
-    assert set(out) == set(FIELD_ORDER)
-    assert all(v == 0.0 for v in out.values())
+    out = derive_fields(source_row())
+    assert len(out) == len(FIELD_ORDER)
+    assert all(v == 0.0 for v in out)
 
 
 def test_adjustment_formulas_against_hand_sums():
@@ -51,7 +57,7 @@ def test_adjustment_formulas_against_hand_sums():
     raw["Contested OREB"] = 2.0
     raw["DREB Chances"] = 11.0
     raw["Contested DREB"] = 3.0
-    out = derive_fields(RawStatLine("p", raw))
+    out = derive_fields(source_row(**raw))
 
     assert out[FieldId.FG2O] == 12 - 4
     assert out[FieldId.FG2X] == (25 - 9) - 8
@@ -70,7 +76,7 @@ def test_adjustment_formulas_against_hand_sums():
 
 
 def test_negative_derivation_is_a_hard_error_by_default():
-    raw = RawStatLine("p", {"FGM": 1, "FG3M": 3})
+    raw = source_row(FGM=1, FG3M=3)
     with pytest.raises(NegativeDerivedField) as exc:
         derive_fields(raw)
     assert exc.value.field is FieldId.FG2O
@@ -78,7 +84,7 @@ def test_negative_derivation_is_a_hard_error_by_default():
 
 
 def test_clamp_flag_floors_negative_derivations_at_zero():
-    raw = RawStatLine("p", {"FGM": 1, "FG3M": 3, "FTA": 2, "FTM": 1})
+    raw = source_row(FGM=1, FG3M=3, FTA=2, FTM=1)
     out = derive_fields(raw, clamp_negative=True)
     assert out[FieldId.FG2O] == 0.0
     assert out[FieldId.FTX] == 1.0
@@ -86,9 +92,9 @@ def test_clamp_flag_floors_negative_derivations_at_zero():
 
 def test_rejects_unknown_and_negative_sources():
     with pytest.raises(ValueError):
-        derive_fields(RawStatLine("p", {"BOGUS": 1.0}))
+        derive_fields(source_row()[:-1])
     with pytest.raises(ValueError):
-        derive_fields(RawStatLine("p", {"MIN": -1.0}))
+        derive_fields(source_row(MIN=-1.0))
 
 
 @st.composite
@@ -104,5 +110,6 @@ def consistent_field_values(draw):
 
 @given(consistent_field_values())
 def test_derive_inverts_underive(values):
-    raw = underive_fields("p", values)
-    assert derive_fields(raw) == values
+    row = tuple(values[f] for f in FIELD_ORDER)
+    raw = underive_fields(row)
+    assert derive_fields(raw) == row

@@ -347,6 +347,29 @@ def test_salary_errors(tmp_path):
         parse_salaries(frac)
 
 
+def test_salary_cells_accept_what_int_accepts(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("player_id,player_name,salary_usd\n"
+                    "p1,P One, +1_000 \np2,P Two,\u0665\np3,P Three,\uff11\uff12\n",
+                    encoding="utf-8")
+    assert parse_salaries(path).entries == {"p1": 1000, "p2": 5, "p3": 12}
+    for cell in ("1.0", "1e6", ""):
+        path.write_text(f"player_id,player_name,salary_usd\np1,P One,{cell}\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            parse_salaries(path)
+        assert (exc.value.line, exc.value.column) == (2, "salary_usd")
+
+
+def test_rows_after_a_multi_line_cell_report_the_line_they_start_on(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text('player_id,player_name,salary_usd\np1,"Two\nLines",5\np2,P Two,x\n',
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        parse_salaries(path)
+    assert (exc.value.line, exc.value.column) == (4, "salary_usd")
+
+
 def test_salary_write_parse_round_trip(tmp_path):
     table = SalaryTable(entries={"b": 2, "a": 1}, names={"a": "A", "b": "B"})
     path = tmp_path / "s.csv"

@@ -28,6 +28,7 @@ from gcproi import (
     sgv,
     synth_season,
 )
+from gcproi.synth import ORACLE_GRID_HI, ORACLE_GRID_LO
 
 from conftest import make_game, make_line
 
@@ -153,6 +154,37 @@ def test_rate_zero_exactly_at_breakeven_sum():
 def test_solver_agrees_with_the_grid_oracle(sm):
     s, _ = sm
     assert abs(irr(s).rate - irr_oracle(s)) <= 1e-9
+
+
+@st.composite
+def long_series(draw, shape):
+    """82, 328 or 410 flows. "defaults": a few flows among missed games
+    against an investment of up to 100 times their sum, so the root lies
+    between -1 and 0. "large": a few large flows, one in the first four
+    slots, against at most half their sum, so the root is large and
+    positive. Either way the root lies inside irr_oracle's grid."""
+    n = draw(st.sampled_from((82, 328, 410)))
+    flows = [0.0] * n
+    if shape == "defaults":
+        slots = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=8))
+        size, mult = (1.0, 1e5), draw(st.floats(1.0, 100.0))
+    else:
+        slots = draw(st.sets(st.integers(0, n - 1), max_size=3)) | {draw(st.integers(0, 3))}
+        size, mult = (1e5, 1e7), draw(st.floats(0.1, 0.5))
+    for i in slots:
+        flows[i] = draw(st.floats(*size))
+    return series(math.fsum(flows) * mult, flows)
+
+
+@pytest.mark.parametrize("shape", ["defaults", "large"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_solver_agrees_with_the_grid_oracle_on_long_series(shape, data):
+    s = data.draw(long_series(shape))
+    assert npv(ORACLE_GRID_LO, s) > 0.0 >= npv(ORACLE_GRID_HI, s)
+    result = irr(s)
+    assert abs(result.rate - irr_oracle(s)) <= 1e-9
+    assert abs(result.residual) <= 1e-6
 
 
 def test_pipeline_identities_on_a_synthetic_season():

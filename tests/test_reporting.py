@@ -1,10 +1,12 @@
 import math
 import statistics
+from datetime import date
 
 import pytest
 
 from gcproi import (
     SalaryTable,
+    SeasonDataset,
     SingleGameValue,
     SynthConfig,
     cash_flows,
@@ -30,6 +32,8 @@ from gcproi.reporting import (
     STATUS_OK,
     STATUS_TOTAL_DEFAULT,
 )
+
+from conftest import make_game, make_line
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,26 @@ def test_missing_salary_lists_every_absent_contributor(synth_world):
     with pytest.raises(MissingSalary) as exc:
         roi_table(ds, reports, SalaryTable(entries=trimmed, names=salaries.names), value)
     assert exc.value.players == gone
+
+
+def test_a_player_with_only_inactive_lines_is_a_total_default():
+    games = [make_game(f"g{i}", date(2024, 1, i), "A", "B",
+                       [make_line("a1", "A", f"g{i}", MIN=10, POSS=20),
+                        make_line("a2", "A", f"g{i}"),  # all-zero line
+                        make_line("b", "B", f"g{i}", MIN=8, POSS=20)])
+             for i in (1, 2)]
+    ds = SeasonDataset.from_games(games)
+    reports = season_reports(ds)
+    salaries = SalaryTable(entries={"a1": 1_000, "a2": 2_000, "b": 3_000})
+    value = sgv(salaries.total, len(ds.games))
+    rows = {r.player_id: r for r in roi_table(ds, reports, salaries, value, min_games=1)}
+    assert (rows["a2"].status, rows["a2"].gp, rows["a2"].roi) == (STATUS_TOTAL_DEFAULT, 0, None)
+    assert rows["a1"].status == rows["b"].status == STATUS_OK
+    assert "a2" not in {r.player_id for r in leaderboard_pvgcp(ds, reports, salaries)}
+    assert salary_summary(ds, reports, salaries, min_games=1).qualifying == 2
+
+    unsalaried = SalaryTable(entries={"a1": 1_000, "b": 3_000})
+    assert {r.player_id for r in roi_table(ds, reports, unsalaried, value)} == {"a1", "b"}
 
 
 def test_roi_boards_filter_and_count(synth_world):
