@@ -68,10 +68,6 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> SeasonDataset:
-    return parse_games(args.games)
-
-
 def _sgv_for(args, ds: SeasonDataset, salaries) -> finance.SingleGameValue:
     override = getattr(args, "sgv_override", None)
     if override is not None:
@@ -83,7 +79,7 @@ def _sgv_for(args, ds: SeasonDataset, salaries) -> finance.SingleGameValue:
 
 
 def cmd_gcp(args) -> int:
-    ds = _load(args)
+    ds = parse_games(args.games)
     game = ds.get_game(args.game_id)
     report = gcp.game_report(game)
     sides = [report.team(args.team)] if args.team else list(report.teams)
@@ -121,7 +117,7 @@ def cmd_gcp(args) -> int:
 def cmd_histogram(args) -> int:
     if not 0.0 < args.bin_width < math.inf:
         raise GcproiError(f"--bin-width must be a positive number, got {args.bin_width}")
-    ds = _load(args)
+    ds = parse_games(args.games)
     bins = reporting.gcp_histogram(ds, bin_width=args.bin_width)
     header = ["bin_lo", "bin_hi", "count"]
     rows = [[f"{b.lo:.10g}", f"{b.hi:.10g}", b.count] for b in bins]
@@ -130,7 +126,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_roi(args) -> int:
-    ds = _load(args)
+    ds = parse_games(args.games)
     salaries = parse_salaries(args.salaries)
     reports = gcp.season_reports(ds)
     value = _sgv_for(args, ds, salaries)
@@ -150,7 +146,7 @@ def cmd_roi(args) -> int:
 def cmd_pvgcp_board(args) -> int:
     if args.top < 0:
         raise GcproiError(f"--top must not be negative, got {args.top}")
-    ds = _load(args)
+    ds = parse_games(args.games)
     salaries = parse_salaries(args.salaries)
     reports = gcp.season_reports(ds)
     rows = reporting.leaderboard_pvgcp(ds, reports, salaries, top_k=args.top)
@@ -167,7 +163,7 @@ def cmd_pvgcp_board(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ds = _load(args)
+    ds = parse_games(args.games)
     reports = gcp.season_reports(ds)
     cmp = reporting.comparison(ds, reports, args.player_a, args.player_b)
     header = ["period", "game_id_a", "gcp_a", "cumulative_a",
@@ -191,7 +187,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    ds = _load(args)
+    ds = parse_games(args.games)
     salaries = parse_salaries(args.salaries)
     reports = gcp.season_reports(ds)
     value = _sgv_for(args, ds, salaries)
@@ -208,7 +204,7 @@ def cmd_breakeven(args) -> int:
     if args.sgv is not None:
         value = finance.SingleGameValue.override(args.sgv)
     elif args.games and args.salaries:
-        ds = _load(args)
+        ds = parse_games(args.games)
         salaries = parse_salaries(args.salaries)
         value = _sgv_for(args, ds, salaries)
     else:
@@ -225,7 +221,7 @@ def cmd_breakeven(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    ds = _load(args)
+    ds = parse_games(args.games)
     salaries = parse_salaries(args.salaries)
     reports = gcp.season_reports(ds)
     s = reporting.salary_summary(ds, reports, salaries, min_games=args.min_games)
@@ -247,7 +243,7 @@ def cmd_summary(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ds = _load(args)
+    ds = parse_games(args.games)
     if args.salaries:
         parse_salaries(args.salaries)
     report = validate_dataset(ds, strict_season=args.strict_season)

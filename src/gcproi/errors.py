@@ -28,27 +28,24 @@ class DuplicateLine(SchemaError):
         super().__init__(f"duplicate line for player {player_id!r} in game {game_id!r}", line)
 
 
-class NonPositiveSalary(GcproiError):
+class NonPositiveSalary(SchemaError):
     """A salary entry is zero or negative."""
 
     def __init__(self, player_id: str, salary: int, line: int | None = None):
         self.player_id = player_id
         self.salary = salary
-        self.line = line
-        loc = f" (line {line})" if line is not None else ""
-        super().__init__(f"non-positive salary {salary} for player {player_id!r}{loc}")
+        super().__init__(f"non-positive salary {salary} for player {player_id!r}", line)
 
 
-class NegativeDerivedField(GcproiError):
+class NegativeDerivedField(SchemaError):
     """A stat adjustment formula produced a negative value, i.e. the source
     stats are internally inconsistent."""
 
     def __init__(self, field, value: float, line: int | None = None):
         self.field = field
         self.value = value
-        self.line = line
-        loc = f" (line {line})" if line is not None else ""
-        super().__init__(f"derived field {getattr(field, 'name', field)} is negative ({value}){loc}")
+        super().__init__(f"derived field {getattr(field, 'name', field)} is negative ({value})",
+                         line)
 
 
 class UnknownTeam(GcproiError):

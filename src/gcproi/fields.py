@@ -73,6 +73,8 @@ StatRow = tuple[float, ...]
 FRACTIONAL_FIELDS = (FieldId.ODIS, FieldId.DDIS, FieldId.MIN)
 
 #: Source stat columns, as published, for the optional pre-adjustment input.
+#: RAW_STATS[i] feeds FieldId(i): the field is a copy of it, or, for the nine
+#: adjusted fields, the minuend of the field's subtraction.
 RAW_STATS: tuple[str, ...] = (
     "MIN", "FGM", "FGA", "FG3M", "FG3A", "FTM", "FTA", "PF", "STL", "BLK",
     "TOV", "BLKA", "PFD", "Poss", "SAST", "Deflections", "Charges Drawn",
@@ -83,38 +85,6 @@ RAW_STATS: tuple[str, ...] = (
     "Potential Assists", "Contested OREB", "OREB Chances", "Contested DREB",
     "DREB Chances",
 )
-
-# Fields copied from a single source stat, possibly under another name.
-_COPIED: dict[FieldId, str] = {
-    FieldId.MIN: "MIN",
-    FieldId.FG3O: "FG3M",
-    FieldId.FTO: "FTM",
-    FieldId.PF: "PF",
-    FieldId.STL: "STL",
-    FieldId.BLK: "BLK",
-    FieldId.TOV: "TOV",
-    FieldId.BLKA: "BLKA",
-    FieldId.PFD: "PFD",
-    FieldId.POSS: "Poss",
-    FieldId.SAST: "SAST",
-    FieldId.DEFL: "Deflections",
-    FieldId.CHGD: "Charges Drawn",
-    FieldId.C3PT: "Contested 3PT Shots",
-    FieldId.OBOX: "OFF BOX OUTS",
-    FieldId.DBOX: "DEF BOX OUTS",
-    FieldId.OLBR: "Off Loose Balls Recovered",
-    FieldId.DLBR: "Def Loose Balls Recovered",
-    FieldId.DFGO: "DFGM",
-    FieldId.DRV: "Drives",
-    FieldId.ODIS: "Dist. Miles Off",
-    FieldId.DDIS: "Dist. Miles Def",
-    FieldId.TCH: "Touches",
-    FieldId.PASR: "Passes Received",
-    FieldId.AST2: "Secondary Assist",
-    FieldId.PAST: "Potential Assists",
-    FieldId.OCRB: "Contested OREB",
-    FieldId.DCRB: "Contested DREB",
-}
 
 
 def derive_fields(row: StatRow, clamp_negative: bool = False) -> StatRow:
@@ -133,9 +103,7 @@ def derive_fields(row: StatRow, clamp_negative: bool = False) -> StatRow:
             raise ValueError(f"source stat {name!r} must be a finite non-negative number, got {v}")
 
     g = src.__getitem__
-    out = [0.0] * len(FIELD_ORDER)
-    for fid, name in _COPIED.items():
-        out[fid] = g(name)
+    out = list(row)
 
     def adj(fid: FieldId, value: float) -> None:
         if value < 0.0:
@@ -163,7 +131,7 @@ def underive_fields(row: StatRow) -> StatRow:
     derive_fields(underive_fields(row)) reproduces the row.
     """
     v = row
-    raw = {src: v[fid] for fid, src in _COPIED.items()}
+    raw = dict(zip(RAW_STATS, v))
     raw["FGM"] = v[FieldId.FG2O] + v[FieldId.FG3O]
     raw["FGA"] = v[FieldId.FG2O] + v[FieldId.FG2X] + v[FieldId.FG3O] + v[FieldId.FG3X]
     raw["FG3A"] = v[FieldId.FG3O] + v[FieldId.FG3X]
@@ -173,4 +141,4 @@ def underive_fields(row: StatRow) -> StatRow:
     raw["Passes Made"] = v[FieldId.APM] + v[FieldId.AST2] + v[FieldId.PAST]
     raw["OREB Chances"] = v[FieldId.AORC] + v[FieldId.OCRB]
     raw["DREB Chances"] = v[FieldId.ADRC] + v[FieldId.DCRB]
-    return tuple(map(raw.__getitem__, RAW_STATS))
+    return tuple(raw.values())

@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
+from .errors import DivisionDomain, EmptyActiveSet, GcproiError, UnknownPlayer, UnknownTeam
 from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset
 
@@ -62,7 +62,11 @@ def team_totals(game: GameRecord, team_id: str) -> TeamGameTotals:
     if team_id not in game.teams:
         raise UnknownTeam(f"team {team_id!r} not in game {game.game_id!r}")
     rows = [ln.values for ln in game.roster(team_id)]
-    totals = tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
+    try:
+        totals = tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
+    except OverflowError:  # finite values whose sum exceeds the float range
+        raise GcproiError(f"a total of team {team_id!r} in game {game.game_id!r} "
+                          f"exceeds the float range") from None
     return TeamGameTotals(game_id=game.game_id, team_id=team_id, totals=totals)
 
 

@@ -9,11 +9,13 @@ Input formats (all UTF-8 CSV; errors name the 1-based line a row starts on):
   in RAW_STATS order; rows are run through the adjustment formulas while
   parsing.
 * salaries CSV: header ``player_id,player_name,salary_usd``; salary as
-  positive integer dollars, in any form ``int()`` accepts.
+  positive integer dollars, in any form ``int()`` accepts, at most 2**53
+  (the largest integer a float holds exactly).
 
-Rows whose 37 stat values are all zero describe an inactive player and are
-dropped. Parsing is single-pass; the resulting SeasonDataset is treated as
-immutable afterward and is safe to share across threads read-only.
+A row whose 37 stats are all zero is a player who sat the game out: it stays
+in the game's lines, and in a write-back, but GameRecord keeps it out of the
+rosters, so it carries no GCP. Parsing is single-pass; the resulting
+SeasonDataset is immutable afterward and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -331,29 +333,23 @@ def parse_games(path: str | Path, fmt: str = "derived",
         if player_id in state["players"]:
             raise DuplicateLine(player_id, game_id, line_no)
         state["players"].add(player_id)
-
-        # Every value is finite and non-negative here, so max() is the
-        # active test.
-        if max(values) > 0.0:
-            state["lines"][team].append(PlayerGameLine(
-                player_id=player_id, team_id=team, game_id=game_id, values=values))
+        state["lines"][team].append(PlayerGameLine(
+            player_id=player_id, team_id=team, game_id=game_id, values=values))
 
     games = []
     for game_id, state in pending.items():
         t1, t2 = state["teams"]
-        for t in (t1, t2):
-            if not state["lines"][t]:
-                raise SchemaError(
-                    f"game {game_id!r} has no active player for team {t!r}",
-                    state["first_line"])
         lines = tuple(sorted(state["lines"][t1], key=lambda ln: ln.player_id)
                       + sorted(state["lines"][t2], key=lambda ln: ln.player_id))
-        games.append(GameRecord(game_id=game_id, date=state["date"],
-                                team1=t1, team2=t2, lines=lines))
+        game = GameRecord(game_id=game_id, date=state["date"], team1=t1, team2=t2,
+                          lines=lines)
+        for t in game.teams:
+            if not game.roster(t):
+                raise SchemaError(f"game {game_id!r} has no active player for team {t!r}",
+                                  state["first_line"])
+        games.append(game)
 
-    used = {ln.player_id for g in games for ln in g.lines}
-    return SeasonDataset.from_games(
-        games, {p: n for p, n in player_names.items() if p in used})
+    return SeasonDataset.from_games(games, player_names)
 
 
 def parse_salaries(path: str | Path) -> SalaryTable:
@@ -377,6 +373,8 @@ def parse_salaries(path: str | Path) -> SalaryTable:
                 line_no, "salary_usd") from None
         if salary <= 0:
             raise NonPositiveSalary(player_id, salary, line_no)
+        if salary > 2**53:
+            raise SchemaError("salary exceeds 2**53 dollars", line_no, "salary_usd")
         entries[player_id] = salary
         names[player_id] = player_name
         lines_seen[player_id] = line_no

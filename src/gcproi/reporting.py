@@ -188,24 +188,20 @@ def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     """Top and bottom ROI boards over players with at least min_games
     appearances. Players of every other status are excluded and only counted."""
     rows = roi_table(ds, reports, salaries, value, min_games=min_games, abs_tol=abs_tol)
+    # roi_table lists the ok rows first, in top-board order.
     qualifying = [r for r in rows if r.status == STATUS_OK]
-    metrics = {r.player_id: r for r in qualifying}
+    bottom = sorted(qualifying, key=lambda r: (r.roi, r.player_name, r.player_id))
 
-    def board(ids: list[str], reverse: bool) -> tuple[LeaderboardRow, ...]:
-        ordered = sorted(ids, key=lambda p: ((-metrics[p].roi) if reverse else metrics[p].roi,
-                                             metrics[p].player_name, p))
+    def board(ordered: list[RoiRow]) -> tuple[LeaderboardRow, ...]:
         return tuple(
-            LeaderboardRow(rank=i, player_id=p, player_name=metrics[p].player_name,
-                           salary=metrics[p].salary, gp=metrics[p].gp,
-                           pvgcp=metrics[p].pvgcp,
-                           gcp_per_game=metrics[p].pvgcp / metrics[p].gp,
-                           roi=metrics[p].roi)
-            for i, p in enumerate(ordered, start=1))
+            LeaderboardRow(rank=i, player_id=r.player_id, player_name=r.player_name,
+                           salary=r.salary, gp=r.gp, pvgcp=r.pvgcp,
+                           gcp_per_game=r.pvgcp / r.gp, roi=r.roi)
+            for i, r in enumerate(ordered, start=1))
 
-    ids = [r.player_id for r in qualifying]
     return RoiBoards(
-        top=board(ids, reverse=True)[:top_k],
-        bottom=board(ids, reverse=False)[:bottom_k],
+        top=board(qualifying[:top_k]),
+        bottom=board(bottom[:bottom_k]),
         qualifying=len(qualifying),
         total_defaults=sum(1 for r in rows if r.status == STATUS_TOTAL_DEFAULT),
         below_min_games=sum(1 for r in rows if r.status == STATUS_BELOW_MIN_GAMES),

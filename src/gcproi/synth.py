@@ -78,7 +78,6 @@ class SynthBookkeeping:
     missed: dict[str, tuple[str, ...]]  # player -> game ids missed
     appearances: dict[str, int]  # player -> active game count
     zero_fields: dict[str, tuple[FieldId, ...]]  # team -> planted silent fields
-    forced_active: tuple[tuple[str, str], ...]  # (game, player) kept active
 
 
 def _round_robin(teams: list[str], rounds: int) -> list[list[tuple[str, str]]]:
@@ -120,7 +119,6 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     schedule: dict[str, list[str]] = {t: [] for t in teams}
     missed: dict[str, list[str]] = {p: [] for r in rosters.values() for p in r}
     appearances: dict[str, int] = {p: 0 for r in rosters.values() for p in r}
-    forced_active: list[tuple[str, str]] = []
     game_no = 0
 
     for round_idx, pairings in enumerate(rounds):
@@ -151,7 +149,6 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                                 rosters[team][0])
                     missed[keep].remove(game_id)
                     actives.append(keep)
-                    forced_active.append((game_id, keep))
                 team_lines = []
                 for player in actives:
                     appearances[player] += 1
@@ -189,7 +186,6 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
         missed={p: tuple(v) for p, v in missed.items()},
         appearances=appearances,
         zero_fields={t: tuple(v) for t, v in cfg.zero_fields.items()},
-        forced_active=tuple(forced_active),
     )
     return ds, salaries, book
 

@@ -337,3 +337,33 @@ def test_two_salaried_runs_are_byte_identical(argv, tmp_path, data_dir):
     _, first = run(argv + flags, tmp_path, "run1")
     _, second = run(argv + flags, tmp_path, "run2")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["roi", "--games", "{games}", "--salaries", "{tmp}/big.csv"],
+    ["gcp", "--games", "{tmp}/overflow.csv", "--game-id", "2023040401"],
+    ["histogram", "--games", "{tmp}/overflow.csv"],
+    ["roi", "--games", "{tmp}/overflow.csv", "--salaries", "{salaries}"],
+], ids=["roi-salary-401-digits", "gcp-total", "histogram-total", "roi-total"])
+def test_values_beyond_the_float_range_exit_2_with_one_error_line(argv, tmp_path, data_dir,
+                                                                  capsys):
+    salaries = (data_dir / "bosphi_salaries.csv").read_text(encoding="utf-8").splitlines()
+    first = salaries[1].rsplit(",", 1)[0]
+    (tmp_path / "big.csv").write_text(
+        "\n".join([salaries[0], first + "," + "9" * 401] + salaries[2:]) + "\n",
+        encoding="utf-8")
+    # Two finite MIN cells of one team in one game whose sum overflows.
+    games = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    min_col = games[0].split(",").index("MIN")
+    for k in (1, 2):
+        cells = games[k].split(",")
+        cells[min_col] = "1e308"
+        games[k] = ",".join(cells)
+    assert games[1].split(",")[2] == games[2].split(",")[2]
+    (tmp_path / "overflow.csv").write_text("\n".join(games) + "\n", encoding="utf-8")
+    paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv",
+             "salaries": data_dir / "bosphi_salaries.csv"}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

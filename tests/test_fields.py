@@ -113,3 +113,12 @@ def test_derive_inverts_underive(values):
     row = tuple(values[f] for f in FIELD_ORDER)
     raw = underive_fields(row)
     assert derive_fields(raw) == row
+
+
+def test_each_source_stat_feeds_the_field_at_its_position():
+    # A lone source stat is either copied or the minuend of an adjustment;
+    # the subtrahends it meets are zero, and a field it is subtracted from
+    # clamps to zero.
+    for i in range(len(RAW_STATS)):
+        onehot = tuple(float(j == i) for j in range(len(RAW_STATS)))
+        assert derive_fields(onehot, clamp_negative=True) == onehot, RAW_STATS[i]

@@ -16,7 +16,13 @@ from gcproi import (
     season_reports,
     team_totals,
 )
-from gcproi.errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
+from gcproi.errors import (
+    DivisionDomain,
+    EmptyActiveSet,
+    GcproiError,
+    UnknownPlayer,
+    UnknownTeam,
+)
 
 from conftest import BOS_EXPECTED, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
 
@@ -248,3 +254,14 @@ def test_dropping_a_zero_total_field_changes_nothing(bosphi):
 def test_season_reports_cover_every_game(bosphi):
     reports = season_reports(bosphi)
     assert set(reports) == {g.game_id for g in bosphi.games}
+
+
+def test_a_team_total_beyond_the_float_range_names_game_and_team():
+    game = make_game("g1", date(2024, 1, 1), "A", "B",
+                     [make_line("p1", "A", "g1", MIN=1e308),
+                      make_line("p2", "A", "g1", MIN=1e308),
+                      make_line("p3", "B", "g1", MIN=1e308)])
+    with pytest.raises(GcproiError) as exc:
+        team_totals(game, "A")
+    assert "'A'" in str(exc.value) and "'g1'" in str(exc.value)
+    assert team_totals(game, "B").totals[FieldId.MIN] == 1e308

@@ -22,7 +22,13 @@ from gcproi import (
     write_salaries_csv,
 )
 from gcproi import ingest
-from gcproi.errors import DuplicateLine, GcproiError, NonPositiveSalary, SchemaError
+from gcproi.errors import (
+    DuplicateLine,
+    GcproiError,
+    NegativeDerivedField,
+    NonPositiveSalary,
+    SchemaError,
+)
 from gcproi.ingest import (
     GAMES_HEADER,
     RAW_GAMES_HEADER,
@@ -193,6 +199,23 @@ def test_all_zero_rows_are_dropped(tmp_path, bosphi):
     assert len(ds.games[0].roster("BOS")) == 10
 
 
+def test_all_zero_rows_stay_in_lines_and_are_written_back(tmp_path, bosphi):
+    row = "2023040401,2023-04-04,BOS,PHI,bench-guy,Bench Guy" + ",0" * 37
+    path = tmp_path / "zero.csv"
+    write_games_csv(bosphi, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    ds = parse_games(path)
+    game = ds.games[0]
+    assert [ln.player_id for ln in game.lines].count("bench-guy") == 1
+    assert "bench-guy" not in {ln.player_id for ln in game.roster("BOS")}
+    assert "bench-guy" not in ds.player_ids
+    again = tmp_path / "again.csv"
+    write_games_csv(ds, again)
+    assert row in again.read_text(encoding="utf-8").splitlines()
+    assert parse_games(again) == ds
+
+
 def test_interleaved_game_rows_regroup_cleanly(tmp_path, bosphi):
     path = tmp_path / "interleaved.csv"
     write_games_csv(bosphi, path)
@@ -359,6 +382,33 @@ def test_salary_cells_accept_what_int_accepts(tmp_path):
         with pytest.raises(SchemaError) as exc:
             parse_salaries(path)
         assert (exc.value.line, exc.value.column) == (2, "salary_usd")
+
+
+def test_salaries_above_2_pow_53_are_rejected_without_the_cell_text(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text(f"player_id,player_name,salary_usd\np1,P One,{2**53}\n",
+                    encoding="utf-8")
+    assert parse_salaries(path).entries == {"p1": 2**53}
+    for cell in (str(2**53 + 1), "9" * 401):
+        path.write_text(f"player_id,player_name,salary_usd\np1,P One,{cell}\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            parse_salaries(path)
+        assert (exc.value.line, exc.value.column) == (2, "salary_usd")
+        assert cell not in str(exc.value)
+
+
+def test_located_value_errors_are_schema_errors_with_their_messages():
+    salary = NonPositiveSalary("p1", 0, 2)
+    assert isinstance(salary, SchemaError)
+    assert str(salary) == "non-positive salary 0 for player 'p1' (line 2)"
+    assert (salary.line, salary.player_id, salary.salary) == (2, "p1", 0)
+    assert str(NonPositiveSalary("p1", -5)) == "non-positive salary -5 for player 'p1'"
+    derived = NegativeDerivedField(FieldId.FG2O, -2.0, 7)
+    assert isinstance(derived, SchemaError)
+    assert str(derived) == "derived field FG2O is negative (-2.0) (line 7)"
+    assert (derived.line, derived.field, derived.value) == (7, FieldId.FG2O, -2.0)
+    assert str(NegativeDerivedField(FieldId.APM, -1.0)) == "derived field APM is negative (-1.0)"
 
 
 def test_rows_after_a_multi_line_cell_report_the_line_they_start_on(tmp_path):
