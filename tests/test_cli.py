@@ -207,6 +207,20 @@ def test_validate_clean_exits_0_and_dirty_exits_1(tmp_path, data_dir):
     assert b"TeamOver82" in (tmp_path / "v").read_bytes()
 
 
+def test_validate_reports_a_team_total_beyond_the_float_range(tmp_path, data_dir):
+    lines = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    for i in (1, 2):  # two BOS rows
+        assert lines[i].split(",")[2] == "BOS"
+        lines[i] = ",".join(lines[i].split(",")[:6] + ["1e308"] + lines[i].split(",")[7:])
+    games = tmp_path / "big.csv"
+    games.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc, body = run(["validate", "--games", str(games)], tmp_path)
+    assert rc == 1
+    assert body.decode().splitlines() == [
+        "TotalOverflow: a total of team 'BOS' in game '2023040401' exceeds the float range",
+        "1 violation(s)"]
+
+
 def test_breakeven_reproduces_the_top_salary_figures(tmp_path):
     rc, body = run(["breakeven", "--salary", "48070000", "--n-games", "82",
                     "--sgv", "1818162"], tmp_path)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 import tempfile
 from datetime import date
 from functools import partial
@@ -174,6 +175,137 @@ def test_stat_cells_accept_what_float_accepts_if_finite_and_non_negative(tmp_pat
                   if ln.player_id == "jayson-tatum")
     assert values[:5] == (12.5, 1000.0, 0.0, 20.0, 3.0)
     assert math.copysign(1.0, values[2]) == -1.0  # "-0" is kept as -0.0
+
+
+def _two_games(path, data_dir, cells_by_line=None):
+    """Write the golden game followed by a copy of it as game 2023040602 on
+    2023-04-06 (lines 2-21 and 22-41), with the cells {column: text} of
+    cells_by_line {line: cells} replaced; return path."""
+    lines = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    lines += [row.replace("2023040401,2023-04-04", "2023040602,2023-04-06", 1)
+              for row in lines[1:]]
+    for line_no, cells in (cells_by_line or {}).items():
+        row = lines[line_no - 1].split(",")
+        for column, text in cells.items():
+            row[GAMES_HEADER.index(column)] = text
+        lines[line_no - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _date_error(line_no, text):
+    return ("SchemaError", f"bad ISO date: {text!r} (line {line_no}, column date)",
+            line_no, "date")
+
+
+_NON_EMPTY = "game_id, team, opponent and player_id must be non-empty (line 4)"
+_STAT_RANGE = "stat must be finite and non-negative, got {!r} (line 7, column FG3O)"
+
+#: One corruption of _two_games per case and the error it gives: (type,
+#: message, line, column), or None where the file parses. These are the
+#: errors as first recorded; a faster parser must give the same ones.
+ERROR_PARITY = {
+    "bad-date-first-row": (2, {"date": "2023-02-30"}, _date_error(2, "2023-02-30")),
+    "bad-date-later-row": (6, {"date": "April 4"}, _date_error(6, "April 4")),
+    "conflicting-date": (6, {"date": "2023-04-05"}, (
+        "SchemaError", "game '2023040401' has conflicting dates 2023-04-04 and 2023-04-05 "
+        "(line 6, column date)", 6, "date")),
+    "conflicting-date-second-game": (30, {"date": "2023-04-04"}, (
+        "SchemaError", "game '2023040602' has conflicting dates 2023-04-06 and 2023-04-04 "
+        "(line 30, column date)", 30, "date")),
+    "game-id-empty": (4, {"game_id": ""}, ("SchemaError", _NON_EMPTY, 4, None)),
+    "team-empty": (4, {"team": ""}, ("SchemaError", _NON_EMPTY, 4, None)),
+    "team-is-opponent": (4, {"team": "PHI"}, (
+        "SchemaError", "team and opponent are both 'PHI' (line 4, column opponent)",
+        4, "opponent")),
+    "team-of-another-pair": (8, {"team": "NYK"}, (
+        "SchemaError", "game '2023040401' has conflicting team pairs (line 8, column team)",
+        8, "team")),
+    "opponent-empty": (4, {"opponent": ""}, ("SchemaError", _NON_EMPTY, 4, None)),
+    "opponent-is-team": (4, {"opponent": "BOS"}, (
+        "SchemaError", "team and opponent are both 'BOS' (line 4, column opponent)",
+        4, "opponent")),
+    "player-empty": (4, {"player_id": ""}, ("SchemaError", _NON_EMPTY, 4, None)),
+    "player-is-opponent": (4, {"player_id": "PHI"}, None),
+    "player-name-conflict": (25, {"player_name": "Someone Else"}, (
+        "SchemaError", "player 'marcus-smart' has conflicting names 'Marcus Smart' and "
+        "'Someone Else' (line 25, column player_name)", 25, "player_name")),
+    "duplicate-player": (5, {"player_id": "grant-williams", "player_name": "Grant Williams"}, (
+        "DuplicateLine", "duplicate line for player 'grant-williams' in game '2023040401' "
+        "(line 5)", 5, None)),
+    "stat-negative": (7, {"FG3O": "-1"}, ("SchemaError", _STAT_RANGE.format("-1"), 7, "FG3O")),
+    "stat-nan": (7, {"FG3O": "nan"}, ("SchemaError", _STAT_RANGE.format("nan"), 7, "FG3O")),
+    "stat-inf": (7, {"FG3O": "inf"}, ("SchemaError", _STAT_RANGE.format("inf"), 7, "FG3O")),
+    "stat-overflow": (7, {"FG3O": "1e309"},
+                      ("SchemaError", _STAT_RANGE.format("1e309"), 7, "FG3O")),
+    "stat-not-a-number": (7, {"FG3O": "x"}, (
+        "SchemaError", "not a number: 'x' (line 7, column FG3O)", 7, "FG3O")),
+    # A later row may spell the game's date in any form date.fromisoformat
+    # reads as the same day; before 3.11 it reads only YYYY-MM-DD.
+    "respelled-date": (6, {"date": "20230404"},
+                       None if sys.version_info >= (3, 11) else _date_error(6, "20230404")),
+}
+
+
+@pytest.mark.parametrize("line_no, cells, expected", ERROR_PARITY.values(), ids=ERROR_PARITY)
+def test_a_corrupted_cell_gives_the_recorded_error(tmp_path, data_dir, line_no, cells,
+                                                    expected):
+    path = _two_games(tmp_path / "games.csv", data_dir, {line_no: cells})
+    if expected is None:
+        assert parse_games(path).games
+        return
+    with pytest.raises(SchemaError) as exc:
+        parse_games(path)
+    assert (type(exc.value).__name__, str(exc.value), exc.value.line,
+            exc.value.column) == expected
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="date.fromisoformat reads YYYYMMDD from 3.11 on")
+def test_a_respelled_date_parses_to_the_same_dataset(tmp_path, data_dir):
+    plain = parse_games(_two_games(tmp_path / "plain.csv", data_dir))
+    respelled = _two_games(tmp_path / "respelled.csv", data_dir,
+                           {6: {"date": "20230404"}, 40: {"date": "20230406"}})
+    assert parse_games(respelled) == plain
+
+
+def test_equal_stat_texts_give_one_float_and_keep_their_bits(tmp_path, data_dir):
+    path = _two_games(tmp_path / "games.csv", data_dir, {
+        2: {"FG2O": "-0", "FG2X": "1", "FG3O": "1.0", "FG3X": "12.5"},
+        23: {"FG3X": "12.5"}})
+    ds = parse_games(path)
+    first, later = ds.games[0], ds.games[1]
+    tatum = next(ln.values for ln in first.lines if ln.player_id == "jayson-tatum")
+    williams = next(ln.values for ln in later.lines if ln.player_id == "grant-williams")
+    assert math.copysign(1.0, tatum[FieldId.FG2O]) == -1.0
+    assert tatum[FieldId.FG2X] == tatum[FieldId.FG3O] == 1.0
+    assert tatum[FieldId.FG3X] is williams[FieldId.FG3X]
+
+
+def test_a_bad_stat_text_raises_at_its_first_line_and_is_not_remembered(tmp_path, data_dir):
+    path = _two_games(tmp_path / "games.csv", data_dir,
+                      {5: {"FG2X": "nan"}, 6: {"FG2X": "nan"}})
+    with pytest.raises(SchemaError) as exc:
+        parse_games(path)
+    assert (exc.value.line, exc.value.column) == (5, "FG2X")
+
+    value = ingest._StatValue()
+    for text in ("1e309", "-1", "x"):
+        with pytest.raises(ValueError):
+            value[text]
+    assert value["7"] == 7.0
+    assert dict(value) == {"7": 7.0}
+
+
+def test_lines_share_their_game_team_and_player_id_strings(tmp_path, data_dir):
+    ds = parse_games(_two_games(tmp_path / "games.csv", data_dir))
+    for game in ds.games:
+        for ln in game.lines:
+            assert ln.game_id is game.game_id
+            assert ln.team_id is (game.team1 if ln.team_id == game.team1 else game.team2)
+    first, later = ({ln.player_id: ln.player_id for ln in g.lines} for g in ds.games)
+    assert all(first[p] is later[p] for p in first)
+    assert first.keys() == later.keys()
 
 
 def test_repeated_player_game_pair_is_rejected(tmp_path, bosphi):
@@ -398,6 +530,28 @@ def test_salaries_above_2_pow_53_are_rejected_without_the_cell_text(tmp_path):
         assert cell not in str(exc.value)
 
 
+def test_a_long_bad_salary_cell_is_echoed_by_its_prefix_and_length(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("player_id,player_name,salary_usd\np1,P One," + "9" * 5000 + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        parse_salaries(path)
+    assert (exc.value.line, exc.value.column) == (2, "salary_usd")
+    assert str(exc.value) == ("salary must be integer dollars, got "
+                              f"{'9' * ingest._ECHO!r}... (5000 characters) "
+                              "(line 2, column salary_usd)")
+
+
+def test_a_short_bad_salary_cell_is_echoed_whole(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("player_id,player_name,salary_usd\np1,P One,12.5 dollars\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        parse_salaries(path)
+    assert str(exc.value) == ("salary must be integer dollars, got '12.5 dollars' "
+                              "(line 2, column salary_usd)")
+
+
 def test_located_value_errors_are_schema_errors_with_their_messages():
     salary = NonPositiveSalary("p1", 0, 2)
     assert isinstance(salary, SchemaError)
@@ -495,6 +649,19 @@ def test_validate_strict_season_flags_team_over_82():
     report = validate_dataset(ds, strict_season=True)
     kinds = [v.kind for v in report.violations]
     assert kinds.count("TeamOver82") == 2  # both teams are over
+
+
+def test_validate_reports_each_team_whose_total_overflows():
+    big = [make_line(p, "A", "g1", MIN=1e308) for p in ("a1", "a2")]
+    cancelled = [PlayerGameLine("b1", "B", "g1", (math.inf,) + (1.0,) * 36),
+                 PlayerGameLine("b2", "B", "g1", (-math.inf,) + (1.0,) * 36)]
+    ds = SeasonDataset.from_games([make_game("g1", DAY, "A", "B", big + cancelled)])
+    report = validate_dataset(ds)
+    assert [(v.kind, v.team_id) for v in report.violations] == [
+        ("NonFiniteValue", None), ("NonFiniteValue", None), ("TotalOverflow", "A")]
+    assert report.violations[-1].game_id == "g1"
+    assert report.violations[-1].message == (
+        "a total of team 'A' in game 'g1' exceeds the float range")
 
 
 def test_validate_team_totals_equal_player_sums(bosphi):
