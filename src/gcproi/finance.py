@@ -17,7 +17,8 @@ interpolation acceleration; it is deterministic and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from .errors import (
     AllZeroFlows,
@@ -186,15 +187,38 @@ def npv(rate: float, series: CashFlowSeries) -> float:
     return total - series.cf0
 
 
+def _npv_per_term(rate: float, series: CashFlowSeries) -> float:
+    """npv with each discount formed on its own as exp(-k * log1p(rate)).
+
+    npv's running product of 1 / (1 + rate) rounds the rate to the grid of
+    1 + rate and adds one rounding per period, so on a season-long series
+    against a large investment its value can step by more than a
+    dollar-millionth between adjacent representable rates. Here the error
+    stays near the rounding of the sum itself.
+    """
+    a = -math.log1p(rate)
+    try:
+        # zero flows are skipped: no 0 * inf when the discount overflows
+        total = math.fsum([cf * math.exp(k * a)
+                           for k, cf in enumerate(series.flows, 1) if cf != 0.0])
+    except OverflowError:  # a discount, or the sum of finite terms, overflows
+        return math.inf
+    return total - series.cf0
+
+
 def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
     """Solve for the unique rate with zero net present value.
 
     Brackets the root first (expanding down toward -1 or doubling upward as
     needed), then alternates interpolation and bisection until the bracket
     is narrower than RATE_INTERVAL_TOL and the residual is within abs_tol
-    dollars. When the value function is so steep that no representable rate
-    meets abs_tol (roots collapsing toward -1), refinement stops at float
-    resolution and the result carries the honest residual.
+    dollars. When float resolution stops the refinement short of abs_tol,
+    npv's own rounding may be the cause: the rate found is then checked
+    with _npv_per_term, whose rounding error is far smaller, and kept with
+    that residual if it meets abs_tol; failing that, the solve is repeated
+    on _npv_per_term and its result kept if it meets abs_tol. When the
+    value function is so steep that no representable rate meets abs_tol
+    (roots collapsing toward -1), the result carries npv's honest residual.
     """
     if series.cf0 <= 0.0:
         raise NonPositiveInvestment(f"cf0 must be positive, got {series.cf0}")
@@ -203,12 +227,29 @@ def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
     if not abs_tol > 0.0:  # NaN too
         raise NonPositiveInput(f"abs_tol must be positive, got {abs_tol}")
 
+    result = _solve(lambda rate: npv(rate, series), abs_tol)
+    if abs(result.residual) <= abs_tol:
+        return result
+    residual = _npv_per_term(result.rate, series)
+    if abs(residual) <= abs_tol:
+        return replace(result, residual=residual)
+    try:
+        exact = _solve(lambda rate: _npv_per_term(rate, series), abs_tol)
+    except ConvergenceError:
+        return result
+    if abs(exact.residual) > abs_tol:
+        return result
+    return replace(exact, iterations=result.iterations + exact.iterations)
+
+
+def _solve(value: Callable[[float], float], abs_tol: float) -> RoiResult:
+    """irr's bracketing and refinement on the decreasing function value."""
     evals = 0
 
     def f(rate: float) -> float:
         nonlocal evals
         evals += 1
-        return npv(rate, series)
+        return value(rate)
 
     # Initial bracket: expand lo toward -1 while the value is still negative
     # (tiny flows against a large investment), then double hi until the

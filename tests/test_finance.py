@@ -325,6 +325,34 @@ def test_solver_result_meets_both_tolerances():
         assert npv(result.rate - 1e-9, s) > 0.0 > npv(result.rate + 1e-9, s)
 
 
+def test_residual_meets_tolerance_where_chained_discounting_cannot():
+    # 328 games against $37.3M: npv's value jumps from +1.2e-6 to -1.0e-6
+    # between adjacent rates at the root, so no rate meets 1e-6 by npv
+    # alone; discounting each term separately confirms the rate.
+    flows = [0.0] * 328
+    for i, cf in {0: 60870.0, 1: 80141.0, 17: 18824.3125, 22: 20769.0, 52: 30143.0,
+                  131: 94703.0, 198: 1.0, 271: 83441.9375}.items():
+        flows[i] = cf
+    s = series(37333752.0, flows)
+    result = irr(s)
+    assert abs(result.residual) <= 1e-6
+    assert abs(result.rate - irr_oracle(s)) <= 1e-9
+
+
+def test_solver_repeats_the_solve_when_its_rate_misses_the_tolerance():
+    # A five-season series against $1.2B: neither npv nor a check of the
+    # rate it finds meets 1e-6, a second solve with per-term discounting does.
+    rng = random.Random(3)
+    flows = [0.0] * 410
+    for _ in range(30):
+        flows[rng.randrange(410)] = rng.uniform(1.0, 1e6)
+    s = series(math.fsum(flows) * 90.0, flows)
+    result = irr(s)
+    assert abs(result.residual) <= 1e-6
+    assert abs(result.rate - irr_oracle(s)) <= 1e-9
+    lo, hi = result.bracket
+    assert lo < result.rate < hi
+
 # --- break-even ----------------------------------------------------------
 
 def test_breakeven_for_the_top_2023_salary():
