@@ -6,30 +6,10 @@ GCPs into realized cash flows with missed games as defaults, and solve the
 per-game internal rate of return against the salary investment.
 """
 
-from .errors import (
-    AllZeroFlows,
-    ConvergenceError,
-    DivisionDomain,
-    DomainError,
-    DuplicateLine,
-    EmptyActiveSet,
-    GcproiError,
-    InvalidConfig,
-    MissingSalary,
-    NegativeDerivedField,
-    NonPositiveInput,
-    NonPositiveInvestment,
-    NonPositiveSalary,
-    NoSignChange,
-    SchemaError,
-    UnknownPlayer,
-    UnknownTeam,
-)
+from .errors import GcproiError
 from .fields import FIELD_ORDER, RAW_STATS, FieldId, derive_fields, underive_fields
 from .finance import (
     CashFlowSeries,
-    PvGcp,
-    RoiResult,
     SingleGameValue,
     breakeven_gcp,
     cash_flows,
@@ -40,9 +20,6 @@ from .finance import (
     sgv,
 )
 from .gcp import (
-    GameGcpReport,
-    TeamGameTotals,
-    TeamGcp,
     active_fields,
     game_report,
     gcp_upper_bound,
@@ -57,8 +34,6 @@ from .ingest import (
     PlayerGameLine,
     SalaryTable,
     SeasonDataset,
-    ValidationReport,
-    Violation,
     parse_games,
     parse_salaries,
     validate_dataset,
@@ -67,13 +42,6 @@ from .ingest import (
     write_salaries_csv,
 )
 from .reporting import (
-    ComparisonSeries,
-    HistogramBin,
-    LeaderboardRow,
-    RoiBoards,
-    RoiRow,
-    SalarySummary,
-    ScatterPoint,
     comparison,
     gcp_histogram,
     histogram_bins,
@@ -83,6 +51,6 @@ from .reporting import (
     roi_table,
     salary_summary,
 )
-from .synth import SynthBookkeeping, SynthConfig, irr_oracle, synth_season
+from .synth import SynthConfig, irr_oracle, synth_season
 
 __version__ = "0.1.0"

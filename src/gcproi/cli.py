@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -144,8 +145,6 @@ def cmd_roi(args) -> int:
 
 
 def cmd_pvgcp_board(args) -> int:
-    if args.top < 0:
-        raise GcproiError(f"--top must not be negative, got {args.top}")
     ds = parse_games(args.games)
     salaries = parse_salaries(args.salaries)
     reports = gcp.season_reports(ds)
@@ -168,20 +167,15 @@ def cmd_compare(args) -> int:
     cmp = reporting.comparison(ds, reports, args.player_a, args.player_b)
     header = ["period", "game_id_a", "gcp_a", "cumulative_a",
               "game_id_b", "gcp_b", "cumulative_b"]
-    rows = []
-    for i in range(max(len(cmp.games_a), len(cmp.games_b))):
-        row: list = [i + 1]
-        if i < len(cmp.games_a):
-            row += [cmp.games_a[i], _fmt(cmp.gcp_a[i], 4, args.full_precision),
-                    _fmt(cmp.cumulative_a[i], 3, args.full_precision)]
-        else:
-            row += ["", "", ""]
-        if i < len(cmp.games_b):
-            row += [cmp.games_b[i], _fmt(cmp.gcp_b[i], 4, args.full_precision),
-                    _fmt(cmp.cumulative_b[i], 3, args.full_precision)]
-        else:
-            row += ["", "", ""]
-        rows.append(row)
+
+    def cells(games, gcps, cumulative) -> list[list[str]]:
+        return [[g, _fmt(v, 4, args.full_precision), _fmt(c, 3, args.full_precision)]
+                for g, v, c in zip(games, gcps, cumulative)]
+
+    pairs = itertools.zip_longest(cells(cmp.games_a, cmp.gcp_a, cmp.cumulative_a),
+                                  cells(cmp.games_b, cmp.gcp_b, cmp.cumulative_b),
+                                  fillvalue=["", "", ""])
+    rows = [[period, *a, *b] for period, (a, b) in enumerate(pairs, start=1)]
     _emit(header, rows, args)
     return EXIT_OK
 
@@ -245,7 +239,7 @@ def cmd_summary(args) -> int:
 def cmd_validate(args) -> int:
     ds = parse_games(args.games)
     if args.salaries:
-        parse_salaries(args.salaries)
+        reporting.check_salaries(ds, parse_salaries(args.salaries))
     report = validate_dataset(ds, strict_season=args.strict_season)
     lines = [f"{v.kind}: {v.message}" for v in report.violations]
     lines.append(f"{len(report.violations)} violation(s)")

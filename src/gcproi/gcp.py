@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DivisionDomain, EmptyActiveSet, GcproiError, UnknownPlayer, UnknownTeam
+from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
 from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset
 
@@ -61,13 +61,7 @@ def team_totals(game: GameRecord, team_id: str) -> TeamGameTotals:
     """Sum every field over the team's lines for this game."""
     if team_id not in game.teams:
         raise UnknownTeam(f"team {team_id!r} not in game {game.game_id!r}")
-    rows = [ln.values for ln in game.roster(team_id)]
-    try:
-        totals = tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
-    except OverflowError:  # finite values whose sum exceeds the float range
-        raise GcproiError(f"a total of team {team_id!r} in game {game.game_id!r} "
-                          f"exceeds the float range") from None
-    return TeamGameTotals(game_id=game.game_id, team_id=team_id, totals=totals)
+    return TeamGameTotals(game_id=game.game_id, team_id=team_id, totals=game.totals(team_id))
 
 
 def active_fields(totals: TeamGameTotals) -> frozenset[FieldId]:
@@ -85,34 +79,25 @@ def omega(active: frozenset[FieldId]) -> float:
     return 1.0 / len(active)
 
 
-def _divisors(totals: StatRow) -> StatRow:
-    """The team totals with every zero total replaced by inf."""
-    return tuple(t if t > 0.0 else math.inf for t in totals)
+def _side(game: GameRecord, team_id: str) -> TeamGcp:
+    """One team's side of the game report.
 
-
-def _share_sum(values: StatRow, divisors: StatRow) -> float:
-    """Sum of the player's shares of the fields with a positive team total.
-
-    A field the team never recorded has divisor inf and adds an exact +0.0
-    term; fsum is correctly rounded, so that term changes nothing.
+    Each zero team total is replaced by an inf divisor: a field the team
+    never recorded then adds an exact +0.0 term to a player's share sum, and
+    fsum is correctly rounded, so that term changes nothing.
     """
-    return math.fsum(map(operator.truediv, values, divisors))
-
-
-def _side(game: GameRecord, team_id: str) -> tuple[TeamGcp, StatRow]:
-    """One team's side of the game report, and the team's totals row."""
     totals = team_totals(game, team_id)
     active = active_fields(totals)
     w = omega(active)
-    divisors = _divisors(totals.totals)
-    gcp = {ln.player_id: w * _share_sum(ln.values, divisors)
+    divisors = tuple(t if t > 0.0 else math.inf for t in totals.totals)
+    gcp = {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
            for ln in game.roster(team_id)}
-    return TeamGcp(team_id=team_id, weight=w, active_fields=active, gcp=gcp), totals.totals
+    return TeamGcp(team_id=team_id, weight=w, active_fields=active, gcp=gcp)
 
 
 def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
     """GCP of one active player; see the module docstring for the formula."""
-    gcp = _side(game, team_id)[0].gcp.get(player_id)
+    gcp = _side(game, team_id).gcp.get(player_id)
     if gcp is None:
         raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
                             f"in game {game.game_id!r}")
@@ -125,7 +110,7 @@ def game_report(game: GameRecord) -> GameGcpReport:
     Player order inside each team map follows roster order, so output is
     deterministic for a given dataset.
     """
-    t1, t2 = (_side(game, team_id)[0] for team_id in game.teams)
+    t1, t2 = (_side(game, team_id) for team_id in game.teams)
     return GameGcpReport(game_id=game.game_id, teams=(t1, t2))
 
 
@@ -133,17 +118,18 @@ def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     """Largest GCP the player could have recorded given his minutes and
     possessions: 1 - weight * (missing minutes share + missing possessions
     share). Requires positive team totals for both."""
-    side, totals = _side(game, team_id)
+    totals = team_totals(game, team_id)
+    w = omega(active_fields(totals))
     ln = next((ln for ln in game.roster(team_id) if ln.player_id == player_id), None)
     if ln is None:
         raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
                             f"in game {game.game_id!r}")
-    min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
+    min_t, poss_t = totals.totals[FieldId.MIN], totals.totals[FieldId.POSS]
     if min_t <= 0.0 or poss_t <= 0.0:
         raise DivisionDomain(
             f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
     min_p, poss_p = ln.values[FieldId.MIN], ln.values[FieldId.POSS]
-    return 1.0 - side.weight * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
+    return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
 
 
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcpReport]:

@@ -116,6 +116,16 @@ class GameRecord:
         """The team's active lines in lines order; () for a team not in the game."""
         return self._rosters.get(team_id, ())
 
+    def totals(self, team_id: str) -> StatRow:
+        """Each field summed with math.fsum over the team's roster; 37 zeros
+        for an empty roster. A sum beyond the float range is a GcproiError."""
+        rows = [ln.values for ln in self.roster(team_id)]
+        try:
+            return tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
+        except OverflowError:  # finite values whose sum overflows
+            raise GcproiError(f"a total of team {team_id!r} in game {self.game_id!r} "
+                              f"exceeds the float range") from None
+
 
 @dataclass(frozen=True, eq=True)
 class SeasonDataset:
@@ -496,18 +506,15 @@ def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> Validati
                                            f"in game {g.game_id!r}",
                                      game_id=g.game_id, player_id=ln.player_id))
         for team in g.teams:
-            rows = [ln.values for ln in g.roster(team)]
-            if not rows:
+            if not g.roster(team):
                 out.append(Violation("EmptyTeamGame",
                                      f"team {team!r} has no active player in game {g.game_id!r}",
                                      game_id=g.game_id, team_id=team))
                 continue
             try:
-                tuple(map(math.fsum, zip(*rows)))  # the team totals, as gcp sums them
-            except OverflowError:
-                out.append(Violation("TotalOverflow",
-                                     f"a total of team {team!r} in game {g.game_id!r} "
-                                     f"exceeds the float range",
+                g.totals(team)
+            except GcproiError as exc:
+                out.append(Violation("TotalOverflow", str(exc),
                                      game_id=g.game_id, team_id=team))
             except ValueError:  # inf and -inf in one field, reported above
                 pass

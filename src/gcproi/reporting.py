@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 
 from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
-from .finance import SingleGameValue, cash_flows, irr, pvgcp, scheduled_shares
+from .finance import DEFAULT_NPV_TOL, SingleGameValue, cash_flows, irr, pvgcp, scheduled_shares
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
 from .gcp import GameGcpReport, nonzero_gcp_distribution
@@ -108,7 +108,8 @@ def _player_metrics(ds: SeasonDataset, reports: dict[str, GameGcpReport]):
     return {p: pvgcp(ds, reports, p) for p in sorted(ds.player_ids)}
 
 
-def _check_salaries(ds: SeasonDataset, salaries: SalaryTable) -> None:
+def check_salaries(ds: SeasonDataset, salaries: SalaryTable) -> None:
+    """Raise MissingSalary listing every dataset player without a salary."""
     missing = sorted(ds.player_ids - set(salaries.entries))
     if missing:
         raise MissingSalary(missing)
@@ -118,6 +119,8 @@ def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                       salaries: SalaryTable, top_k: int = 50) -> list[LeaderboardRow]:
     """Board of cumulative GCP, highest first. Salary is display-only here
     and may be absent for some players."""
+    if top_k < 0:
+        raise GcproiError(f"top_k must not be negative, got {top_k}")
     metrics = _player_metrics(ds, reports)
     order = sorted(metrics.values(),
                    key=lambda m: (-m.value, ds.player_name(m.player_id), m.player_id))
@@ -138,7 +141,7 @@ def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
               salaries: SalaryTable, value: SingleGameValue,
               min_games: int = DEFAULT_MIN_GAMES,
-              abs_tol: float = 1e-6) -> list[RoiRow]:
+              abs_tol: float = DEFAULT_NPV_TOL) -> list[RoiRow]:
     """ROI accounting for every salaried player.
 
     Salaried players absent from the games data, or whose cash flows all
@@ -148,7 +151,7 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     salary entry make the calculation impossible and raise MissingSalary
     listing all of them.
     """
-    _check_salaries(ds, salaries)
+    check_salaries(ds, salaries)
     dataset_players = ds.player_ids
     rows = []
     for player_id in sorted(salaries.entries):
@@ -183,11 +186,12 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                     salaries: SalaryTable, value: SingleGameValue,
                     top_k: int = 50, bottom_k: int = 50,
-                    min_games: int = DEFAULT_MIN_GAMES,
-                    abs_tol: float = 1e-6) -> RoiBoards:
+                    min_games: int = DEFAULT_MIN_GAMES) -> RoiBoards:
     """Top and bottom ROI boards over players with at least min_games
     appearances. Players of every other status are excluded and only counted."""
-    rows = roi_table(ds, reports, salaries, value, min_games=min_games, abs_tol=abs_tol)
+    if top_k < 0 or bottom_k < 0:
+        raise GcproiError(f"board sizes must not be negative, got {top_k} and {bottom_k}")
+    rows = roi_table(ds, reports, salaries, value, min_games=min_games)
     # roi_table lists the ok rows first, in top-board order.
     qualifying = [r for r in rows if r.status == STATUS_OK]
     bottom = sorted(qualifying, key=lambda r: (r.roi, r.player_name, r.player_id))
@@ -228,10 +232,9 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 
 def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                        salaries: SalaryTable, value: SingleGameValue,
-                       min_games: int = DEFAULT_MIN_GAMES,
-                       abs_tol: float = 1e-6) -> list[ScatterPoint]:
+                       min_games: int = DEFAULT_MIN_GAMES) -> list[ScatterPoint]:
     """One (salary, roi) point per qualifying player, salary ascending."""
-    rows = roi_table(ds, reports, salaries, value, min_games=min_games, abs_tol=abs_tol)
+    rows = roi_table(ds, reports, salaries, value, min_games=min_games)
     points = [ScatterPoint(player_id=r.player_id, salary=r.salary, roi=r.roi)
               for r in rows if r.status == STATUS_OK]
     points.sort(key=lambda p: (p.salary, p.player_id))
@@ -242,11 +245,12 @@ def histogram_bins(values: list[float], bin_width: float = 0.01) -> list[Histogr
     """Fixed-width half-open bins [k*w, (k+1)*w) covering the data range.
 
     Interior empty bins are emitted with a zero count so the output shape is
-    plot-ready. A bin width that needs more than MAX_HISTOGRAM_BINS bins
-    raises GcproiError before any bin is made.
+    plot-ready. A bin width that is not a positive finite number raises
+    ValueError, and one that needs more than MAX_HISTOGRAM_BINS bins raises
+    GcproiError, before any bin is made.
     """
-    if bin_width <= 0.0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be a positive finite number, got {bin_width}")
     if not values:
         return []
     lo, hi = min(values) / bin_width, max(values) / bin_width
@@ -264,16 +268,15 @@ def histogram_bins(values: list[float], bin_width: float = 0.01) -> list[Histogr
             for k in range(lo_k, hi_k + 1)]
 
 
-def gcp_histogram(ds: SeasonDataset, reports: dict[str, GameGcpReport] | None = None,
-                  bin_width: float = 0.01) -> list[HistogramBin]:
-    return histogram_bins(nonzero_gcp_distribution(ds, reports), bin_width)
+def gcp_histogram(ds: SeasonDataset, bin_width: float = 0.01) -> list[HistogramBin]:
+    return histogram_bins(nonzero_gcp_distribution(ds), bin_width)
 
 
 def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                    salaries: SalaryTable,
                    min_games: int = DEFAULT_MIN_GAMES) -> SalarySummary:
     """Mean, median and 75th percentile salary of the qualifying pool."""
-    _check_salaries(ds, salaries)
+    check_salaries(ds, salaries)
     metrics = _player_metrics(ds, reports)
     pool = sorted(salaries.entries[p] for p, m in metrics.items()
                   if m.games_played >= min_games)

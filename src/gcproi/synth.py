@@ -26,6 +26,12 @@ ORACLE_GRID_HI = 10.0
 ORACLE_GRID_STEP = 1e-3
 ORACLE_BISECT_STEPS = 200
 
+#: Count stats are drawn from 0..COUNT_MAX, fractional ones from
+#: [1, MINUTES_MAX]; round r of the schedule is played on START_DATE + r days.
+COUNT_MAX = 20
+MINUTES_MAX = 40.0
+START_DATE = Date(2024, 1, 1)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -37,12 +43,9 @@ class SynthConfig:
     games_per_team: int = 6
     roster_min: int = 8
     roster_max: int = 10
-    count_max: int = 20
-    minutes_max: float = 40.0
     miss_prob: float = 0.1
     salary_min: int = 500_000
     salary_max: int = 50_000_000
-    start_date: Date = Date(2024, 1, 1)
     #: Fields a team never records, e.g. {"T00": (FieldId.CHGD,)}.
     zero_fields: dict[str, tuple[FieldId, ...]] = field(default_factory=dict)
     #: Per-player miss probability overrides, e.g. {"T00P00": 1.0}.
@@ -57,10 +60,6 @@ class SynthConfig:
         if not (1 <= self.roster_min <= self.roster_max):
             raise InvalidConfig(
                 f"need 1 <= roster_min <= roster_max, got {self.roster_min}..{self.roster_max}")
-        if self.count_max < 1:
-            raise InvalidConfig(f"count_max must be >= 1, got {self.count_max}")
-        if self.minutes_max <= 1.0:
-            raise InvalidConfig(f"minutes_max must exceed 1, got {self.minutes_max}")
         for prob in (self.miss_prob, *self.miss_prob_overrides.values()):
             if not (0.0 <= prob <= 1.0):
                 raise InvalidConfig(f"miss probability out of [0, 1]: {prob}")
@@ -105,7 +104,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     rng = random.Random(cfg.seed)
     # randint(0, n) is randrange(n + 1): the same draws, one call fewer.
     rand, randrange, uniform = rng.random, rng.randrange, rng.uniform
-    count_stop = cfg.count_max + 1
+    count_stop = COUNT_MAX + 1
 
     teams = [f"T{i:02d}" for i in range(cfg.teams)]
     rosters = {
@@ -122,7 +121,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     game_no = 0
 
     for round_idx, pairings in enumerate(rounds):
-        day = cfg.start_date + timedelta(days=round_idx)
+        day = START_DATE + timedelta(days=round_idx)
         for home, away in pairings:
             game_no += 1
             game_id = f"G{game_no:05d}"
@@ -156,7 +155,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                     for f in drawn_counts:
                         values[f] = float(randrange(count_stop))
                     for f in drawn_fractions:
-                        values[f] = uniform(1.0, cfg.minutes_max)
+                        values[f] = uniform(1.0, MINUTES_MAX)
                     team_lines.append(values)
                 # Guarantee every non-silenced count field has a positive
                 # team total so the active set is exactly the planted one.

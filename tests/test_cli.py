@@ -221,6 +221,18 @@ def test_validate_reports_a_team_total_beyond_the_float_range(tmp_path, data_dir
         "1 violation(s)"]
 
 
+
+def test_validate_rejects_the_salaries_roi_rejects(tmp_path, data_dir, capsys):
+    games = ["--games", str(data_dir / "bosphi_games.csv"), "--out", str(tmp_path / "x")]
+    partial = ["--salaries", str(data_dir / "davis_lopez_salaries.csv")]
+    assert main(["roi", *games, *partial]) == 3
+    roi_err = capsys.readouterr().err
+    assert roi_err.startswith("error: missing salary for 20 player(s): ")
+    assert main(["validate", *games, *partial]) == 3
+    assert capsys.readouterr().err == roi_err
+    assert main(["validate", *games, "--salaries",
+                 str(data_dir / "bosphi_salaries.csv")]) == 0
+
 def test_breakeven_reproduces_the_top_salary_figures(tmp_path):
     rc, body = run(["breakeven", "--salary", "48070000", "--n-games", "82",
                     "--sgv", "1818162"], tmp_path)

@@ -189,6 +189,14 @@ def test_bound_requires_positive_min_and_poss():
         gcp_upper_bound(game, "A", "a")
 
 
+
+def test_bound_checks_the_active_set_before_the_player():
+    # Team A's only line is all zero, so its roster is empty.
+    game = make_game("g1", date(2024, 1, 1), "A", "B",
+                     [make_line("a", "A", "g1"), make_line("b", "B", "g1", MIN=1)])
+    with pytest.raises(EmptyActiveSet):
+        gcp_upper_bound(game, "A", "nobody")
+
 def test_golden_distribution_has_twenty_values(bosphi):
     values = nonzero_gcp_distribution(bosphi)
     assert len(values) == 20

@@ -664,6 +664,19 @@ def test_validate_reports_each_team_whose_total_overflows():
         "a total of team 'A' in game 'g1' exceeds the float range")
 
 
+
+def test_validate_reports_the_overflow_error_of_team_totals(tmp_path, data_dir):
+    path, first = tmp_path / "big.csv", tmp_path / "first.csv"
+    _rewrite_row(first, data_dir / "bosphi_games.csv", 2, {FieldId.MIN: "1e308"})
+    _rewrite_row(path, first, 3, {FieldId.MIN: "1e308"})  # two BOS rows
+    ds = parse_games(path)
+    from gcproi import team_totals
+    with pytest.raises(GcproiError) as exc:
+        team_totals(ds.games[0], "BOS")
+    [violation] = validate_dataset(ds).violations
+    assert violation.kind == "TotalOverflow"
+    assert violation.message == str(exc.value)
+
 def test_validate_team_totals_equal_player_sums(bosphi):
     # Definition check: totals are exactly the per-column sums.
     from gcproi import team_totals

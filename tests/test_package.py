@@ -1,0 +1,26 @@
+import types
+
+import gcproi
+
+#: The package namespace: the pipeline's functions, the types a caller
+#: builds, and the base error. Result types and the other errors are
+#: imported from their modules.
+PUBLIC_NAMES = [
+    "CashFlowSeries", "FIELD_ORDER", "FieldId", "GameRecord", "GcproiError",
+    "PlayerGameLine", "RAW_STATS", "SalaryTable", "SeasonDataset", "SingleGameValue",
+    "SynthConfig", "active_fields", "breakeven_gcp", "cash_flows", "comparison",
+    "derive_fields", "game_report", "gcp_histogram", "gcp_upper_bound", "histogram_bins",
+    "irr", "irr_oracle", "leaderboard_pvgcp", "leaderboard_roi",
+    "nonzero_gcp_distribution", "npv", "omega", "parse_games", "parse_salaries",
+    "player_gcp", "player_schedule", "pvgcp", "roi_salary_scatter", "roi_table",
+    "salary_summary", "season_reports", "sgv", "synth_season", "team_totals",
+    "underive_fields", "validate_dataset", "write_games_csv", "write_raw_games_csv",
+    "write_salaries_csv",
+]
+
+
+def test_the_package_exports_only_what_callers_use():
+    names = sorted(name for name, value in vars(gcproi).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    assert len(names) == 44

@@ -250,6 +250,25 @@ def test_histogram_empty_and_bad_width():
         histogram_bins([0.1], 0.0)
 
 
+
+@pytest.mark.parametrize("width", [math.inf, math.nan], ids=["inf", "nan"])
+def test_histogram_bin_width_must_be_finite(width):
+    with pytest.raises(ValueError, match="positive finite"):
+        histogram_bins([0.1, 0.5], width)
+
+
+def test_pvgcp_board_rejects_a_negative_size(bosphi, bosphi_reports, data_dir):
+    salaries = parse_salaries(data_dir / "bosphi_salaries.csv")
+    with pytest.raises(GcproiError, match="must not be negative"):
+        leaderboard_pvgcp(bosphi, bosphi_reports, salaries, top_k=-3)
+
+
+@pytest.mark.parametrize("top_k, bottom_k", [(-3, -3), (-3, 5), (5, -3)])
+def test_roi_boards_reject_a_negative_size(top_k, bottom_k, synth_world):
+    ds, salaries, _, reports, value = synth_world
+    with pytest.raises(GcproiError, match="must not be negative"):
+        leaderboard_roi(ds, reports, salaries, value, top_k=top_k, bottom_k=bottom_k)
+
 def test_histogram_bin_count_is_bounded(monkeypatch):
     monkeypatch.setattr(reporting, "MAX_HISTOGRAM_BINS", 10)
     assert len(histogram_bins([0.0, 9.5], 1.0)) == 10
