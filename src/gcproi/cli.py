@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import itertools
 import json
@@ -204,7 +205,7 @@ def cmd_breakeven(args) -> int:
     else:
         raise GcproiError("breakeven needs either --sgv or both --games and --salaries")
     required = finance.breakeven_gcp(args.salary, args.n_games, value)
-    per_game = args.salary / args.n_games
+    per_game = args.salary / args.n_games  # breakeven_gcp rejects an n_games beyond floats
     header = ["salary_usd", "n_games", "sgv_usd", "per_game_cashflow_usd", "required_gcp"]
     rows = [[args.salary, args.n_games,
              _fmt(value.dollars, 2, args.full_precision),
@@ -362,6 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds an immutable season with no reference cycles, so the
+    # cyclic collector's passes during it would only re-scan live objects.
+    # The caller's collector state is restored on the way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except MissingSalary as exc:
@@ -370,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except GcproiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

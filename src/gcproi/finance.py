@@ -316,4 +316,11 @@ def breakeven_gcp(salary: float, n_games: int, value: SingleGameValue) -> float:
         raise NonPositiveInput(f"n_games must be positive, got {n_games}")
     if not 0.0 < value.dollars < math.inf:
         raise NonPositiveInput(f"SGV must be a positive finite number, got {value.dollars}")
-    return salary / (n_games * value.dollars)
+    try:
+        required = salary / (n_games * value.dollars)
+    except OverflowError:  # an int n_games beyond the float range
+        raise NonPositiveInput("n_games exceeds the float range") from None
+    if not required < math.inf:
+        raise NonPositiveInput(f"break-even GCP exceeds the float range (salary {salary}, "
+                               f"n_games {n_games}, SGV {value.dollars})")
+    return required

@@ -14,8 +14,10 @@ Input formats (all UTF-8 CSV; errors name the 1-based line a row starts on):
 
 A row whose 37 stats are all zero is a player who sat the game out: it stays
 in the game's lines, and in a write-back, but GameRecord keeps it out of the
-rosters, so it carries no GCP. Parsing is single-pass; the resulting
-SeasonDataset is immutable afterward and safe to share across threads.
+rosters, so it carries no GCP. Parsing is single-pass, each parser reading
+rows straight from the csv reader that _csv_reader opens; the resulting
+SeasonDataset holds no reference cycles, is immutable afterward and is safe
+to share across threads.
 
 Equal stat texts are parsed once per file and share one float (_StatValue),
 and the lines of a file share one string per game, team and player id. The
@@ -31,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from functools import cached_property, partial
@@ -254,27 +257,17 @@ class _StatValue(dict):
         return v
 
 
-def _parse_stats(cells: list[str], line_no: int, columns: tuple[str, ...],
-                 value) -> StatRow:
-    """Parse a row's stat cells, as _parse_stat would one by one.
-
-    value is a _StatValue's __getitem__. Only a row holding a text it rejects
-    is scanned cell by cell, to raise _parse_stat's error for the first bad
-    cell.
-    """
-    try:
-        return tuple(map(value, cells))
-    except ValueError:
-        return tuple(_parse_stat(text, line_no, column) for text, column in zip(cells, columns))
-
-
 def _row_ok(values: StatRow) -> bool:
     """True when every value is finite and non-negative and their sum does
     not overflow: NaN and inf fail through the sum, negatives through the min."""
     return min(values) >= 0.0 and sum(values) < math.inf
 
 
-def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
+@contextmanager
+def _csv_reader(path: str | Path, expected_header: tuple[str, ...]):
+    """Open path as CSV, check its header row and yield the reader, placed at
+    the first data row. A csv.Error, UnicodeDecodeError or OSError raised
+    while the block reads becomes a SchemaError."""
     try:
         # utf-8-sig tolerates the BOM spreadsheet exports tend to prepend
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -286,16 +279,7 @@ def _read_rows(path: str | Path, expected_header: tuple[str, ...]):
             if tuple(header) != expected_header:
                 raise SchemaError(
                     f"bad header; expected {','.join(expected_header)!r}", 1)
-            # Each record is numbered by the physical line it starts on.
-            start = reader.line_num + 1
-            for row in reader:
-                line_no, start = start, reader.line_num + 1
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise SchemaError(
-                        f"expected {len(expected_header)} columns, got {len(row)}", line_no)
-                yield line_no, row
+            yield reader
     except csv.Error as exc:  # a NUL byte (3.10) or a cell over csv.field_size_limit()
         raise SchemaError(f"malformed CSV: {exc}", reader.line_num) from None
     except UnicodeDecodeError:
@@ -316,6 +300,7 @@ def parse_games(path: str | Path, fmt: str = "derived",
         raise ValueError(f"unknown games format {fmt!r}")
     header = GAMES_HEADER if fmt == "derived" else RAW_GAMES_HEADER
     stat_columns = header[len(ID_COLUMNS):]
+    width = len(header)
 
     # game_id -> [game_id, date text, date, team1, team2, first line,
     # team1's lines, team2's lines, player ids]
@@ -324,54 +309,67 @@ def parse_games(path: str | Path, fmt: str = "derived",
     shared: dict[str, str] = {}  # one str object per team and player id
     value = _StatValue().__getitem__
 
-    for line_no, row in _read_rows(path, header):
-        game_id, date_text, team, opponent, player_id, player_name = row[:6]
-        if not game_id or not team or not opponent or not player_id:
-            raise SchemaError("game_id, team, opponent and player_id must be non-empty", line_no)
-        if team == opponent:
-            raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
-        game = pending.get(game_id)
-        if game is None or date_text != game[1]:
+    with _csv_reader(path, header) as reader:
+        # Each record is numbered by the physical line it starts on.
+        start = reader.line_num + 1
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != width:
+                raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
+            game_id, date_text, team, opponent, player_id, player_name = row[:6]
+            if not game_id or not team or not opponent or not player_id:
+                raise SchemaError("game_id, team, opponent and player_id must be non-empty",
+                                  line_no)
+            if team == opponent:
+                raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
+            game = pending.get(game_id)
+            if game is None or date_text != game[1]:
+                try:
+                    game_date = Date.fromisoformat(date_text)
+                except ValueError:
+                    raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
+
             try:
-                game_date = Date.fromisoformat(date_text)
-            except ValueError:
-                raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
+                values = tuple(map(value, row[6:]))
+            except ValueError:  # rescan cell by cell for the first bad cell's error
+                values = tuple(_parse_stat(text, line_no, column)
+                               for text, column in zip(row[6:], stat_columns))
+            if fmt == "raw":
+                try:
+                    values = derive_fields(values, clamp_negative)
+                except NegativeDerivedField as exc:
+                    raise NegativeDerivedField(exc.field, exc.value, line_no) from None
 
-        values = _parse_stats(row[6:], line_no, stat_columns, value)
-        if fmt == "raw":
-            try:
-                values = derive_fields(values, clamp_negative)
-            except NegativeDerivedField as exc:
-                raise NegativeDerivedField(exc.field, exc.value, line_no) from None
-
-        known = player_names.setdefault(player_id, player_name)
-        if known != player_name:
-            raise SchemaError(
-                f"player {player_id!r} has conflicting names {known!r} and {player_name!r}",
-                line_no, "player_name")
-
-        team = shared.setdefault(team, team)
-        player_id = shared.setdefault(player_id, player_id)
-        if game is None:
-            game = pending[game_id] = [game_id, date_text, game_date, team,
-                                       shared.setdefault(opponent, opponent), line_no,
-                                       [], [], set()]
-        else:
-            if date_text != game[1] and game_date != game[2]:
+            known = player_names.setdefault(player_id, player_name)
+            if known != player_name:
                 raise SchemaError(
-                    f"game {game_id!r} has conflicting dates {game[2]} and {game_date}",
-                    line_no, "date")
-            if not (team == game[3] and opponent == game[4]
-                    or team == game[4] and opponent == game[3]):
-                raise SchemaError(
-                    f"game {game_id!r} has conflicting team pairs", line_no, "team")
-            game_id = game[0]
-        players = game[8]
-        if player_id in players:
-            raise DuplicateLine(player_id, game_id, line_no)
-        players.add(player_id)
-        game[6 if team == game[3] else 7].append(
-            PlayerGameLine(player_id=player_id, team_id=team, game_id=game_id, values=values))
+                    f"player {player_id!r} has conflicting names {known!r} and {player_name!r}",
+                    line_no, "player_name")
+
+            team = shared.setdefault(team, team)
+            player_id = shared.setdefault(player_id, player_id)
+            if game is None:
+                game = pending[game_id] = [game_id, date_text, game_date, team,
+                                           shared.setdefault(opponent, opponent), line_no,
+                                           [], [], set()]
+            else:
+                if date_text != game[1] and game_date != game[2]:
+                    raise SchemaError(
+                        f"game {game_id!r} has conflicting dates {game[2]} and {game_date}",
+                        line_no, "date")
+                if not (team == game[3] and opponent == game[4]
+                        or team == game[4] and opponent == game[3]):
+                    raise SchemaError(
+                        f"game {game_id!r} has conflicting team pairs", line_no, "team")
+                game_id = game[0]
+            players = game[8]
+            if player_id in players:
+                raise DuplicateLine(player_id, game_id, line_no)
+            players.add(player_id)
+            game[6 if team == game[3] else 7].append(
+                PlayerGameLine(player_id, team, game_id, values))
 
     games = []
     for game_id, _, game_date, t1, t2, first_line, lines1, lines2, _ in pending.values():
@@ -397,28 +395,36 @@ def parse_salaries(path: str | Path) -> SalaryTable:
     entries: dict[str, int] = {}
     names: dict[str, str] = {}
     lines_seen: dict[str, int] = {}
-    for line_no, row in _read_rows(path, SALARIES_HEADER):
-        player_id, player_name, salary_text = row
-        if not player_id:
-            raise SchemaError("player_id must be non-empty", line_no, "player_id")
-        if player_id in entries:
-            raise SchemaError(
-                f"duplicate salary entry for player {player_id!r} "
-                f"(first at line {lines_seen[player_id]})", line_no, "player_id")
-        try:
-            salary = int(salary_text)
-        except ValueError:
-            shown = repr(salary_text) if len(salary_text) <= _ECHO else (
-                f"{salary_text[:_ECHO]!r}... ({len(salary_text)} characters)")
-            raise SchemaError(f"salary must be integer dollars, got {shown}",
-                              line_no, "salary_usd") from None
-        if salary <= 0:
-            raise NonPositiveSalary(player_id, salary, line_no)
-        if salary > 2**53:
-            raise SchemaError("salary exceeds 2**53 dollars", line_no, "salary_usd")
-        entries[player_id] = salary
-        names[player_id] = player_name
-        lines_seen[player_id] = line_no
+    width = len(SALARIES_HEADER)
+    with _csv_reader(path, SALARIES_HEADER) as reader:
+        start = reader.line_num + 1
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != width:
+                raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
+            player_id, player_name, salary_text = row
+            if not player_id:
+                raise SchemaError("player_id must be non-empty", line_no, "player_id")
+            if player_id in entries:
+                raise SchemaError(
+                    f"duplicate salary entry for player {player_id!r} "
+                    f"(first at line {lines_seen[player_id]})", line_no, "player_id")
+            try:
+                salary = int(salary_text)
+            except ValueError:
+                shown = repr(salary_text) if len(salary_text) <= _ECHO else (
+                    f"{salary_text[:_ECHO]!r}... ({len(salary_text)} characters)")
+                raise SchemaError(f"salary must be integer dollars, got {shown}",
+                                  line_no, "salary_usd") from None
+            if salary <= 0:
+                raise NonPositiveSalary(player_id, salary, line_no)
+            if salary > 2**53:
+                raise SchemaError("salary exceeds 2**53 dollars", line_no, "salary_usd")
+            entries[player_id] = salary
+            names[player_id] = player_name
+            lines_seen[player_id] = line_no
     return SalaryTable(entries=entries, names=names)
 
 

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from gcproi import cli
 from gcproi.cli import main
 
 
@@ -138,6 +140,10 @@ BAD_INPUTS = {
     "salaries-cell-over-field-limit": ["summary", "--games", "{games}",
                                        "--salaries", "{tmp}/huge.csv"],
     "salaries-nul-byte": ["summary", "--games", "{games}", "--salaries", "{tmp}/nul.csv"],
+    "breakeven-n-games-overflows": ["breakeven", "--salary", "5", "--n-games", "9" * 400,
+                                    "--sgv", "1"],
+    "breakeven-required-gcp-overflows": ["breakeven", "--salary", "1e308", "--n-games", "1",
+                                         "--sgv", "1e-308"],
 }
 
 
@@ -157,6 +163,34 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case, code", [("ok", 0), ("bad-stat-cell", 2), ("missing-salary", 3)])
+def test_main_runs_without_the_collector_and_restores_its_state(case, code, collecting,
+                                                                tmp_path, data_dir,
+                                                                monkeypatch):
+    lines = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace(",37.8,", ",x,", 1)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    games = {"bad-stat-cell": tmp_path / "bad.csv"}.get(case, data_dir / "bosphi_games.csv")
+    salaries = {"missing-salary": "davis_lopez_salaries.csv"}.get(case, "bosphi_salaries.csv")
+    parse_games, seen = cli.parse_games, []
+
+    def parse(path):
+        seen.append(gc.isenabled())
+        return parse_games(path)
+
+    monkeypatch.setattr(cli, "parse_games", parse)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        rc = main(["roi", "--games", str(games), "--salaries", str(data_dir / salaries),
+                   "--out", str(tmp_path / "x")])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (rc, seen, after) == (code, [False], collecting)
 
 
 @pytest.mark.parametrize("flags, status", [

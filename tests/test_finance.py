@@ -390,3 +390,10 @@ def test_breakeven_rejects_non_positive_inputs():
             breakeven_gcp(10.0, 5, SingleGameValue(dollars=bad))
         with pytest.raises(NonPositiveInput):
             breakeven_gcp(bad, 5, value)
+
+
+def test_breakeven_rejects_a_result_beyond_the_float_range():
+    with pytest.raises(NonPositiveInput):
+        breakeven_gcp(1e308, 1, SingleGameValue.override(1e-308))
+    with pytest.raises(NonPositiveInput):
+        breakeven_gcp(5.0, int("9" * 400), SingleGameValue.override(1.0))

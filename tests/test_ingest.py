@@ -574,6 +574,26 @@ def test_rows_after_a_multi_line_cell_report_the_line_they_start_on(tmp_path):
     assert (exc.value.line, exc.value.column) == (4, "salary_usd")
 
 
+@pytest.mark.parametrize("bad_row, column", [
+    (lambda row: row.replace(",37.8,", ",x,", 1), "MIN"),
+    (lambda row: row.rsplit(",", 1)[0], None),
+], ids=["bad-cell", "42-columns"])
+def test_games_rows_after_a_multi_line_cell_report_the_line_they_start_on(tmp_path, data_dir,
+                                                                          bad_row, column):
+    lines = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    two_lines = lines[2].replace("Grant Williams", '"Grant\nWilliams"')
+    bad = bad_row(lines[1])
+    assert len(bad.split(",")) == (len(GAMES_HEADER) if column else 42)
+    path = tmp_path / "g.csv"
+    # header on line 1, the two-line name on lines 2-3, a blank line 4, a
+    # good row on line 5 and the bad row on line 6
+    path.write_text("\n".join([lines[0], two_lines, "", lines[3], bad]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        parse_games(path)
+    assert (exc.value.line, exc.value.column) == (6, column)
+
+
 def test_salary_write_parse_round_trip(tmp_path):
     table = SalaryTable(entries={"b": 2, "a": 1}, names={"a": "A", "b": "B"})
     path = tmp_path / "s.csv"
