@@ -2,7 +2,7 @@
 
 The single game value (SGV) prices one team-game slot: total league player
 compensation divided by twice the number of games. Multiplying a player's
-per-game contribution shares by the SGV yields his realized cash flows;
+per-game contribution shares by the SGV yields their realized cash flows;
 missed games contribute exact zeros (they are defaults). With the salary as
 the time-zero investment, the contractual return is the unique per-game
 rate at which the discounted flows repay the salary.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     AllZeroFlows,
@@ -39,8 +39,7 @@ DEFAULT_NPV_TOL = 1e-6
 MAX_RATE = 1e15
 
 
-@dataclass(frozen=True)
-class SingleGameValue:
+class SingleGameValue(NamedTuple):
     """Dollar value of one team-game slot.
 
     Built from data via sgv(); source_total and game_slots are None when the
@@ -72,8 +71,7 @@ def sgv(total_salary: int, games: int) -> SingleGameValue:
                            source_total=int(total_salary), game_slots=slots)
 
 
-@dataclass(frozen=True)
-class CashFlowSeries:
+class CashFlowSeries(NamedTuple):
     """Time-zero investment plus the ordered per-game cash flows.
 
     schedule[i] is the game id behind flows[i]; a zero flow is a default
@@ -90,18 +88,16 @@ class CashFlowSeries:
         return len(self.flows)
 
 
-@dataclass(frozen=True)
-class PvGcp:
-    """Plain running sum of a player's GCPs over his schedule (present value
-    at a 0% rate); missed games add 0."""
+class PvGcp(NamedTuple):
+    """Plain running sum of a player's GCPs over their schedule (present
+    value at a 0% rate); missed games add 0."""
 
     player_id: str
     value: float
     games_played: int
 
 
-@dataclass(frozen=True)
-class RoiResult:
+class RoiResult(NamedTuple):
     """Solved per-game rate plus solver diagnostics."""
 
     rate: float
@@ -113,7 +109,7 @@ class RoiResult:
 def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord, str], ...]:
     """The player's ordered game slots as (game, team) pairs.
 
-    A one-team player is on the hook for his team's entire schedule. A
+    A one-team player is on the hook for their team's entire schedule. A
     traded player's schedule is the chronological concatenation of the
     player's stints: each maximal run of consecutive appearances with one
     team spans that team's games from the run's first appearance to its
@@ -129,13 +125,13 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
                  for g in ds.games[first:last + 1] if team in g.teams)
 
 
-#: A player's schedule slots and his GCP in each slot.
+#: A player's schedule slots and their GCP in each slot.
 Scheduled = tuple[tuple[tuple[GameRecord, str], ...], tuple[float, ...]]
 
 
 def scheduled_shares(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                      player_id: str) -> Scheduled:
-    """The player's schedule (see player_schedule) and his GCP in each
+    """The player's schedule (see player_schedule) and their GCP in each
     (game, team) slot; 0.0 where the player did not play."""
     slots = player_schedule(ds, player_id)
     return slots, tuple(reports[g.game_id].team(team).gcp.get(player_id, 0.0)
@@ -159,7 +155,7 @@ def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: 
 
 def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
           scheduled: Scheduled | None = None) -> PvGcp:
-    """Sum the player's GCPs over his schedule; scheduled as in cash_flows."""
+    """Sum the player's GCPs over their schedule; scheduled as in cash_flows."""
     _, shares = scheduled or scheduled_shares(ds, reports, player_id)
     return PvGcp(player_id=player_id, value=math.fsum(shares),
                  games_played=sum(1 for s in shares if s > 0.0))
@@ -232,14 +228,14 @@ def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
         return result
     residual = _npv_per_term(result.rate, series)
     if abs(residual) <= abs_tol:
-        return replace(result, residual=residual)
+        return result._replace(residual=residual)
     try:
         exact = _solve(lambda rate: _npv_per_term(rate, series), abs_tol)
     except ConvergenceError:
         return result
     if abs(exact.residual) > abs_tol:
         return result
-    return replace(exact, iterations=result.iterations + exact.iterations)
+    return exact._replace(iterations=result.iterations + exact.iterations)
 
 
 def _solve(value: Callable[[float], float], abs_tol: float) -> RoiResult:

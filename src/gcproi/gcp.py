@@ -1,7 +1,7 @@
 """Game contribution percentage.
 
-A player's GCP for one game is the equal-weighted average of his share of
-each stat field his team registered:
+A player's GCP for one game is the equal-weighted average of the player's
+share of each stat field their team registered:
 
     gcp = (1 / |active fields|) * sum over active fields of (player value / team total)
 
@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
 from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset
 
 
-@dataclass(frozen=True)
-class TeamGameTotals:
+class TeamGameTotals(NamedTuple):
     """Per-field totals for one team in one game, as a stat row."""
 
     game_id: str
@@ -35,8 +34,7 @@ class TeamGameTotals:
     totals: StatRow
 
 
-@dataclass(frozen=True)
-class TeamGcp:
+class TeamGcp(NamedTuple):
     """One team's side of a game report. Inactive players carry no entry."""
 
     team_id: str
@@ -45,8 +43,7 @@ class TeamGcp:
     gcp: dict[str, float]
 
 
-@dataclass(frozen=True)
-class GameGcpReport:
+class GameGcpReport(NamedTuple):
     game_id: str
     teams: tuple[TeamGcp, TeamGcp]
 
@@ -115,7 +112,7 @@ def game_report(game: GameRecord) -> GameGcpReport:
 
 
 def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
-    """Largest GCP the player could have recorded given his minutes and
+    """Largest GCP the player could have recorded given their minutes and
     possessions: 1 - weight * (missing minutes share + missing possessions
     share). Requires positive team totals for both."""
     totals = team_totals(game, team_id)

@@ -34,12 +34,11 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import date as Date
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DuplicateLine,
@@ -56,8 +55,7 @@ RAW_GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + RAW_STATS
 SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
 
 
-@dataclass(frozen=True, eq=True)
-class PlayerGameLine:
+class PlayerGameLine(NamedTuple):
     """One player's stat row for one game."""
 
     player_id: str
@@ -75,27 +73,39 @@ _positive = partial(map, (0.0).__lt__)
 _player_id = attrgetter("player_id")
 
 
-@dataclass(frozen=True, eq=True)
-class GameRecord:
-    """One game: two distinct team ids and the player lines of both teams.
-    Building one rejects a line of another game or team, a second line of
-    one player and a row without the 37 fields, and splits the active lines
-    into the two rosters, each in lines order."""
+def _read_only(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
 
+
+_construct = classmethod(lambda cls, fields: cls(*fields))  # _make, _replace: checked too
+
+
+class _GameFields(NamedTuple):
     game_id: str
     date: Date
     team1: str
     team2: str
     lines: tuple[PlayerGameLine, ...]
-    _rosters: dict[str, tuple[PlayerGameLine, ...]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.team1 == self.team2:
-            raise SchemaError(f"game {self.game_id!r} lists team {self.team1!r} twice")
-        game_id, width = self.game_id, len(FIELD_ORDER)
-        rosters: dict[str, list[PlayerGameLine]] = {self.team1: [], self.team2: []}
+
+class GameRecord(_GameFields):
+    """One game: two distinct team ids and the player lines of both teams.
+    Building one rejects a line of another game or team, a second line of
+    one player and a row without the 37 fields, and splits the active lines
+    into the two rosters, each in lines order. Equality ignores the rosters."""
+
+    __setattr__ = __delattr__ = _read_only
+    _make = _construct
+
+    def __new__(cls, game_id: str, date: Date, team1: str, team2: str,
+                lines: tuple[PlayerGameLine, ...]) -> GameRecord:
+        self = super().__new__(cls, game_id, date, team1, team2, lines)
+        if team1 == team2:
+            raise SchemaError(f"game {game_id!r} lists team {team1!r} twice")
+        width = len(FIELD_ORDER)
+        rosters: dict[str, list[PlayerGameLine]] = {team1: [], team2: []}
         players: set[str] = set()
-        for ln in self.lines:
+        for ln in lines:
             roster = rosters.get(ln.team_id)
             if roster is None or ln.game_id != game_id:
                 raise SchemaError(f"line of player {ln.player_id!r} ({ln.team_id!r}, game "
@@ -109,7 +119,8 @@ class GameRecord:
             players.add(ln.player_id)
             if any(_positive(values)):  # ln.active, without the property call
                 roster.append(ln)
-        object.__setattr__(self, "_rosters", {t: tuple(r) for t, r in rosters.items()})
+        self.__dict__["_rosters"] = {t: tuple(r) for t, r in rosters.items()}
+        return self
 
     @property
     def teams(self) -> tuple[str, str]:
@@ -130,22 +141,25 @@ class GameRecord:
                               f"exceeds the float range") from None
 
 
-@dataclass(frozen=True, eq=True)
-class SeasonDataset:
+class _SeasonFields(NamedTuple):
+    games: tuple[GameRecord, ...]
+    player_names: dict[str, str]
+
+
+class SeasonDataset(_SeasonFields):
     """Games ordered by (date, game_id), plus the player-name lookup.
     Building one rejects games out of that order and a repeated game id, and
     maps each game id to its game and each team to its games (team_games,
     read-only); the player index is built on first use. Equality ignores them."""
 
-    games: tuple[GameRecord, ...]
-    player_names: dict[str, str]
-    _games_by_id: dict[str, GameRecord] = field(init=False, repr=False, compare=False)
-    team_games: dict[str, tuple[GameRecord, ...]] = field(init=False, repr=False, compare=False)
+    __setattr__ = __delattr__ = _read_only
+    _make = _construct
 
-    def __post_init__(self) -> None:
+    def __new__(cls, games: tuple[GameRecord, ...], player_names: dict[str, str]) -> SeasonDataset:
+        self = super().__new__(cls, games, player_names)
         by_id: dict[str, GameRecord] = {}
         team_games: dict[str, list[GameRecord]] = {}
-        for prev, g in zip((None, *self.games), self.games):
+        for prev, g in zip((None, *games), games):
             if prev is not None and (g.date, g.game_id) < (prev.date, prev.game_id):
                 raise SchemaError(f"game {g.game_id!r} is out of (date, game_id) order")
             if g.game_id in by_id:
@@ -153,9 +167,9 @@ class SeasonDataset:
             by_id[g.game_id] = g
             for t in g.teams:
                 team_games.setdefault(t, []).append(g)
-        object.__setattr__(self, "_games_by_id", by_id)
-        object.__setattr__(self, "team_games",
-                           {t: tuple(gs) for t, gs in team_games.items()})
+        self.__dict__.update(_games_by_id=by_id,
+                             team_games={t: tuple(gs) for t, gs in team_games.items()})
+        return self
 
     @classmethod
     def from_games(cls, games: Iterable[GameRecord],
@@ -201,12 +215,18 @@ class SeasonDataset:
         return self.player_names.get(player_id, player_id)
 
 
-@dataclass(frozen=True)
-class SalaryTable:
-    """Annual salary in integer dollars per player."""
-
+class _SalaryFields(NamedTuple):
     entries: dict[str, int]
-    names: dict[str, str] = field(default_factory=dict)
+    names: dict[str, str]
+
+
+class SalaryTable(_SalaryFields):
+    """Annual salary in integer dollars per player, and names (a new {} when left out)."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: dict[str, int], names: dict[str, str] | None = None) -> SalaryTable:
+        return super().__new__(cls, entries, {} if names is None else names)
 
     @property
     def total(self) -> int:
@@ -216,8 +236,7 @@ class SalaryTable:
         return self.names.get(player_id, player_id)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
     game_id: str | None = None
@@ -225,8 +244,7 @@ class Violation:
     player_id: str | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -368,8 +386,8 @@ def parse_games(path: str | Path, fmt: str = "derived",
             if player_id in players:
                 raise DuplicateLine(player_id, game_id, line_no)
             players.add(player_id)
-            game[6 if team == game[3] else 7].append(
-                PlayerGameLine(player_id, team, game_id, values))
+            game[6 if team == game[3] else 7].append(  # PlayerGameLine(...), at C speed
+                tuple.__new__(PlayerGameLine, (player_id, team, game_id, values)))
 
     games = []
     for game_id, _, game_date, t1, t2, first_line, lines1, lines2, _ in pending.values():

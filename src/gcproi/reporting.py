@@ -8,8 +8,7 @@ player id, and row order never depends on dict iteration quirks.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
 from .finance import DEFAULT_NPV_TOL, SingleGameValue, cash_flows, irr, pvgcp, scheduled_shares
@@ -30,8 +29,7 @@ DEFAULT_MIN_GAMES = 25
 MAX_HISTOGRAM_BINS = 1_000_000
 
 
-@dataclass(frozen=True)
-class LeaderboardRow:
+class LeaderboardRow(NamedTuple):
     rank: int
     player_id: str
     player_name: str
@@ -42,8 +40,7 @@ class LeaderboardRow:
     roi: float | None = None
 
 
-@dataclass(frozen=True)
-class RoiRow:
+class RoiRow(NamedTuple):
     """One player's full ROI accounting line."""
 
     player_id: str
@@ -55,8 +52,7 @@ class RoiRow:
     status: str
 
 
-@dataclass(frozen=True)
-class RoiBoards:
+class RoiBoards(NamedTuple):
     top: tuple[LeaderboardRow, ...]
     bottom: tuple[LeaderboardRow, ...]
     qualifying: int
@@ -65,8 +61,7 @@ class RoiBoards:
     no_rate: int
 
 
-@dataclass(frozen=True)
-class ComparisonSeries:
+class ComparisonSeries(NamedTuple):
     """Two players' per-game GCPs over their own schedules, with running
     sums. Missed games appear as explicit zeros; each final running sum
     equals the player's PVGCP."""
@@ -81,22 +76,19 @@ class ComparisonSeries:
     cumulative_b: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
+class ScatterPoint(NamedTuple):
     player_id: str
     salary: int
     roi: float
 
 
-@dataclass(frozen=True)
-class HistogramBin:
+class HistogramBin(NamedTuple):
     lo: float
     hi: float
     count: int
 
 
-@dataclass(frozen=True)
-class SalarySummary:
+class SalarySummary(NamedTuple):
     qualifying: int
     mean: float | None
     median: float | None
@@ -124,18 +116,12 @@ def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     metrics = _player_metrics(ds, reports)
     order = sorted(metrics.values(),
                    key=lambda m: (-m.value, ds.player_name(m.player_id), m.player_id))
-    rows = []
-    for rank, m in enumerate(order[:top_k], start=1):
-        rows.append(LeaderboardRow(
-            rank=rank,
-            player_id=m.player_id,
-            player_name=ds.player_name(m.player_id),
-            salary=salaries.entries.get(m.player_id),
-            gp=m.games_played,
-            pvgcp=m.value,
-            gcp_per_game=m.value / m.games_played if m.games_played else 0.0,
-        ))
-    return rows
+    return [LeaderboardRow(rank=rank, player_id=m.player_id,
+                           player_name=ds.player_name(m.player_id),
+                           salary=salaries.entries.get(m.player_id), gp=m.games_played,
+                           pvgcp=m.value,
+                           gcp_per_game=m.value / m.games_played if m.games_played else 0.0)
+            for rank, m in enumerate(order[:top_k], start=1)]
 
 
 def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
@@ -223,11 +209,8 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
         cumulative = tuple(math.fsum(shares[:i + 1]) for i in range(len(shares)))
         return games, shares, cumulative
 
-    games_a, gcp_a, cum_a = one(player_a)
-    games_b, gcp_b, cum_b = one(player_b)
-    return ComparisonSeries(player_a=player_a, player_b=player_b,
-                            games_a=games_a, gcp_a=gcp_a, cumulative_a=cum_a,
-                            games_b=games_b, gcp_b=gcp_b, cumulative_b=cum_b)
+    # games_a, gcp_a, cumulative_a, then the same for player_b
+    return ComparisonSeries(player_a, player_b, *one(player_a), *one(player_b))
 
 
 def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcpReport],
@@ -276,6 +259,7 @@ def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                    salaries: SalaryTable,
                    min_games: int = DEFAULT_MIN_GAMES) -> SalarySummary:
     """Mean, median and 75th percentile salary of the qualifying pool."""
+    import statistics  # with fractions and decimal, only this function needs it
     check_salaries(ds, salaries)
     metrics = _player_metrics(ds, reports)
     pool = sorted(salaries.entries[p] for p, m in metrics.items()

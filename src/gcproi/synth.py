@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
+from typing import NamedTuple
 
 from .errors import InvalidConfig, NoSignChange
 from .fields import FIELD_ORDER, FRACTIONAL_FIELDS, FieldId
@@ -33,11 +33,7 @@ MINUTES_MAX = 40.0
 START_DATE = Date(2024, 1, 1)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for synthetic-season generation. Identical config and seed
-    reproduce the identical dataset."""
-
+class _SynthFields(NamedTuple):
     seed: int = 0
     teams: int = 4
     games_per_team: int = 6
@@ -47,10 +43,22 @@ class SynthConfig:
     salary_min: int = 500_000
     salary_max: int = 50_000_000
     #: Fields a team never records, e.g. {"T00": (FieldId.CHGD,)}.
-    zero_fields: dict[str, tuple[FieldId, ...]] = field(default_factory=dict)
+    zero_fields: dict[str, tuple[FieldId, ...]] | None = None
     #: Per-player miss probability overrides, e.g. {"T00P00": 1.0}.
-    miss_prob_overrides: dict[str, float] = field(default_factory=dict)
+    miss_prob_overrides: dict[str, float] | None = None
     realistic: bool = False
+
+
+class SynthConfig(_SynthFields):
+    """Knobs for synthetic-season generation. Identical config and seed
+    reproduce the identical dataset. A dict knob left out gets a new {}."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SynthConfig:
+        cfg = super().__new__(cls, *args, **kwargs)
+        return cfg._replace(**{knob: {} for knob in ("zero_fields", "miss_prob_overrides")
+                               if getattr(cfg, knob) is None})
 
     def validate(self) -> None:
         if self.teams < 2 or self.teams % 2 != 0:
@@ -68,8 +76,7 @@ class SynthConfig:
                 f"need 1 <= salary_min <= salary_max, got {self.salary_min}..{self.salary_max}")
 
 
-@dataclass(frozen=True)
-class SynthBookkeeping:
+class SynthBookkeeping(NamedTuple):
     """Planted facts recorded while generating, for oracle assertions."""
 
     rosters: dict[str, tuple[str, ...]]
@@ -95,7 +102,7 @@ def _round_robin(teams: list[str], rounds: int) -> list[list[tuple[str, str]]]:
 def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBookkeeping]:
     """Generate a dataset, matching salary table, and bookkeeping.
 
-    Every rostered player gets a salary even if he never appears, so forced
+    Every rostered player gets a salary even if they never appear, so forced
     full-miss players surface downstream as total defaults. Team-game totals
     of non-planted fields are always positive, which makes the planted
     zero-field sets exactly the inactive sets.
@@ -166,10 +173,8 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                     total_min = math.fsum(v[FieldId.MIN] for v in team_lines)
                     for v in team_lines:
                         v[FieldId.MIN] = v[FieldId.MIN] * 240.0 / total_min
-                lines.extend(
-                    PlayerGameLine(player_id=p, team_id=team, game_id=game_id,
-                                   values=tuple(v))
-                    for p, v in zip(actives, team_lines))
+                lines.extend(PlayerGameLine(p, team, game_id, tuple(v))
+                             for p, v in zip(actives, team_lines))
             games.append(GameRecord(game_id=game_id, date=day, team1=home,
                                     team2=away, lines=tuple(lines)))
 

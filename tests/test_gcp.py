@@ -5,11 +5,13 @@ from datetime import date
 import pytest
 
 from gcproi import (
+    CashFlowSeries,
     FieldId,
     SeasonDataset,
     active_fields,
     game_report,
     gcp_upper_bound,
+    irr,
     nonzero_gcp_distribution,
     omega,
     player_gcp,
@@ -273,3 +275,22 @@ def test_a_team_total_beyond_the_float_range_names_game_and_team():
         team_totals(game, "A")
     assert "'A'" in str(exc.value) and "'g1'" in str(exc.value)
     assert team_totals(game, "B").totals[FieldId.MIN] == 1e308
+
+
+@pytest.mark.parametrize("field", ["team_id", "weight", "active_fields", "gcp"])
+def test_a_team_report_field_cannot_be_assigned(bosphi_reports, field):
+    side = bosphi_reports["2023040401"].team("BOS")
+    before = getattr(side, field)
+    with pytest.raises(AttributeError):
+        setattr(side, field, before)
+    assert getattr(side, field) is before
+
+
+@pytest.mark.parametrize("field", ["rate", "residual", "iterations", "bracket"])
+def test_a_solver_result_field_cannot_be_assigned(field):
+    result = irr(CashFlowSeries(player_id="p", cf0=100.0, flows=(60.0, 60.0),
+                                schedule=("g1", "g2")))
+    before = getattr(result, field)
+    with pytest.raises(AttributeError):
+        setattr(result, field, 0.0)
+    assert getattr(result, field) is before

@@ -757,6 +757,76 @@ def test_a_season_that_breaks_an_invariant_cannot_be_built():
     assert ds.games_for_team("C") == ()
 
 
+# --- records -----------------------------------------------------------------
+
+def _consecutive_games():
+    g1 = make_game("g1", DAY, "A", "B", PAIR)
+    g2 = make_game("g2", date(2024, 1, 2), "B", "A",
+                   [make_line(ln.player_id, ln.team_id, "g2", MIN=2) for ln in PAIR])
+    return g1, g2
+
+
+@pytest.mark.parametrize("record, field", [
+    (PAIR[0], "values"),
+    (make_game("g1", DAY, "A", "B", PAIR), "game_id"),
+    (make_game("g1", DAY, "A", "B", PAIR), "lines"),
+    (SeasonDataset.from_games([make_game("g1", DAY, "A", "B", PAIR)]), "games"),
+    (SeasonDataset.from_games([make_game("g1", DAY, "A", "B", PAIR)]), "team_games"),
+], ids=["line-values", "game-id", "game-lines", "season-games", "season-team-games"])
+def test_a_record_field_cannot_be_assigned(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
+
+
+def test_games_and_seasons_from_equal_fields_are_equal_whatever_they_have_indexed():
+    a1, a2 = _consecutive_games()
+    b1, b2 = _consecutive_games()
+    assert a1 == b1 and a1 is not b1 and hash(a1) == hash(b1)
+    a = SeasonDataset(games=(a1, a2), player_names={"a": "Ann"})
+    b = SeasonDataset(games=(b1, b2), player_names={"a": "Ann"})
+    assert a.player_runs("a") == [["A", 0, 1]]  # builds a's _runs
+    assert "_runs" in vars(a) and "_runs" not in vars(b)
+    assert a == b
+    assert a != SeasonDataset(games=(b1,), player_names={"a": "Ann"})
+    assert a != SeasonDataset(games=(b1, b2), player_names={"a": "Bo"})
+
+
+def test_replacing_a_game_field_checks_and_indexes_like_building_one():
+    g1, _ = _consecutive_games()
+    with pytest.raises(SchemaError, match="twice"):
+        g1._replace(team2="A")
+    moved = g1._replace(date=date(2024, 2, 1))
+    assert moved.date == date(2024, 2, 1)
+    assert moved.roster("A") == g1.roster("A") == (PAIR[0],)
+    ds = SeasonDataset.from_games([g1])
+    with pytest.raises(SchemaError, match="repeated"):
+        ds._replace(games=(g1, g1))
+
+
+def test_a_salary_table_default_names_dict_is_its_own():
+    a, b = SalaryTable({"a": 1}), SalaryTable({"b": 2})
+    assert a.names == b.names == {}
+    assert a.names is not b.names
+    a.names["a"] = "Ann"
+    assert b.names == {} and SalaryTable({"c": 3}).names == {}
+
+
+def test_synth_config_default_dicts_are_its_own():
+    a, b = SynthConfig(), SynthConfig()
+    assert a == b
+    for knob in ("zero_fields", "miss_prob_overrides"):
+        assert getattr(a, knob) == {}
+        assert getattr(a, knob) is not getattr(b, knob)
+    a.miss_prob_overrides["T00P00"] = 1.0
+    assert b.miss_prob_overrides == {} and SynthConfig().miss_prob_overrides == {}
+    given = {"T00P00": 1.0}
+    assert SynthConfig(miss_prob_overrides=given).miss_prob_overrides is given
+
+
 def test_validate_reports_each_bad_cell_in_field_order_then_empty_teams():
     values = [0.0] * len(FieldId)
     values[FieldId.MIN] = 5.0
