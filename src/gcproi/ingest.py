@@ -38,6 +38,7 @@ from datetime import date as Date
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -178,7 +179,7 @@ class SeasonDataset(_SeasonFields):
         return cls(games=ordered, player_names=dict(player_names or {}))
 
     @cached_property
-    def _runs(self) -> dict[str, list[list]]:
+    def _runs(self) -> dict[str, tuple[tuple[str, int, int], ...]]:
         """Player -> the player's runs (see player_runs), for every player
         with an active line."""
         runs: dict[str, list[list]] = {}
@@ -190,17 +191,17 @@ class SeasonDataset(_SeasonFields):
                         player_runs[-1][2] = idx
                     else:
                         player_runs.append([team, idx, idx])
-        return runs
+        return {p: tuple(map(tuple, r)) for p, r in runs.items()}
 
     @property
     def player_ids(self) -> set[str]:
         return set(self._runs)
 
-    def player_runs(self, player_id: str) -> list[list]:
-        """[team, first, last] for each maximal run of consecutive active
+    def player_runs(self, player_id: str) -> tuple[tuple[str, int, int], ...]:
+        """(team, first, last) for each maximal run of consecutive active
         games the player had with one team, first and last being indices
-        into games, in dataset order; empty if none. Read-only."""
-        return self._runs.get(player_id, [])
+        into games, in dataset order; () if none."""
+        return self._runs.get(player_id, ())
 
     def get_game(self, game_id: str) -> GameRecord:
         game = self._games_by_id.get(game_id)
@@ -446,38 +447,48 @@ def parse_salaries(path: str | Path) -> SalaryTable:
     return SalaryTable(entries=entries, names=names)
 
 
-def _fmt_stat(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 class _StatText(dict):
-    """Cell text by value, for one write call: _fmt_stat(v), remembered only
-    for the values it writes as integers. Equal keys give equal text there:
-    -0.0 finds 0.0's entry, and both are '0'."""
+    """Cell text by value, for one write call. An integral value below 1e16
+    in magnitude is written as an integer, and remembered: equal keys give
+    equal text there, so -0.0 finds 0.0's entry and both are '0'. Any other
+    value is written as repr(v), and NaN and inf raise."""
 
     def __missing__(self, v: float) -> str:
-        text = _fmt_stat(v)
         if v == int(v) and abs(v) < 1e16:
-            self[v] = text
-        return text
+            text = self[v] = str(int(v))
+            return text
+        return repr(v)
+
+
+def _fmt_stat(v: float) -> str:
+    """The cell text of one stat value (see _StatText)."""
+    return _StatText()[v]
 
 
 def _write_lines(ds: SeasonDataset, path: str | Path | io.TextIOBase,
                  header: tuple[str, ...], stats) -> None:
-    """Write header, then each player-game as its id columns and stats(line)."""
+    """Write header, then each player-game as its id columns and stats(line).
+
+    Only id cells go through csv quoting; a stat text never needs it. The
+    csv rows end in CR LF, cut to LF, so that an id cell holding a CR or an
+    LF is quoted on every Python (csv quotes its line terminator's
+    characters) and the file parses back."""
+    # writerow returns what its target's write returns: here, the row text.
+    row_text = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+
     def emit(fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+        write = fh.write
+        write(row_text(header)[:-2] + "\n")
         cell = _StatText().__getitem__
         name = ds.player_name
         for g in ds.games:
             day = g.date.isoformat()
             for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
-                w.writerows([g.game_id, day, team, opp, ln.player_id,
-                             name(ln.player_id), *map(cell, stats(ln))]
-                            for ln in g.lines if ln.team_id == team)
+                for ln in g.lines:
+                    if ln.team_id == team:
+                        ids = row_text((g.game_id, day, team, opp, ln.player_id,
+                                        name(ln.player_id)))
+                        write(f"{ids[:-2]},{','.join(map(cell, stats(ln)))}\n")
 
     if isinstance(path, io.TextIOBase):
         emit(path)

@@ -32,6 +32,9 @@ COUNT_MAX = 20
 MINUTES_MAX = 40.0
 START_DATE = Date(2024, 1, 1)
 
+#: One float per count value, shared by every line that draws it.
+_COUNT_VALUES = tuple(map(float, range(COUNT_MAX + 1)))
+
 
 class _SynthFields(NamedTuple):
     seed: int = 0
@@ -106,19 +109,30 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     full-miss players surface downstream as total defaults. Team-game totals
     of non-planted fields are always positive, which makes the planted
     zero-field sets exactly the inactive sets.
+
+    Draws from random.Random(cfg.seed), in order: randint(roster_min,
+    roster_max) per team; per game and team, home first, random() per
+    rostered player (a miss when below their miss probability), then per
+    active player randrange(COUNT_MAX + 1) per count field in FIELD_ORDER
+    and uniform(1.0, MINUTES_MAX) per fractional field in FRACTIONAL_FIELDS
+    order, silenced fields skipped; last, randint(salary_min, salary_max)
+    per player in id order. randrange and uniform are written out inline,
+    as the expressions they evaluate on CPython 3.10-3.13.
     """
     cfg.validate()
     rng = random.Random(cfg.seed)
-    # randint(0, n) is randrange(n + 1): the same draws, one call fewer.
-    rand, randrange, uniform = rng.random, rng.randrange, rng.uniform
+    rand, getrandbits = rng.random, rng.getrandbits
     count_stop = COUNT_MAX + 1
+    count_bits = count_stop.bit_length()
+    minutes_span = MINUTES_MAX - 1.0
 
     teams = [f"T{i:02d}" for i in range(cfg.teams)]
     rosters = {
         t: tuple(f"{t}P{j:02d}" for j in range(rng.randint(cfg.roster_min, cfg.roster_max)))
         for t in teams
     }
-    count_fields = [f for f in FIELD_ORDER if f not in FRACTIONAL_FIELDS]
+    count_fields = [int(f) for f in FIELD_ORDER if f not in FRACTIONAL_FIELDS]
+    fraction_fields = [int(f) for f in FRACTIONAL_FIELDS]
 
     rounds = _round_robin(teams, cfg.games_per_team)
     games: list[GameRecord] = []
@@ -139,7 +153,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                 silenced = set(cfg.zero_fields.get(team, ()))
                 # A silenced field is never drawn; the rest are drawn in order.
                 drawn_counts = [f for f in count_fields if f not in silenced]
-                drawn_fractions = [f for f in FRACTIONAL_FIELDS if f not in silenced]
+                drawn_fractions = [f for f in fraction_fields if f not in silenced]
                 actives = []
                 for player in rosters[team]:
                     prob = cfg.miss_prob_overrides.get(player, cfg.miss_prob)
@@ -160,17 +174,22 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                     appearances[player] += 1
                     values = [0.0] * len(FIELD_ORDER)
                     for f in drawn_counts:
-                        values[f] = float(randrange(count_stop))
+                        # randrange(count_stop), without its two Python frames
+                        r = getrandbits(count_bits)
+                        while r >= count_stop:
+                            r = getrandbits(count_bits)
+                        values[f] = _COUNT_VALUES[r]
                     for f in drawn_fractions:
-                        values[f] = uniform(1.0, MINUTES_MAX)
+                        values[f] = 1.0 + minutes_span * rand()  # uniform(1.0, MINUTES_MAX)
                     team_lines.append(values)
                 # Guarantee every non-silenced count field has a positive
                 # team total so the active set is exactly the planted one.
+                columns = tuple(zip(*team_lines))
                 for f in drawn_counts:
-                    if not any(v[f] > 0.0 for v in team_lines):
+                    if not any(columns[f]):
                         team_lines[0][f] = 1.0
                 if cfg.realistic and FieldId.MIN not in silenced:
-                    total_min = math.fsum(v[FieldId.MIN] for v in team_lines)
+                    total_min = math.fsum(columns[FieldId.MIN])
                     for v in team_lines:
                         v[FieldId.MIN] = v[FieldId.MIN] * 240.0 / total_min
                 lines.extend(PlayerGameLine(p, team, game_id, tuple(v))

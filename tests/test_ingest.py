@@ -453,6 +453,66 @@ def test_raw_stat_schema_round_trips_through_the_adjustments(tmp_path, bosphi):
     assert ds == bosphi
 
 
+#: Id and name texts the csv module must quote, or must leave as they are.
+AWKWARD = ("a,b", 'say "hi"', "two\nlines", "crlf\r\n", " padded ", "", "plain", ",", '"',
+           "\n", "x\r\ny,z")
+
+
+def awkward_season(bosphi, texts) -> SeasonDataset:
+    """The golden game's stat rows under game, team and player ids and names
+    built from texts, lines in the order parse_games gives them."""
+    game = bosphi.games[0]
+    team_ids = {game.team1: f"A{texts[0]}", game.team2: f'B"{texts[-1]}'}
+    lines, names = [], {}
+    for i, ln in enumerate(game.lines):
+        player_id = f"p{i:02d}{texts[i % len(texts)]}"
+        names[player_id] = texts[(i + 1) % len(texts)]
+        lines.append(PlayerGameLine(player_id, team_ids[ln.team_id], "g,1", ln.values))
+    lines.sort(key=lambda ln: (ln.team_id != team_ids[game.team1], ln.player_id))
+    return SeasonDataset.from_games(
+        [make_game("g,1", game.date, team_ids[game.team1], team_ids[game.team2], lines)],
+        names)
+
+
+def whole_rows(ds, header, stats) -> str:
+    """The games file as csv.writer writes whole rows of id and stat cells."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for g in ds.games:
+        for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
+            w.writerows([g.game_id, g.date.isoformat(), team, opp, ln.player_id,
+                         ds.player_name(ln.player_id), *map(ingest._fmt_stat, stats(ln))]
+                        for ln in g.lines if ln.team_id == team)
+    return buf.getvalue()
+
+
+def test_written_id_cells_are_quoted_as_whole_csv_rows_quote_them(tmp_path, bosphi):
+    from gcproi.fields import underive_fields
+    ds = awkward_season(bosphi, AWKWARD)
+    derived, raw = tmp_path / "games.csv", tmp_path / "raw.csv"
+    write_games_csv(ds, derived)
+    write_raw_games_csv(ds, raw)
+    assert derived.read_bytes() == whole_rows(
+        ds, GAMES_HEADER, lambda ln: ln.values).encode()
+    assert raw.read_bytes() == whole_rows(
+        ds, RAW_GAMES_HEADER, lambda ln: underive_fields(ln.values)).encode()
+    assert parse_games(derived) == ds
+    assert parse_games(raw, fmt="raw") == ds
+
+
+def test_an_id_cell_holding_a_lone_carriage_return_is_quoted_and_parses_back(tmp_path, bosphi):
+    # csv before 3.13 quotes "\r" only when its line terminator holds one.
+    ds = awkward_season(bosphi, ("cr\rx", "\r", "plain"))
+    path = tmp_path / "games.csv"
+    write_games_csv(ds, path)
+    text = path.read_bytes().decode()
+    assert '"p00cr\rx"' in text and '"\r"' in text
+    if sys.version_info >= (3, 13):
+        assert text == whole_rows(ds, GAMES_HEADER, lambda ln: ln.values)
+    assert parse_games(path) == ds
+
+
 def test_parse_salaries_exact_integer_dollars(data_dir):
     table = parse_salaries(data_dir / "davis_lopez_salaries.csv")
     assert table.entries == {"anthony-davis": 37_980_720, "brook-lopez": 13_906_976}
@@ -788,11 +848,25 @@ def test_games_and_seasons_from_equal_fields_are_equal_whatever_they_have_indexe
     assert a1 == b1 and a1 is not b1 and hash(a1) == hash(b1)
     a = SeasonDataset(games=(a1, a2), player_names={"a": "Ann"})
     b = SeasonDataset(games=(b1, b2), player_names={"a": "Ann"})
-    assert a.player_runs("a") == [["A", 0, 1]]  # builds a's _runs
+    assert a.player_runs("a") == (("A", 0, 1),)  # builds a's _runs
     assert "_runs" in vars(a) and "_runs" not in vars(b)
     assert a == b
     assert a != SeasonDataset(games=(b1,), player_names={"a": "Ann"})
     assert a != SeasonDataset(games=(b1, b2), player_names={"a": "Bo"})
+
+
+def test_a_player_runs_result_cannot_corrupt_the_index(bosphi):
+    from gcproi.finance import player_schedule
+    before = player_schedule(bosphi, "al-horford")
+    runs = bosphi.player_runs("al-horford")
+    assert runs == (("BOS", 0, 0),)
+    with pytest.raises(AttributeError):
+        runs.clear()
+    with pytest.raises(TypeError):
+        runs[0][1] = 5
+    assert bosphi.player_runs("al-horford") == runs
+    assert player_schedule(bosphi, "al-horford") == before
+    assert bosphi.player_runs("nobody") == ()
 
 
 def test_replacing_a_game_field_checks_and_indexes_like_building_one():

@@ -1,6 +1,8 @@
 import hashlib
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,8 @@ from gcproi import (
     write_games_csv,
 )
 from gcproi.errors import AllZeroFlows, InvalidConfig, NoSignChange
+from gcproi.fields import FIELD_ORDER, FRACTIONAL_FIELDS
+from gcproi.synth import COUNT_MAX, MINUTES_MAX
 
 
 def dataset_bytes(ds) -> bytes:
@@ -55,7 +59,7 @@ def test_generated_dataset_is_clean_and_scheduled():
     assert len(ds.games) == 6 * 9 // 2
     for team, game_ids in book.schedule.items():
         assert len(game_ids) == 9
-    # every rostered player has a salary, even if he never appeared
+    # every rostered player has a salary, even if they never appeared
     rostered = {p for r in book.rosters.values() for p in r}
     assert set(salaries.entries) == rostered
     assert all(s >= cfg.salary_min for s in salaries.entries.values())
@@ -100,6 +104,64 @@ def test_silenced_field_draws_are_golden():
     ds, _, _ = synth_season(cfg)
     assert (hashlib.sha256(dataset_bytes(ds)).hexdigest()
             == "95672ebd16902b981f12ddeed3f3af4bd0aff8669fdd4847b57319abd1ec3a97")
+
+
+def reference_draws(cfg, games):
+    """Roster sizes, every line's values in generation order, and the
+    salaries, drawn with the random module's own methods in the order
+    synth_season documents. games gives the pairings, in generation order."""
+    rng = random.Random(cfg.seed)
+    teams = [f"T{i:02d}" for i in range(cfg.teams)]
+    rosters = {t: [f"{t}P{j:02d}" for j in range(rng.randint(cfg.roster_min, cfg.roster_max))]
+               for t in teams}
+    lines = []
+    for g in games:
+        for team in (g.team1, g.team2):
+            silenced = cfg.zero_fields.get(team, ())
+            prob = cfg.miss_prob_overrides.get
+            actives = [p for p in rosters[team] if not rng.random() < prob(p, cfg.miss_prob)]
+            if not actives:
+                actives = [next((p for p in rosters[team] if prob(p, cfg.miss_prob) < 1.0),
+                                rosters[team][0])]
+            rows = []
+            for _ in actives:
+                row = [0.0] * len(FIELD_ORDER)
+                for f in FIELD_ORDER:
+                    if f not in FRACTIONAL_FIELDS and f not in silenced:
+                        row[f] = float(rng.randrange(COUNT_MAX + 1))
+                for f in FRACTIONAL_FIELDS:
+                    if f not in silenced:
+                        row[f] = rng.uniform(1.0, MINUTES_MAX)
+                rows.append(row)
+            for f in FIELD_ORDER:
+                if (f not in FRACTIONAL_FIELDS and f not in silenced
+                        and all(row[f] == 0.0 for row in rows)):
+                    rows[0][f] = 1.0
+            if cfg.realistic and FieldId.MIN not in silenced:
+                total = math.fsum(row[FieldId.MIN] for row in rows)
+                for row in rows:
+                    row[FieldId.MIN] = row[FieldId.MIN] * 240.0 / total
+            lines += [(p, team, g.game_id, tuple(row)) for p, row in zip(actives, rows)]
+    salaries = {p: rng.randint(cfg.salary_min, cfg.salary_max)
+                for p in sorted(p for r in rosters.values() for p in r)}
+    return rosters, lines, salaries
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(seed=3, teams=4, games_per_team=6, roster_min=1, roster_max=3, miss_prob=0.3),
+    SynthConfig(seed=5, teams=4, games_per_team=5, miss_prob=0.3,
+                zero_fields={"T01": (FieldId.CHGD, FieldId.ODIS)}),
+    SynthConfig(seed=6, teams=2, games_per_team=4, roster_min=2, roster_max=4, realistic=True,
+                zero_fields={"T00": (FieldId.STL, FieldId.MIN)}),
+], ids=["miss-0.3-small-rosters", "zero-fields-team", "realistic"])
+def test_draws_match_the_random_module_reference(cfg):
+    # Pins synth_season's inline draws to randrange and uniform themselves,
+    # on whatever Python runs the suite.
+    ds, salaries, book = synth_season(cfg)
+    rosters, lines, salary_draws = reference_draws(cfg, ds.games)
+    assert {t: list(r) for t, r in book.rosters.items()} == rosters
+    assert [tuple(ln) for g in ds.games for ln in g.lines] == lines
+    assert salaries.entries == salary_draws
 
 
 def test_missed_game_bookkeeping_matches_cash_flow_zeros():
