@@ -25,6 +25,7 @@ from pathlib import Path
 from . import finance, gcp, reporting, synth
 from .errors import GcproiError, MissingSalary
 from .ingest import (
+    SalaryTable,
     SeasonDataset,
     parse_games,
     parse_salaries,
@@ -70,13 +71,15 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _sgv_for(args, ds: SeasonDataset, salaries) -> finance.SingleGameValue:
-    override = getattr(args, "sgv_override", None)
-    if override is not None:
-        return finance.SingleGameValue.override(override)
-    games = getattr(args, "season_games", None)
-    if games is None:
-        games = len(ds.games)
+def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcpReport]]:
+    ds = parse_games(args.games)
+    return ds, parse_salaries(args.salaries), gcp.season_reports(ds)
+
+
+def _sgv_for(args, ds: SeasonDataset, salaries: SalaryTable) -> finance.SingleGameValue:
+    if args.sgv_override is not None:
+        return finance.SingleGameValue.override(args.sgv_override)
+    games = len(ds.games) if args.season_games is None else args.season_games
     return finance.sgv(salaries.total, games)
 
 
@@ -128,9 +131,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_roi(args) -> int:
-    ds = parse_games(args.games)
-    salaries = parse_salaries(args.salaries)
-    reports = gcp.season_reports(ds)
+    ds, salaries, reports = _season(args)
     value = _sgv_for(args, ds, salaries)
     rows = reporting.roi_table(ds, reports, salaries, value,
                                min_games=args.min_games, abs_tol=args.tol)
@@ -146,9 +147,7 @@ def cmd_roi(args) -> int:
 
 
 def cmd_pvgcp_board(args) -> int:
-    ds = parse_games(args.games)
-    salaries = parse_salaries(args.salaries)
-    reports = gcp.season_reports(ds)
+    ds, salaries, reports = _season(args)
     rows = reporting.leaderboard_pvgcp(ds, reports, salaries, top_k=args.top)
     header = ["rank", "player_id", "player_name", "salary_musd", "gp",
               "pvgcp", "gcp_per_game"]
@@ -182,9 +181,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    ds = parse_games(args.games)
-    salaries = parse_salaries(args.salaries)
-    reports = gcp.season_reports(ds)
+    ds, salaries, reports = _season(args)
     value = _sgv_for(args, ds, salaries)
     points = reporting.roi_salary_scatter(ds, reports, salaries, value,
                                           min_games=args.min_games)
@@ -196,12 +193,10 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_breakeven(args) -> int:
-    if args.sgv is not None:
-        value = finance.SingleGameValue.override(args.sgv)
+    if args.sgv_override is not None:
+        value = finance.SingleGameValue.override(args.sgv_override)
     elif args.games and args.salaries:
-        ds = parse_games(args.games)
-        salaries = parse_salaries(args.salaries)
-        value = _sgv_for(args, ds, salaries)
+        value = _sgv_for(args, parse_games(args.games), parse_salaries(args.salaries))
     else:
         raise GcproiError("breakeven needs either --sgv or both --games and --salaries")
     required = finance.breakeven_gcp(args.salary, args.n_games, value)
@@ -216,9 +211,7 @@ def cmd_breakeven(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    ds = parse_games(args.games)
-    salaries = parse_salaries(args.salaries)
-    reports = gcp.season_reports(ds)
+    ds, salaries, reports = _season(args)
     s = reporting.salary_summary(ds, reports, salaries, min_games=args.min_games)
     header = ["qualifying_players", "mean_salary_usd", "median_salary_usd",
               "p75_salary_usd", "mean_salary_musd", "median_salary_musd",
@@ -241,11 +234,11 @@ def cmd_validate(args) -> int:
     ds = parse_games(args.games)
     if args.salaries:
         reporting.check_salaries(ds, parse_salaries(args.salaries))
-    report = validate_dataset(ds, strict_season=args.strict_season)
-    lines = [f"{v.kind}: {v.message}" for v in report.violations]
-    lines.append(f"{len(report.violations)} violation(s)")
+    violations = validate_dataset(ds, strict_season=args.strict_season)
+    lines = [f"{v.kind}: {v.message}" for v in violations]
+    lines.append(f"{len(violations)} violation(s)")
     _write_text("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return EXIT_VALIDATION if violations else EXIT_OK
 
 
 def cmd_synth(args) -> int:
@@ -328,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-game cash flow and share needed to recover a salary")
     p.add_argument("--salary", type=float, required=True)
     p.add_argument("--n-games", type=int, required=True)
-    p.add_argument("--sgv", type=float, default=None)
+    p.add_argument("--sgv", dest="sgv_override", metavar="SGV", type=float, default=None)
     p.add_argument("--games", default=None)
     p.add_argument("--salaries", default=None)
     p.add_argument("--season-games", type=int, default=None)

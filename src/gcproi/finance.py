@@ -83,10 +83,6 @@ class CashFlowSeries(NamedTuple):
     flows: tuple[float, ...]
     schedule: tuple[str, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.flows)
-
 
 class PvGcp(NamedTuple):
     """Plain running sum of a player's GCPs over their schedule (present

@@ -64,11 +64,6 @@ class PlayerGameLine(NamedTuple):
     game_id: str
     values: StatRow
 
-    @property
-    def active(self) -> bool:
-        """A player is active iff at least one field value is positive."""
-        return any(_positive(self.values))
-
 
 _positive = partial(map, (0.0).__lt__)
 _player_id = attrgetter("player_id")
@@ -118,7 +113,7 @@ class GameRecord(_GameFields):
                 raise SchemaError(f"player {ln.player_id!r} in game {game_id!r} has "
                                   f"{len(values)} of {width} fields")
             players.add(ln.player_id)
-            if any(_positive(values)):  # ln.active, without the property call
+            if any(_positive(values)):  # a line is active if one value is positive
                 roster.append(ln)
         self.__dict__["_rosters"] = {t: tuple(r) for t, r in rosters.items()}
         return self
@@ -243,14 +238,6 @@ class Violation(NamedTuple):
     game_id: str | None = None
     team_id: str | None = None
     player_id: str | None = None
-
-
-class ValidationReport(NamedTuple):
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _parse_stat(text: str, line_no: int, column: str) -> float:
@@ -520,11 +507,11 @@ def write_salaries_csv(table: SalaryTable, path: str | Path) -> None:
             w.writerow([player_id, table.name(player_id), str(table.entries[player_id])])
 
 
-def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> ValidationReport:
+def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> tuple[Violation, ...]:
     """Report-only checks of what a built dataset can still get wrong: a
     non-finite or negative stat value, a team with no active player in a
     game, a team total beyond the float range and, with strict_season set, a
-    team in more than 82 games."""
+    team in more than 82 games. No violations, an empty tuple, means valid."""
     out: list[Violation] = []
     for g in ds.games:
         for ln in g.lines:
@@ -561,4 +548,4 @@ def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> Validati
                                      f"team {team!r} appears in {len(games)} games",
                                      team_id=team))
 
-    return ValidationReport(violations=tuple(out))
+    return tuple(out)

@@ -76,12 +76,6 @@ class ComparisonSeries(NamedTuple):
     cumulative_b: tuple[float, ...]
 
 
-class ScatterPoint(NamedTuple):
-    player_id: str
-    salary: int
-    roi: float
-
-
 class HistogramBin(NamedTuple):
     lo: float
     hi: float
@@ -215,13 +209,11 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 
 def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                        salaries: SalaryTable, value: SingleGameValue,
-                       min_games: int = DEFAULT_MIN_GAMES) -> list[ScatterPoint]:
-    """One (salary, roi) point per qualifying player, salary ascending."""
+                       min_games: int = DEFAULT_MIN_GAMES) -> list[RoiRow]:
+    """The ok rows of roi_table, one per qualifying player, by (salary, player_id)."""
     rows = roi_table(ds, reports, salaries, value, min_games=min_games)
-    points = [ScatterPoint(player_id=r.player_id, salary=r.salary, roi=r.roi)
-              for r in rows if r.status == STATUS_OK]
-    points.sort(key=lambda p: (p.salary, p.player_id))
-    return points
+    return sorted((r for r in rows if r.status == STATUS_OK),
+                  key=lambda r: (r.salary, r.player_id))
 
 
 def histogram_bins(values: list[float], bin_width: float = 0.01) -> list[HistogramBin]:

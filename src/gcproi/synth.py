@@ -27,9 +27,12 @@ ORACLE_GRID_STEP = 1e-3
 ORACLE_BISECT_STEPS = 200
 
 #: Count stats are drawn from 0..COUNT_MAX, fractional ones from
-#: [1, MINUTES_MAX]; round r of the schedule is played on START_DATE + r days.
+#: [1, MINUTES_MAX], salaries from SALARY_MIN..SALARY_MAX; round r of the
+#: schedule is played on START_DATE + r days.
 COUNT_MAX = 20
 MINUTES_MAX = 40.0
+SALARY_MIN = 500_000
+SALARY_MAX = 50_000_000
 START_DATE = Date(2024, 1, 1)
 
 #: One float per count value, shared by every line that draws it.
@@ -43,8 +46,6 @@ class _SynthFields(NamedTuple):
     roster_min: int = 8
     roster_max: int = 10
     miss_prob: float = 0.1
-    salary_min: int = 500_000
-    salary_max: int = 50_000_000
     #: Fields a team never records, e.g. {"T00": (FieldId.CHGD,)}.
     zero_fields: dict[str, tuple[FieldId, ...]] | None = None
     #: Per-player miss probability overrides, e.g. {"T00P00": 1.0}.
@@ -74,9 +75,6 @@ class SynthConfig(_SynthFields):
         for prob in (self.miss_prob, *self.miss_prob_overrides.values()):
             if not (0.0 <= prob <= 1.0):
                 raise InvalidConfig(f"miss probability out of [0, 1]: {prob}")
-        if not (1 <= self.salary_min <= self.salary_max):
-            raise InvalidConfig(
-                f"need 1 <= salary_min <= salary_max, got {self.salary_min}..{self.salary_max}")
 
 
 class SynthBookkeeping(NamedTuple):
@@ -115,7 +113,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     rostered player (a miss when below their miss probability), then per
     active player randrange(COUNT_MAX + 1) per count field in FIELD_ORDER
     and uniform(1.0, MINUTES_MAX) per fractional field in FRACTIONAL_FIELDS
-    order, silenced fields skipped; last, randint(salary_min, salary_max)
+    order, silenced fields skipped; last, randint(SALARY_MIN, SALARY_MAX)
     per player in id order. randrange and uniform are written out inline,
     as the expressions they evaluate on CPython 3.10-3.13.
     """
@@ -200,7 +198,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     players = sorted(p for r in rosters.values() for p in r)
     names = {p: f"Player {p}" for p in players}
     salaries = SalaryTable(
-        entries={p: rng.randint(cfg.salary_min, cfg.salary_max) for p in players},
+        entries={p: rng.randint(SALARY_MIN, SALARY_MAX) for p in players},
         names=names)
     ds = SeasonDataset.from_games(games, names)
     book = SynthBookkeeping(

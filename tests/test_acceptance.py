@@ -199,7 +199,7 @@ def test_criterion_5_property_suites():
                                      flows=s.flows, schedule=s.schedule)
             assert irr(heavier).rate < result.rate
             bump = max(1.0, 0.1 * math.fsum(s.flows))
-            for idx in range(s.n):
+            for idx in range(len(s.flows)):
                 bumped = list(s.flows)
                 bumped[idx] += bump
                 richer = CashFlowSeries(player_id=s.player_id, cf0=s.cf0,

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from gcproi import cli
+from gcproi import cli, parse_games, parse_salaries, sgv
 from gcproi.cli import main
+
+from test_golden import CASES, FORMS, SYNTH
 
 
 def run(args, tmp_path, name="out.txt"):
@@ -134,6 +136,8 @@ BAD_INPUTS = {
                               "--season-games", "0"],
     "scatter-season-games-zero": ["scatter", "--games", "{games}", "--salaries",
                                   "{salaries}", "--season-games", "0"],
+    "breakeven-without-salaries-or-sgv": ["breakeven", "--salary", "1000", "--n-games", "10",
+                                          "--games", "{games}"],
     "breakeven-season-games-zero": ["breakeven", "--salary", "1000000", "--n-games", "10",
                                     "--games", "{games}", "--salaries", "{salaries}",
                                     "--season-games", "0"],
@@ -288,6 +292,27 @@ def test_breakeven_can_derive_sgv_from_data(tmp_path, data_dir):
     from gcproi import parse_salaries
     total = parse_salaries(data_dir / "bosphi_salaries.csv").total
     assert float(row[2]) == pytest.approx(total / 2, abs=0.5)
+
+
+@pytest.fixture(scope="module")
+def golden_pair(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("golden")
+    assert main(SYNTH + ["--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("sub", ["roi", "scatter", "breakeven"])
+def test_an_sgv_override_of_the_derived_sgv_gives_the_same_bytes(sub, form, golden_pair,
+                                                                  tmp_path):
+    games, salaries = golden_pair / "games.csv", golden_pair / "salaries.csv"
+    derived = sgv(parse_salaries(salaries).total, len(parse_games(games).games)).dollars
+    argv = [sub, "--games", str(games), "--salaries", str(salaries), *CASES[sub][1],
+            *FORMS[form]]
+    flag = "--sgv" if sub == "breakeven" else "--sgv-override"
+    rc, body = run(argv, tmp_path, "derived")
+    assert rc == 0
+    assert run(argv + [flag, repr(derived)], tmp_path, "override") == (0, body)
 
 
 def test_breakeven_without_sgv_or_data_fails(tmp_path):

@@ -103,7 +103,7 @@ def test_missed_games_are_exact_zeros():
     ds = build_two_team_season(8, ["a1", "a2"], ["b1"], misses={"a1": {2, 3, 4}})
     reports = season_reports(ds)
     cf = cash_flows(ds, reports, "a1", SingleGameValue.override(100.0), salary=50)
-    assert cf.n == 8
+    assert len(cf.flows) == 8
     assert cf.flows[2] == 0.0 and cf.flows[3] == 0.0 and cf.flows[4] == 0.0
     assert all(f > 0.0 for i, f in enumerate(cf.flows) if i not in (2, 3, 4))
 
@@ -114,7 +114,7 @@ def test_fifty_six_appearances_of_eighty_two_leave_26_defaults():
     reports = season_reports(ds)
     cf = cash_flows(ds, reports, "star", SingleGameValue.override(1000.0),
                     salary=37_980_720)
-    assert cf.n == 82
+    assert len(cf.flows) == 82
     assert sum(1 for f in cf.flows if f == 0.0) == 26
     m = pvgcp(ds, reports, "star")
     assert m.games_played == 56

@@ -122,7 +122,7 @@ def test_raising_the_investment_strictly_lowers_the_rate(sm):
 @given(cash_series(), st.integers(0, 15))
 def test_raising_any_flow_strictly_raises_the_rate(sm, idx):
     s, _ = sm
-    idx %= s.n
+    idx %= len(s.flows)
     bumped = list(s.flows)
     bumped[idx] += max(1.0, 0.1 * math.fsum(s.flows))
     r1 = irr(s).rate
@@ -197,7 +197,7 @@ def test_pipeline_identities_on_a_synthetic_season():
         m = pvgcp(ds, reports, player)
         # cumulative share times slot price equals the cash produced
         assert math.fsum(cf.flows) == pytest.approx(m.value * value.dollars, rel=1e-12)
-        assert cf.n == len(book.schedule[player[:3]])
+        assert len(cf.flows) == len(book.schedule[player[:3]])
         assert all(f >= 0.0 for f in cf.flows)
         assert 0.0 <= m.value <= m.games_played + 1e-12
 

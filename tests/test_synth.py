@@ -27,7 +27,7 @@ from gcproi import (
 )
 from gcproi.errors import AllZeroFlows, InvalidConfig, NoSignChange
 from gcproi.fields import FIELD_ORDER, FRACTIONAL_FIELDS
-from gcproi.synth import COUNT_MAX, MINUTES_MAX
+from gcproi.synth import COUNT_MAX, MINUTES_MAX, SALARY_MAX, SALARY_MIN
 
 
 def dataset_bytes(ds) -> bytes:
@@ -55,14 +55,14 @@ def test_different_seeds_differ():
 def test_generated_dataset_is_clean_and_scheduled():
     cfg = SynthConfig(seed=5, teams=6, games_per_team=9)
     ds, salaries, book = synth_season(cfg)
-    assert validate_dataset(ds).ok
+    assert not validate_dataset(ds)
     assert len(ds.games) == 6 * 9 // 2
     for team, game_ids in book.schedule.items():
         assert len(game_ids) == 9
     # every rostered player has a salary, even if they never appeared
     rostered = {p for r in book.rosters.values() for p in r}
     assert set(salaries.entries) == rostered
-    assert all(s >= cfg.salary_min for s in salaries.entries.values())
+    assert all(s >= SALARY_MIN for s in salaries.entries.values())
 
 
 def test_forced_full_miss_player_is_a_total_default():
@@ -142,7 +142,7 @@ def reference_draws(cfg, games):
                 for row in rows:
                     row[FieldId.MIN] = row[FieldId.MIN] * 240.0 / total
             lines += [(p, team, g.game_id, tuple(row)) for p, row in zip(actives, rows)]
-    salaries = {p: rng.randint(cfg.salary_min, cfg.salary_max)
+    salaries = {p: rng.randint(SALARY_MIN, SALARY_MAX)
                 for p in sorted(p for r in rosters.values() for p in r)}
     return rosters, lines, salaries
 
@@ -175,7 +175,7 @@ def test_missed_game_bookkeeping_matches_cash_flow_zeros():
         cf = cash_flows(ds, reports, player, value, salaries.entries[player])
         zero_slots = {gid for gid, f in zip(cf.schedule, cf.flows) if f == 0.0}
         assert zero_slots == set(book.missed[player])
-        assert cf.n == len(book.schedule[team])
+        assert len(cf.flows) == len(book.schedule[team])
 
 
 def test_realistic_mode_normalizes_team_minutes():
@@ -197,8 +197,6 @@ def test_invalid_configs_are_rejected():
         synth_season(SynthConfig(roster_min=5, roster_max=3))
     with pytest.raises(InvalidConfig):
         synth_season(SynthConfig(miss_prob=1.5))
-    with pytest.raises(InvalidConfig):
-        synth_season(SynthConfig(salary_min=0))
 
 
 def test_oracle_solves_the_closed_forms():
@@ -235,7 +233,7 @@ def test_cli_writes_parseable_synthetic_files(tmp_path):
     salaries = parse_salaries(out_dir / "salaries.csv")
     assert len(ds.games) == 10
     assert ds.player_ids <= set(salaries.entries)
-    assert validate_dataset(ds).ok
+    assert not validate_dataset(ds)
 
 
 def test_synth_bytes_do_not_depend_on_hash_seed(tmp_path):
