@@ -13,6 +13,7 @@ A stat row is a tuple of 37 floats in canonical order, indexed by FieldId:
 from __future__ import annotations
 
 import enum
+import math
 
 from .errors import NegativeDerivedField
 
@@ -74,7 +75,7 @@ FRACTIONAL_FIELDS = (FieldId.ODIS, FieldId.DDIS, FieldId.MIN)
 
 #: Source stat columns, as published, for the optional pre-adjustment input.
 #: RAW_STATS[i] feeds FieldId(i): the field is a copy of it, or, for the nine
-#: adjusted fields, the minuend of the field's subtraction.
+#: fields in ADJUSTMENTS, the minuend of the field's subtraction.
 RAW_STATS: tuple[str, ...] = (
     "MIN", "FGM", "FGA", "FG3M", "FG3A", "FTM", "FTA", "PF", "STL", "BLK",
     "TOV", "BLKA", "PFD", "Poss", "SAST", "Deflections", "Charges Drawn",
@@ -86,59 +87,54 @@ RAW_STATS: tuple[str, ...] = (
     "DREB Chances",
 )
 
+#: The nine adjusted fields in position order, each with the fields it
+#: subtracts in order, read as the walk has left them: FG2X takes the raw
+#: FG3A (FG3X is adjusted after it) and the adjusted FG2O.
+ADJUSTMENTS: tuple[tuple[FieldId, tuple[FieldId, ...]], ...] = (
+    (FieldId.FG2O, (FieldId.FG3O,)),  # FGM - FG3M
+    (FieldId.FG2X, (FieldId.FG3X, FieldId.FG2O)),  # (FGA - FG3A) - FG2O
+    (FieldId.FG3X, (FieldId.FG3O,)),  # FG3A - FG3M
+    (FieldId.FTX, (FieldId.FTO,)),  # FTA - FTM
+    (FieldId.AC2P, (FieldId.BLK,)),  # Contested 2PT Shots - BLK
+    (FieldId.DFGX, (FieldId.DFGO,)),  # DFGA - DFGM
+    (FieldId.APM, (FieldId.AST2, FieldId.PAST)),  # Passes Made - Secondary - Potential Assists
+    (FieldId.AORC, (FieldId.OCRB,)),  # OREB Chances - Contested OREB
+    (FieldId.ADRC, (FieldId.DCRB,)),  # DREB Chances - Contested DREB
+)
+
 
 def derive_fields(row: StatRow, clamp_negative: bool = False) -> StatRow:
-    """Apply the adjustment formulas to one row of source stats in RAW_STATS
-    order, producing a stat row of all 37 canonical fields.
+    """Apply ADJUSTMENTS to a row of the 37 source stats in RAW_STATS order.
 
     A subtraction that goes negative signals inconsistent source data and
-    raises NegativeDerivedField unless clamp_negative is set, in which case
-    the value is floored at zero.
+    raises NegativeDerivedField, or is floored at zero under clamp_negative.
     """
     if len(row) != len(RAW_STATS):
         raise ValueError(f"expected {len(RAW_STATS)} source stats, got {len(row)}")
-    src = dict(zip(RAW_STATS, row))
-    for name, v in src.items():
-        if not (0.0 <= v < float("inf")):
+    for name, v in zip(RAW_STATS, row):
+        if not (0.0 <= v < math.inf):
             raise ValueError(f"source stat {name!r} must be a finite non-negative number, got {v}")
-
-    g = src.__getitem__
     out = list(row)
-
-    def adj(fid: FieldId, value: float) -> None:
-        if value < 0.0:
-            if not clamp_negative:
-                raise NegativeDerivedField(fid, value)
-            value = 0.0
-        out[fid] = value
-
-    adj(FieldId.FG2O, g("FGM") - g("FG3M"))
-    adj(FieldId.FG2X, (g("FGA") - g("FG3A")) - out[FieldId.FG2O])
-    adj(FieldId.FG3X, g("FG3A") - g("FG3M"))
-    adj(FieldId.FTX, g("FTA") - g("FTM"))
-    adj(FieldId.AC2P, g("Contested 2PT Shots") - g("BLK"))
-    adj(FieldId.DFGX, g("DFGA") - g("DFGM"))
-    adj(FieldId.APM, g("Passes Made") - g("Secondary Assist") - g("Potential Assists"))
-    adj(FieldId.AORC, g("OREB Chances") - g("Contested OREB"))
-    adj(FieldId.ADRC, g("DREB Chances") - g("Contested DREB"))
+    for field, subtrahends in ADJUSTMENTS:
+        value = out[field]
+        for s in subtrahends:
+            value -= out[s]
+        if value < 0.0 and not clamp_negative:
+            raise NegativeDerivedField(field, value)
+        out[field] = 0.0 if value < 0.0 else value
     return tuple(out)
 
 
 def underive_fields(row: StatRow) -> StatRow:
-    """Reconstruct the source stats, in RAW_STATS order, from a stat row.
-
-    Exact inverse of derive_fields for consistent data:
-    derive_fields(underive_fields(row)) reproduces the row.
-    """
-    v = row
-    raw = dict(zip(RAW_STATS, v))
-    raw["FGM"] = v[FieldId.FG2O] + v[FieldId.FG3O]
-    raw["FGA"] = v[FieldId.FG2O] + v[FieldId.FG2X] + v[FieldId.FG3O] + v[FieldId.FG3X]
-    raw["FG3A"] = v[FieldId.FG3O] + v[FieldId.FG3X]
-    raw["FTA"] = v[FieldId.FTO] + v[FieldId.FTX]
-    raw["Contested 2PT Shots"] = v[FieldId.AC2P] + v[FieldId.BLK]
-    raw["DFGA"] = v[FieldId.DFGO] + v[FieldId.DFGX]
-    raw["Passes Made"] = v[FieldId.APM] + v[FieldId.AST2] + v[FieldId.PAST]
-    raw["OREB Chances"] = v[FieldId.AORC] + v[FieldId.OCRB]
-    raw["DREB Chances"] = v[FieldId.ADRC] + v[FieldId.DCRB]
-    return tuple(raw.values())
+    """Turn a stat row back into source stats in RAW_STATS order, walking
+    ADJUSTMENTS from last to first and adding the subtrahends back. Exact
+    inverse of derive_fields on integer counts."""
+    if len(row) != len(FIELD_ORDER):
+        raise ValueError(f"expected {len(FIELD_ORDER)} fields, got {len(row)}")
+    out = list(row)
+    for field, subtrahends in reversed(ADJUSTMENTS):
+        value = out[field]
+        for s in subtrahends:
+            value += out[s]
+        out[field] = value
+    return tuple(out)

@@ -116,9 +116,9 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
         raise UnknownPlayer(f"player {player_id!r} never appears in the dataset")
     if len(runs) == 1:
         team = runs[0][0]
-        return tuple((g, team) for g in ds.games_for_team(team))
+        return tuple((g, team) for g in ds.team_games[team])
     return tuple((g, team) for team, first, last in runs
-                 for g in ds.games[first:last + 1] if team in g.teams)
+                 for g in ds.team_games[team][first:last + 1])
 
 
 #: A player's schedule slots and their GCP in each slot.

@@ -38,7 +38,7 @@ from datetime import date as Date
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -146,7 +146,8 @@ class SeasonDataset(_SeasonFields):
     """Games ordered by (date, game_id), plus the player-name lookup.
     Building one rejects games out of that order and a repeated game id, and
     maps each game id to its game and each team to its games (team_games,
-    read-only); the player index is built on first use. Equality ignores them."""
+    read-only); the player index is built on first use. Equality ignores them,
+    and unpickling builds and checks them again."""
 
     __setattr__ = __delattr__ = _read_only
     _make = _construct
@@ -163,9 +164,12 @@ class SeasonDataset(_SeasonFields):
             by_id[g.game_id] = g
             for t in g.teams:
                 team_games.setdefault(t, []).append(g)
-        self.__dict__.update(_games_by_id=by_id,
-                             team_games={t: tuple(gs) for t, gs in team_games.items()})
+        self.__dict__.update(_games_by_id=by_id, team_games=MappingProxyType(
+            {t: tuple(gs) for t, gs in team_games.items()}))
         return self
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @classmethod
     def from_games(cls, games: Iterable[GameRecord],
@@ -178,8 +182,10 @@ class SeasonDataset(_SeasonFields):
         """Player -> the player's runs (see player_runs), for every player
         with an active line."""
         runs: dict[str, list[list]] = {}
-        for idx, g in enumerate(self.games):
+        position = dict.fromkeys(self.team_games, -1)  # team -> g's index in team_games
+        for g in self.games:
             for team in g.teams:
+                idx = position[team] = position[team] + 1
                 for ln in g.roster(team):
                     player_runs = runs.setdefault(ln.player_id, [])
                     if player_runs and player_runs[-1][0] == team:
@@ -194,8 +200,8 @@ class SeasonDataset(_SeasonFields):
 
     def player_runs(self, player_id: str) -> tuple[tuple[str, int, int], ...]:
         """(team, first, last) for each maximal run of consecutive active
-        games the player had with one team, first and last being indices
-        into games, in dataset order; () if none."""
+        games the player had with one team, first and last being positions
+        in team_games[team], in dataset order; () if none."""
         return self._runs.get(player_id, ())
 
     def get_game(self, game_id: str) -> GameRecord:
@@ -203,9 +209,6 @@ class SeasonDataset(_SeasonFields):
         if game is None:
             raise GcproiError(f"game {game_id!r} is not in the dataset")
         return game
-
-    def games_for_team(self, team_id: str) -> tuple[GameRecord, ...]:
-        return self.team_games.get(team_id, ())
 
     def player_name(self, player_id: str) -> str:
         return self.player_names.get(player_id, player_id)

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcproi import FIELD_ORDER, RAW_STATS, FieldId, derive_fields, underive_fields
-from gcproi.errors import NegativeDerivedField
+from gcproi.errors import GcproiError, NegativeDerivedField
+from gcproi.fields import ADJUSTMENTS
 
 
 def source_row(**named) -> tuple:
@@ -122,3 +124,104 @@ def test_each_source_stat_feeds_the_field_at_its_position():
     for i in range(len(RAW_STATS)):
         onehot = tuple(float(j == i) for j in range(len(RAW_STATS)))
         assert derive_fields(onehot, clamp_negative=True) == onehot, RAW_STATS[i]
+
+
+# --- the adjustment table against the formulas written out by name ----------
+
+def reference_derive(row, clamp_negative=False):
+    """The adjustment formulas, one by one and by source stat name."""
+    if len(row) != len(RAW_STATS):
+        raise ValueError(f"expected {len(RAW_STATS)} source stats, got {len(row)}")
+    src = dict(zip(RAW_STATS, row))
+    for name, v in src.items():
+        if not (0.0 <= v < float("inf")):
+            raise ValueError(f"source stat {name!r} must be a finite non-negative number, got {v}")
+
+    g = src.__getitem__
+    out = list(row)
+
+    def adj(fid, value):
+        if value < 0.0:
+            if not clamp_negative:
+                raise NegativeDerivedField(fid, value)
+            value = 0.0
+        out[fid] = value
+
+    adj(FieldId.FG2O, g("FGM") - g("FG3M"))
+    adj(FieldId.FG2X, (g("FGA") - g("FG3A")) - out[FieldId.FG2O])
+    adj(FieldId.FG3X, g("FG3A") - g("FG3M"))
+    adj(FieldId.FTX, g("FTA") - g("FTM"))
+    adj(FieldId.AC2P, g("Contested 2PT Shots") - g("BLK"))
+    adj(FieldId.DFGX, g("DFGA") - g("DFGM"))
+    adj(FieldId.APM, g("Passes Made") - g("Secondary Assist") - g("Potential Assists"))
+    adj(FieldId.AORC, g("OREB Chances") - g("Contested OREB"))
+    adj(FieldId.ADRC, g("DREB Chances") - g("Contested DREB"))
+    return tuple(out)
+
+
+def reference_underive(v):
+    """The inverse formulas, one by one and by source stat name."""
+    raw = dict(zip(RAW_STATS, v))
+    raw["FGM"] = v[FieldId.FG2O] + v[FieldId.FG3O]
+    raw["FGA"] = v[FieldId.FG2O] + v[FieldId.FG2X] + v[FieldId.FG3O] + v[FieldId.FG3X]
+    raw["FG3A"] = v[FieldId.FG3O] + v[FieldId.FG3X]
+    raw["FTA"] = v[FieldId.FTO] + v[FieldId.FTX]
+    raw["Contested 2PT Shots"] = v[FieldId.AC2P] + v[FieldId.BLK]
+    raw["DFGA"] = v[FieldId.DFGO] + v[FieldId.DFGX]
+    raw["Passes Made"] = v[FieldId.APM] + v[FieldId.AST2] + v[FieldId.PAST]
+    raw["OREB Chances"] = v[FieldId.AORC] + v[FieldId.OCRB]
+    raw["DREB Chances"] = v[FieldId.ADRC] + v[FieldId.DCRB]
+    return tuple(raw.values())
+
+
+def outcome(fn, *args):
+    """fn's result as exact bits (float.hex keeps the sign of a zero), or
+    its error's type, message, field and value."""
+    try:
+        return tuple(map(float.hex, fn(*args)))
+    except (ValueError, GcproiError) as exc:
+        return type(exc), str(exc), getattr(exc, "field", None), getattr(exc, "value", None)
+
+
+SPECIAL_VALUES = (-0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324, -1.0, -3.5)
+counts = st.integers(min_value=0, max_value=30).map(float) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def source_rows(draw):
+    """Rows of 36 or 37 small counts and signed zeros; in half of them, up to
+    three values are replaced by an edge value or any float."""
+    row = draw(st.lists(counts, min_size=36, max_size=37))
+    if draw(st.booleans()):
+        for i in draw(st.lists(st.integers(0, len(row) - 1), max_size=3)):
+            row[i] = draw(st.sampled_from(SPECIAL_VALUES) | st.floats())
+    return tuple(row)
+
+
+@settings(max_examples=300)
+@given(source_rows(), st.booleans())
+def test_derive_matches_the_named_formulas(row, clamp):
+    assert outcome(derive_fields, row, clamp) == outcome(reference_derive, row, clamp)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**40).map(float) | st.sampled_from([0.0, -0.0]),
+                min_size=37, max_size=37).map(tuple))
+def test_underive_matches_the_named_formulas_on_integer_counts(row):
+    assert outcome(underive_fields, row) == outcome(reference_underive, row)
+
+
+def test_adjustments_are_in_position_order_and_start_from_their_own_source_stat():
+    fields = [field for field, _ in ADJUSTMENTS]
+    assert fields == sorted(set(fields))
+    assert {RAW_STATS[field]: field for field in fields} == {
+        "FGM": FieldId.FG2O, "FGA": FieldId.FG2X, "FG3A": FieldId.FG3X, "FTA": FieldId.FTX,
+        "Contested 2PT Shots": FieldId.AC2P, "DFGA": FieldId.DFGX, "Passes Made": FieldId.APM,
+        "OREB Chances": FieldId.AORC, "DREB Chances": FieldId.ADRC}
+
+
+@pytest.mark.parametrize("fn, what", [(derive_fields, "source stats"),
+                                      (underive_fields, "fields")])
+@pytest.mark.parametrize("n", [0, 36, 38])
+def test_a_row_of_another_length_is_a_value_error(fn, what, n):
+    with pytest.raises(ValueError, match=f"^expected 37 {what}, got {n}$"):
+        fn((1.0,) * n)

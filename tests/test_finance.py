@@ -1,8 +1,10 @@
 import math
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcproi import (
     CashFlowSeries,
@@ -153,8 +155,53 @@ def test_traded_player_schedule_concatenates_his_stints():
 
 
 def test_traded_back_player_has_one_stint_per_run():
-    slots = player_schedule(_trade_dataset(), "bad")
+    ds = _trade_dataset()
+    # first and last are positions in that team's games
+    assert ds.player_runs("bad") == (("A", 0, 0), ("C", 1, 1), ("A", 3, 3))
+    slots = player_schedule(ds, "bad")
     assert [(g.game_id, t) for g, t in slots] == [("ab0", "A"), ("cd1", "C"), ("ab3", "A")]
+
+
+def league_filter_schedule(ds, player_id):
+    """player_schedule with runs as positions in ds.games, each window
+    filtered for the team's games out of the whole league's."""
+    runs = []
+    for idx, g in enumerate(ds.games):
+        for team in g.teams:
+            if any(ln.player_id == player_id for ln in g.roster(team)):
+                if runs and runs[-1][0] == team:
+                    runs[-1][2] = idx
+                else:
+                    runs.append([team, idx, idx])
+    if len(runs) == 1:
+        return tuple((g, runs[0][0]) for g in ds.games if runs[0][0] in g.teams)
+    return tuple((g, team) for team, first, last in runs
+                 for g in ds.games[first:last + 1] if team in g.teams)
+
+
+@st.composite
+def traded_seasons(draw):
+    """Up to 10 days of one or two games among four teams, in which each of a
+    few players appears for either team, sits out or is absent, game by game."""
+    n_players = draw(st.integers(1, 5))
+    games = []
+    for day in range(draw(st.integers(1, 10))):
+        t = draw(st.permutations("ABCD"))
+        for t1, t2 in ((t[0], t[1]), (t[2], t[3]))[:draw(st.integers(1, 2))]:
+            gid = f"g{day:02d}{t1}"
+            lines = [make_line(f"{team}-perm", team, gid, MIN=10) for team in (t1, t2)]
+            for p in range(n_players):
+                team = draw(st.sampled_from((None, t1, t2)))
+                if team is not None:
+                    lines.append(make_line(f"p{p}", team, gid, MIN=draw(st.sampled_from((0, 5)))))
+            games.append(make_game(gid, date(2024, 1, 1) + timedelta(days=day), t1, t2, lines))
+    return SeasonDataset.from_games(games)
+
+
+@given(traded_seasons())
+def test_schedules_from_team_positions_match_the_league_wide_filter(ds):
+    for player_id in ds.player_ids:
+        assert player_schedule(ds, player_id) == league_filter_schedule(ds, player_id)
 
 
 def test_trade_windows_span_missed_games_inside_a_stint():

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import pickle
 import sys
 import tempfile
 from datetime import date
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcproi import (
+    RAW_STATS,
     FieldId,
     SalaryTable,
     SeasonDataset,
@@ -396,7 +398,7 @@ def test_synthetic_round_trip_preserves_the_dataset(tmp_path):
     ds, _, book = synth_season(SynthConfig(seed=7, teams=4, games_per_team=6))
     assert len(ds.games) == 4 * 6 // 2
     for team, game_ids in book.schedule.items():
-        assert tuple(g.game_id for g in ds.games_for_team(team)) == game_ids
+        assert tuple(g.game_id for g in ds.team_games[team]) == game_ids
 
     path = tmp_path / "games.csv"
     write_games_csv(ds, path)
@@ -451,6 +453,29 @@ def test_raw_stat_schema_round_trips_through_the_adjustments(tmp_path, bosphi):
     write_raw_games_csv(bosphi, path)
     ds = parse_games(path, fmt="raw")
     assert ds == bosphi
+
+
+@pytest.mark.parametrize("clamp_negative", [False, True], ids=["strict", "clamped"])
+def test_an_inconsistent_raw_row_fails_on_its_line_or_clamps(tmp_path, bosphi, clamp_negative):
+    # Line 5 is grant-williams, 4 of 7 field goals with 2 of 4 threes; 1 make
+    # with 3 made threes takes FG2O = FGM - FG3M to -2.
+    path = tmp_path / "raw.csv"
+    write_raw_games_csv(bosphi, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[4].split(",")
+    assert cells[4] == "grant-williams"
+    cells[6 + RAW_STATS.index("FGM")], cells[6 + RAW_STATS.index("FG3M")] = "1", "3"
+    lines[4] = ",".join(cells)
+    path.write_text("".join(lines), encoding="utf-8")
+    if not clamp_negative:
+        with pytest.raises(NegativeDerivedField) as exc:
+            parse_games(path, fmt="raw")
+        assert str(exc.value) == "derived field FG2O is negative (-2.0) (line 5)"
+        assert exc.value.line == 5 and exc.value.field is FieldId.FG2O
+    else:
+        ds = parse_games(path, fmt="raw", clamp_negative=True)
+        (values,) = [ln.values for ln in ds.games[0].lines if ln.player_id == "grant-williams"]
+        assert (values[FieldId.FG2O], values[FieldId.FG2X], values[FieldId.FG3X]) == (0.0, 3.0, 1.0)
 
 
 #: Id and name texts the csv module must quote, or must leave as they are.
@@ -813,8 +838,8 @@ def test_a_season_that_breaks_an_invariant_cannot_be_built():
     ds = SeasonDataset.from_games([g2, g1])
     assert ds.games == (g1, g2)
     assert ds.get_game("g2") is g2
-    assert ds.games_for_team("A") == (g1, g2)
-    assert ds.games_for_team("C") == ()
+    assert ds.team_games["A"] == (g1, g2)
+    assert ds.team_games.get("C", ()) == ()
 
 
 # --- records -----------------------------------------------------------------
@@ -867,6 +892,23 @@ def test_a_player_runs_result_cannot_corrupt_the_index(bosphi):
     assert bosphi.player_runs("al-horford") == runs
     assert player_schedule(bosphi, "al-horford") == before
     assert bosphi.player_runs("nobody") == ()
+
+
+def test_the_team_index_is_read_only_and_a_pickled_season_indexes_again(bosphi):
+    from gcproi.finance import player_schedule
+    before = player_schedule(bosphi, "al-horford")
+    with pytest.raises(AttributeError):
+        bosphi.team_games.clear()
+    with pytest.raises(TypeError):
+        bosphi.team_games["BOS"] = ()
+    assert player_schedule(bosphi, "al-horford") == before
+    assert bosphi.team_games["BOS"] == bosphi.games
+
+    copy = pickle.loads(pickle.dumps(bosphi))
+    assert copy == bosphi and copy.team_games == bosphi.team_games
+    with pytest.raises(TypeError):
+        copy.team_games["BOS"] = ()
+    assert player_schedule(copy, "al-horford") == before
 
 
 def test_replacing_a_game_field_checks_and_indexes_like_building_one():

@@ -85,13 +85,13 @@ def test_planted_zero_field_shrinks_the_active_set():
     ds, _, book = synth_season(cfg)
     assert book.zero_fields["T02"] == (FieldId.CHGD,)
     reports = season_reports(ds)
-    for g in ds.games_for_team("T02"):
+    for g in ds.team_games["T02"]:
         side = reports[g.game_id].team("T02")
         assert side.weight == 1 / 36
         assert FieldId.CHGD not in side.active_fields
         # bookkeeping cross-check against the independent operation
         assert active_fields(team_totals(g, "T02")) == side.active_fields
-    for g in ds.games_for_team("T01"):
+    for g in ds.team_games["T01"]:
         assert reports[g.game_id].team("T01").weight == 1 / 37
 
 
