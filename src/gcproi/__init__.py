@@ -10,7 +10,6 @@ from .errors import GcproiError
 from .fields import FIELD_ORDER, RAW_STATS, FieldId, derive_fields, underive_fields
 from .finance import (
     CashFlowSeries,
-    SingleGameValue,
     breakeven_gcp,
     cash_flows,
     irr,

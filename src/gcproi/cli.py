@@ -76,11 +76,13 @@ def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcpRepo
     return ds, parse_salaries(args.salaries), gcp.season_reports(ds)
 
 
-def _sgv_for(args, ds: SeasonDataset, salaries: SalaryTable) -> finance.SingleGameValue:
-    if args.sgv_override is not None:
-        return finance.SingleGameValue.override(args.sgv_override)
-    games = len(ds.games) if args.season_games is None else args.season_games
-    return finance.sgv(salaries.total, games)
+def _sgv_for(args, ds: SeasonDataset | None = None, salaries: SalaryTable | None = None) -> float:
+    if args.sgv_override is None:
+        games = len(ds.games) if args.season_games is None else args.season_games
+        return finance.sgv(salaries.total, games)
+    if 0.0 < args.sgv_override < math.inf:
+        return args.sgv_override
+    raise GcproiError(f"SGV override must be a positive finite number, got {args.sgv_override}")
 
 
 def cmd_gcp(args) -> int:
@@ -193,17 +195,15 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_breakeven(args) -> int:
-    if args.sgv_override is not None:
-        value = finance.SingleGameValue.override(args.sgv_override)
-    elif args.games and args.salaries:
-        value = _sgv_for(args, parse_games(args.games), parse_salaries(args.salaries))
-    else:
+    if args.sgv_override is None and not (args.games and args.salaries):
         raise GcproiError("breakeven needs either --sgv or both --games and --salaries")
+    value = (_sgv_for(args) if args.sgv_override is not None
+             else _sgv_for(args, parse_games(args.games), parse_salaries(args.salaries)))
     required = finance.breakeven_gcp(args.salary, args.n_games, value)
     per_game = args.salary / args.n_games  # breakeven_gcp rejects an n_games beyond floats
     header = ["salary_usd", "n_games", "sgv_usd", "per_game_cashflow_usd", "required_gcp"]
     rows = [[args.salary, args.n_games,
-             _fmt(value.dollars, 2, args.full_precision),
+             _fmt(value, 2, args.full_precision),
              _fmt(per_game, 2, args.full_precision),
              _fmt(required, 4, args.full_precision)]]
     _emit(header, rows, args)

@@ -39,26 +39,9 @@ DEFAULT_NPV_TOL = 1e-6
 MAX_RATE = 1e15
 
 
-class SingleGameValue(NamedTuple):
-    """Dollar value of one team-game slot.
-
-    Built from data via sgv(); source_total and game_slots are None when the
-    dollar figure was supplied directly as an override.
-    """
-
-    dollars: float
-    source_total: int | None = None
-    game_slots: int | None = None
-
-    @classmethod
-    def override(cls, dollars: float) -> "SingleGameValue":
-        if not 0.0 < dollars < math.inf:
-            raise NonPositiveInput(f"SGV override must be a positive finite number, got {dollars}")
-        return cls(dollars=float(dollars))
-
-
-def sgv(total_salary: int, games: int) -> SingleGameValue:
-    """Convert the league-wide salary total into pricing for one team-game.
+def sgv(total_salary: int, games: int) -> float:
+    """Convert the league-wide salary total into the dollar value of one
+    team-game slot: total_salary / (2 * games).
 
     Full precision is kept; round only for display.
     """
@@ -66,9 +49,7 @@ def sgv(total_salary: int, games: int) -> SingleGameValue:
         raise NonPositiveInput(f"total salary must be positive, got {total_salary}")
     if games <= 0:
         raise NonPositiveInput(f"game count must be positive, got {games}")
-    slots = 2 * games
-    return SingleGameValue(dollars=total_salary / slots,
-                           source_total=int(total_salary), game_slots=slots)
+    return total_salary / (2 * games)
 
 
 class CashFlowSeries(NamedTuple):
@@ -135,16 +116,16 @@ def scheduled_shares(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 
 
 def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
-               value: SingleGameValue, salary: float,
+               value: float, salary: float,
                scheduled: Scheduled | None = None) -> CashFlowSeries:
-    """Realized cash-flow series for one player: SGV times GCP per scheduled
-    game, zero where the player did not appear. scheduled, when given, is
-    the player's scheduled_shares, so that callers needing it too compute
-    it once."""
+    """Realized cash-flow series for one player: value (the SGV, in
+    dollars) times GCP per scheduled game, zero where the player did not
+    appear. scheduled, when given, is the player's scheduled_shares, so that
+    callers needing it too compute it once."""
     if salary <= 0:
         raise NonPositiveInvestment(f"salary must be positive, got {salary}")
     slots, shares = scheduled or scheduled_shares(ds, reports, player_id)
-    flows = tuple(value.dollars * share for share in shares)
+    flows = tuple(value * share for share in shares)
     return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
                           schedule=tuple(g.game_id for g, _ in slots))
 
@@ -299,20 +280,21 @@ def _solve(value: Callable[[float], float], abs_tol: float) -> RoiResult:
                               math.nextafter(hi, math.inf)))
 
 
-def breakeven_gcp(salary: float, n_games: int, value: SingleGameValue) -> float:
+def breakeven_gcp(salary: float, n_games: int, value: float) -> float:
     """Constant per-game GCP at which the salary is exactly recovered at a
-    0% rate over n_games: salary / (n_games * SGV)."""
+    0% rate over n_games: salary / (n_games * value), value being the SGV in
+    dollars."""
     if not 0.0 < salary < math.inf:
         raise NonPositiveInput(f"salary must be a positive finite number, got {salary}")
     if n_games <= 0:
         raise NonPositiveInput(f"n_games must be positive, got {n_games}")
-    if not 0.0 < value.dollars < math.inf:
-        raise NonPositiveInput(f"SGV must be a positive finite number, got {value.dollars}")
+    if not 0.0 < value < math.inf:
+        raise NonPositiveInput(f"SGV must be a positive finite number, got {value}")
     try:
-        required = salary / (n_games * value.dollars)
+        required = salary / (n_games * value)
     except OverflowError:  # an int n_games beyond the float range
         raise NonPositiveInput("n_games exceeds the float range") from None
     if not required < math.inf:
         raise NonPositiveInput(f"break-even GCP exceeds the float range (salary {salary}, "
-                               f"n_games {n_games}, SGV {value.dollars})")
+                               f"n_games {n_games}, SGV {value})")
     return required

@@ -15,17 +15,18 @@ Input formats (all UTF-8 CSV; errors name the 1-based line a row starts on):
 A row whose 37 stats are all zero is a player who sat the game out: it stays
 in the game's lines, and in a write-back, but GameRecord keeps it out of the
 rosters, so it carries no GCP. Parsing is single-pass, each parser reading
-rows straight from the csv reader that _csv_reader opens; the resulting
-SeasonDataset holds no reference cycles, is immutable afterward and is safe
-to share across threads.
+rows straight from the csv reader that _csv_reader opens. The resulting
+SeasonDataset and SalaryTable hold no reference cycles, are immutable (their
+name and salary maps are read-only copies) and are safe to share across
+threads.
 
-Equal stat texts are parsed once per file and share one float (_StatValue),
-and the lines of a file share one string per game, team and player id. The
-speed-up rests on repeated text: the benchmark's synthetic seasons repeat
-92% of their stat cells (only MIN, ODIS and DDIS are fractional), and box
-scores of small integer counts repeat more. A file whose every stat cell is
-distinct parses about twice as slowly, and the memo then holds every cell
-text until the parse ends.
+One lookup, _StatValue, parses and checks every stat cell. Equal stat texts
+are parsed once per file and share one float, and the lines of a file share
+one string per game, team and player id. The speed-up rests on repeated
+text: the benchmark's synthetic seasons repeat 92% of their stat cells (only
+MIN, ODIS and DDIS are fractional), and box scores of small integer counts
+repeat more. A file whose every stat cell is distinct parses about twice as
+slowly, and the memo then holds every cell text until the parse ends.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateLine,
@@ -139,21 +140,21 @@ class GameRecord(_GameFields):
 
 class _SeasonFields(NamedTuple):
     games: tuple[GameRecord, ...]
-    player_names: dict[str, str]
+    player_names: Mapping[str, str]
 
 
 class SeasonDataset(_SeasonFields):
-    """Games ordered by (date, game_id), plus the player-name lookup.
-    Building one rejects games out of that order and a repeated game id, and
-    maps each game id to its game and each team to its games (team_games,
-    read-only); the player index is built on first use. Equality ignores them,
-    and unpickling builds and checks them again."""
+    """Games ordered by (date, game_id), plus a read-only copy of the
+    player-name lookup. Building one rejects games out of that order and a
+    repeated game id, and maps each game id to its game and each team to its
+    games (team_games, read-only); the player index is built on first use.
+    Equality ignores them, and unpickling builds and checks them again."""
 
     __setattr__ = __delattr__ = _read_only
     _make = _construct
 
     def __new__(cls, games: tuple[GameRecord, ...], player_names: dict[str, str]) -> SeasonDataset:
-        self = super().__new__(cls, games, player_names)
+        self = super().__new__(cls, games, MappingProxyType(dict(player_names)))
         by_id: dict[str, GameRecord] = {}
         team_games: dict[str, list[GameRecord]] = {}
         for prev, g in zip((None, *games), games):
@@ -169,13 +170,13 @@ class SeasonDataset(_SeasonFields):
         return self
 
     def __reduce__(self):
-        return type(self), tuple(self)
+        return type(self), (self.games, dict(self.player_names))
 
     @classmethod
     def from_games(cls, games: Iterable[GameRecord],
                    player_names: dict[str, str] | None = None) -> "SeasonDataset":
         ordered = tuple(sorted(games, key=lambda g: (g.date, g.game_id)))
-        return cls(games=ordered, player_names=dict(player_names or {}))
+        return cls(games=ordered, player_names=player_names or {})
 
     @cached_property
     def _runs(self) -> dict[str, tuple[tuple[str, int, int], ...]]:
@@ -215,17 +216,23 @@ class SeasonDataset(_SeasonFields):
 
 
 class _SalaryFields(NamedTuple):
-    entries: dict[str, int]
-    names: dict[str, str]
+    entries: Mapping[str, int]
+    names: Mapping[str, str]
 
 
 class SalaryTable(_SalaryFields):
-    """Annual salary in integer dollars per player, and names (a new {} when left out)."""
+    """Annual salary in integer dollars per player, and names ({} when left
+    out), each held as a read-only copy of the mapping given."""
 
     __slots__ = ()
+    _make = _construct
 
     def __new__(cls, entries: dict[str, int], names: dict[str, str] | None = None) -> SalaryTable:
-        return super().__new__(cls, entries, {} if names is None else names)
+        return super().__new__(cls, MappingProxyType(dict(entries)),
+                               MappingProxyType(dict(names or {})))
+
+    def __reduce__(self):
+        return type(self), (dict(self.entries), dict(self.names))
 
     @property
     def total(self) -> int:
@@ -243,25 +250,19 @@ class Violation(NamedTuple):
     player_id: str | None = None
 
 
-def _parse_stat(text: str, line_no: int, column: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise SchemaError(f"not a number: {text!r}", line_no, column) from None
-    if not (0.0 <= v < float("inf")):
-        raise SchemaError(f"stat must be finite and non-negative, got {text!r}", line_no, column)
-    return v
-
-
 class _StatValue(dict):
     """Stat value by cell text, for one parse call: float(text), remembered
-    only for texts _parse_stat accepts, and a ValueError for any other. Keyed
-    by text, so "-0" stays -0.0 and equal texts share one float."""
+    only when finite and non-negative. Any other text raises ValueError, with
+    the message that the cell's SchemaError carries. Keyed by text, so "-0"
+    stays -0.0 and equal texts share one float."""
 
     def __missing__(self, text: str) -> float:
-        v = float(text)
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValueError(f"not a number: {text!r}") from None
         if not 0.0 <= v < math.inf:
-            raise ValueError(text)
+            raise ValueError(f"stat must be finite and non-negative, got {text!r}")
         self[text] = v
         return v
 
@@ -342,9 +343,12 @@ def parse_games(path: str | Path, fmt: str = "derived",
 
             try:
                 values = tuple(map(value, row[6:]))
-            except ValueError:  # rescan cell by cell for the first bad cell's error
-                values = tuple(_parse_stat(text, line_no, column)
-                               for text, column in zip(row[6:], stat_columns))
+            except ValueError:  # rescan cell by cell to name the first bad cell's column
+                for text, column in zip(row[6:], stat_columns):
+                    try:
+                        value(text)
+                    except ValueError as exc:
+                        raise SchemaError(str(exc), line_no, column) from None
             if fmt == "raw":
                 try:
                     values = derive_fields(values, clamp_negative)
@@ -450,21 +454,22 @@ class _StatText(dict):
         return repr(v)
 
 
-def _fmt_stat(v: float) -> str:
-    """The cell text of one stat value (see _StatText)."""
-    return _StatText()[v]
+def _row_text():
+    """A csv writerow that returns the row's text, ending in CR LF. The
+    writers cut that to LF: csv quotes its line terminator's characters, so
+    a cell holding a CR or an LF is quoted on every Python and the file
+    parses back."""
+    # writerow returns what its target's write returns: here, the row text.
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
 def _write_lines(ds: SeasonDataset, path: str | Path | io.TextIOBase,
                  header: tuple[str, ...], stats) -> None:
     """Write header, then each player-game as its id columns and stats(line).
 
-    Only id cells go through csv quoting; a stat text never needs it. The
-    csv rows end in CR LF, cut to LF, so that an id cell holding a CR or an
-    LF is quoted on every Python (csv quotes its line terminator's
-    characters) and the file parses back."""
-    # writerow returns what its target's write returns: here, the row text.
-    row_text = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    Only id cells go through csv quoting (see _row_text); a stat text never
+    needs it."""
+    row_text = _row_text()
 
     def emit(fh) -> None:
         write = fh.write
@@ -503,11 +508,12 @@ def write_raw_games_csv(ds: SeasonDataset, path: str | Path) -> None:
 
 
 def write_salaries_csv(table: SalaryTable, path: str | Path) -> None:
+    """Write the table in the salaries schema, rows by player id, each cut
+    from _row_text's CR LF to LF."""
+    row_text = _row_text()
+    rows = ([p, table.name(p), str(table.entries[p])] for p in sorted(table.entries))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SALARIES_HEADER)
-        for player_id in sorted(table.entries):
-            w.writerow([player_id, table.name(player_id), str(table.entries[player_id])])
+        fh.writelines(row_text(row)[:-2] + "\n" for row in (SALARIES_HEADER, *rows))
 
 
 def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> tuple[Violation, ...]:

@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple
 
 from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
-from .finance import DEFAULT_NPV_TOL, SingleGameValue, cash_flows, irr, pvgcp, scheduled_shares
+from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp, scheduled_shares
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
 from .gcp import GameGcpReport, nonzero_gcp_distribution
@@ -37,7 +37,6 @@ class LeaderboardRow(NamedTuple):
     gp: int
     pvgcp: float
     gcp_per_game: float
-    roi: float | None = None
 
 
 class RoiRow(NamedTuple):
@@ -53,8 +52,10 @@ class RoiRow(NamedTuple):
 
 
 class RoiBoards(NamedTuple):
-    top: tuple[LeaderboardRow, ...]
-    bottom: tuple[LeaderboardRow, ...]
+    """The ok rows of roi_table, best first (top) and worst first (bottom)."""
+
+    top: tuple[RoiRow, ...]
+    bottom: tuple[RoiRow, ...]
     qualifying: int
     total_defaults: int
     below_min_games: int
@@ -119,7 +120,7 @@ def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 
 
 def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
-              salaries: SalaryTable, value: SingleGameValue,
+              salaries: SalaryTable, value: float,
               min_games: int = DEFAULT_MIN_GAMES,
               abs_tol: float = DEFAULT_NPV_TOL) -> list[RoiRow]:
     """ROI accounting for every salaried player.
@@ -164,7 +165,7 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 
 
 def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
-                    salaries: SalaryTable, value: SingleGameValue,
+                    salaries: SalaryTable, value: float,
                     top_k: int = 50, bottom_k: int = 50,
                     min_games: int = DEFAULT_MIN_GAMES) -> RoiBoards:
     """Top and bottom ROI boards over players with at least min_games
@@ -175,17 +176,9 @@ def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     # roi_table lists the ok rows first, in top-board order.
     qualifying = [r for r in rows if r.status == STATUS_OK]
     bottom = sorted(qualifying, key=lambda r: (r.roi, r.player_name, r.player_id))
-
-    def board(ordered: list[RoiRow]) -> tuple[LeaderboardRow, ...]:
-        return tuple(
-            LeaderboardRow(rank=i, player_id=r.player_id, player_name=r.player_name,
-                           salary=r.salary, gp=r.gp, pvgcp=r.pvgcp,
-                           gcp_per_game=r.pvgcp / r.gp, roi=r.roi)
-            for i, r in enumerate(ordered, start=1))
-
     return RoiBoards(
-        top=board(qualifying[:top_k]),
-        bottom=board(bottom[:bottom_k]),
+        top=tuple(qualifying[:top_k]),
+        bottom=tuple(bottom[:bottom_k]),
         qualifying=len(qualifying),
         total_defaults=sum(1 for r in rows if r.status == STATUS_TOTAL_DEFAULT),
         below_min_games=sum(1 for r in rows if r.status == STATUS_BELOW_MIN_GAMES),
@@ -208,7 +201,7 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
 
 
 def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcpReport],
-                       salaries: SalaryTable, value: SingleGameValue,
+                       salaries: SalaryTable, value: float,
                        min_games: int = DEFAULT_MIN_GAMES) -> list[RoiRow]:
     """The ok rows of roi_table, one per qualifying player, by (salary, player_id)."""
     rows = roi_table(ds, reports, salaries, value, min_games=min_games)

@@ -18,7 +18,6 @@ import pytest
 from gcproi import (
     CashFlowSeries,
     FieldId,
-    SingleGameValue,
     SynthConfig,
     breakeven_gcp,
     comparison,
@@ -81,12 +80,12 @@ def test_criterion_1_golden_game():
 def test_criterion_2_sgv_reproduction():
     with criterion(2, "single game value rounds to $1,818,162"):
         value = sgv(4_472_678_188, 1230)
-        assert round(value.dollars) == 1_818_162
+        assert round(value) == 1_818_162
 
 
 def test_criterion_3_breakeven_reproduction():
     with criterion(3, "break-even cash flow ~$0.586M and share ~32.24%"):
-        value = SingleGameValue.override(1_818_162.0)
+        value = 1_818_162.0
         per_game = 48_070_000 / 82
         assert abs(per_game - 586_000.0) <= 500.0
         required = breakeven_gcp(48_070_000, 82, value)

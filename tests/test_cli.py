@@ -306,13 +306,29 @@ def golden_pair(tmp_path_factory):
 def test_an_sgv_override_of_the_derived_sgv_gives_the_same_bytes(sub, form, golden_pair,
                                                                   tmp_path):
     games, salaries = golden_pair / "games.csv", golden_pair / "salaries.csv"
-    derived = sgv(parse_salaries(salaries).total, len(parse_games(games).games)).dollars
+    derived = sgv(parse_salaries(salaries).total, len(parse_games(games).games))
     argv = [sub, "--games", str(games), "--salaries", str(salaries), *CASES[sub][1],
             *FORMS[form]]
     flag = "--sgv" if sub == "breakeven" else "--sgv-override"
     rc, body = run(argv, tmp_path, "derived")
     assert rc == 0
     assert run(argv + [flag, repr(derived)], tmp_path, "override") == (0, body)
+
+
+@pytest.mark.parametrize("text, shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"),
+                                         ("inf", "inf")])
+@pytest.mark.parametrize("sub", ["roi", "scatter", "breakeven"])
+def test_a_bad_sgv_override_is_named_on_stderr(sub, text, shown, tmp_path, data_dir, capsys):
+    argv = [sub, "--games", str(data_dir / "bosphi_games.csv"),
+            "--salaries", str(data_dir / "bosphi_salaries.csv"), "--out", str(tmp_path / "x")]
+    if sub == "breakeven":
+        argv += ["--salary", "1000000", "--n-games", "10", "--sgv", text]
+    else:
+        argv += ["--sgv-override", text]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: SGV override must be a positive finite number, got {shown}\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_breakeven_without_sgv_or_data_fails(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gcproi import (
     CashFlowSeries,
     SeasonDataset,
-    SingleGameValue,
     breakeven_gcp,
     cash_flows,
     irr,
@@ -43,18 +42,16 @@ def series(cf0, flows, player="p"):
 
 def test_league_total_prices_one_slot_at_1818162_dollars():
     value = sgv(4_472_678_188, 1230)
-    assert round(value.dollars) == 1_818_162
-    assert value.game_slots == 2460
-    assert value.source_total == 4_472_678_188
+    assert round(value) == 1_818_162
 
 
 def test_sgv_trivial_unit():
-    assert sgv(2460, 1230).dollars == 1.0
+    assert sgv(2460, 1230) == 1.0
 
 
 def test_sgv_matches_hand_division_on_a_six_game_schedule():
     total = 7_654_321
-    assert sgv(total, 6).dollars == total / 12
+    assert sgv(total, 6) == total / 12
 
 
 def test_sgv_rejects_non_positive_inputs():
@@ -62,9 +59,6 @@ def test_sgv_rejects_non_positive_inputs():
         sgv(0, 10)
     with pytest.raises(NonPositiveInput):
         sgv(100, 0)
-    for bad in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(NonPositiveInput):
-            SingleGameValue.override(bad)
 
 
 # --- schedules and cash flows ------------------------------------------
@@ -85,7 +79,7 @@ def test_unknown_player_has_no_schedule():
 def test_flow_is_sgv_times_share():
     ds = build_two_team_season(1, ["solo"], ["b1"])
     reports = season_reports(ds)
-    value = SingleGameValue.override(1_818_162.0)
+    value = 1_818_162.0
     cf = cash_flows(ds, reports, "solo", value, salary=1_000_000)
     # A lone active player owns the whole game.
     assert cf.flows == (1_818_162.0,)
@@ -104,7 +98,7 @@ def test_flow_is_sgv_times_share():
 def test_missed_games_are_exact_zeros():
     ds = build_two_team_season(8, ["a1", "a2"], ["b1"], misses={"a1": {2, 3, 4}})
     reports = season_reports(ds)
-    cf = cash_flows(ds, reports, "a1", SingleGameValue.override(100.0), salary=50)
+    cf = cash_flows(ds, reports, "a1", 100.0, salary=50)
     assert len(cf.flows) == 8
     assert cf.flows[2] == 0.0 and cf.flows[3] == 0.0 and cf.flows[4] == 0.0
     assert all(f > 0.0 for i, f in enumerate(cf.flows) if i not in (2, 3, 4))
@@ -114,8 +108,7 @@ def test_fifty_six_appearances_of_eighty_two_leave_26_defaults():
     missed = set(random.Random(23).sample(range(82), 26))
     ds = build_two_team_season(82, ["star", "mate"], ["b1"], misses={"star": missed})
     reports = season_reports(ds)
-    cf = cash_flows(ds, reports, "star", SingleGameValue.override(1000.0),
-                    salary=37_980_720)
+    cf = cash_flows(ds, reports, "star", 1000.0, salary=37_980_720)
     assert len(cf.flows) == 82
     assert sum(1 for f in cf.flows if f == 0.0) == 26
     m = pvgcp(ds, reports, "star")
@@ -222,7 +215,7 @@ def test_trade_windows_span_missed_games_inside_a_stint():
     slots = player_schedule(ds, "tp")
     assert [g.game_id for g, _ in slots] == ["ab0", "ab1", "ab2", "cd0"]
     reports = season_reports(ds)
-    cf = cash_flows(ds, reports, "tp", SingleGameValue.override(10.0), salary=1)
+    cf = cash_flows(ds, reports, "tp", 10.0, salary=1)
     assert cf.flows[1] == 0.0  # the missed middle game defaults
 
 
@@ -403,7 +396,7 @@ def test_solver_repeats_the_solve_when_its_rate_misses_the_tolerance():
 # --- break-even ----------------------------------------------------------
 
 def test_breakeven_for_the_top_2023_salary():
-    value = SingleGameValue.override(1_818_162.0)
+    value = 1_818_162.0
     per_game = 48_070_000 / 82
     assert abs(per_game - 586_000.0) <= 500.0
     required = breakeven_gcp(48_070_000, 82, value)
@@ -411,7 +404,7 @@ def test_breakeven_for_the_top_2023_salary():
 
 
 def test_breakeven_trivial_unit():
-    assert breakeven_gcp(500.0, 1, SingleGameValue.override(500.0)) == 1.0
+    assert breakeven_gcp(500.0, 1, 500.0) == 1.0
 
 
 def test_breakeven_feeds_back_through_the_solver_at_rate_zero():
@@ -419,28 +412,28 @@ def test_breakeven_feeds_back_through_the_solver_at_rate_zero():
     for _ in range(10):
         salary = rng.uniform(1e5, 5e7)
         n = rng.randint(1, 82)
-        value = SingleGameValue.override(rng.uniform(1e5, 5e6))
+        value = rng.uniform(1e5, 5e6)
         g = breakeven_gcp(salary, n, value)
-        flows = [g * value.dollars] * n
+        flows = [g * value] * n
         result = irr(series(salary, flows))
         assert result.rate == pytest.approx(0.0, abs=1e-9)
 
 
 def test_breakeven_rejects_non_positive_inputs():
-    value = SingleGameValue.override(10.0)
+    value = 10.0
     with pytest.raises(NonPositiveInput):
         breakeven_gcp(0.0, 5, value)
     with pytest.raises(NonPositiveInput):
         breakeven_gcp(10.0, 0, value)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonPositiveInput):
-            breakeven_gcp(10.0, 5, SingleGameValue(dollars=bad))
+            breakeven_gcp(10.0, 5, bad)
         with pytest.raises(NonPositiveInput):
             breakeven_gcp(bad, 5, value)
 
 
 def test_breakeven_rejects_a_result_beyond_the_float_range():
     with pytest.raises(NonPositiveInput):
-        breakeven_gcp(1e308, 1, SingleGameValue.override(1e-308))
+        breakeven_gcp(1e308, 1, 1e-308)
     with pytest.raises(NonPositiveInput):
-        breakeven_gcp(5.0, int("9" * 400), SingleGameValue.override(1.0))
+        breakeven_gcp(5.0, int("9" * 400), 1.0)

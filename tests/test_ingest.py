@@ -37,7 +37,6 @@ from gcproi.ingest import (
     RAW_GAMES_HEADER,
     SALARIES_HEADER,
     PlayerGameLine,
-    _parse_stat,
 )
 from gcproi.synth import SynthConfig, synth_season
 
@@ -132,15 +131,16 @@ def _rewrite_row(path, src, line_no, cells):
 def test_a_bad_stat_cell_is_reported_at_its_line_and_first_column(data_dir, line_no, bad):
     first = min(bad)
     column = GAMES_HEADER[6 + first]
-    with pytest.raises(SchemaError) as expected:
-        _parse_stat(bad[first], line_no, column)
+    with pytest.raises(ValueError) as lookup:
+        ingest._StatValue()[bad[first]]
+    expected = SchemaError(str(lookup.value), line_no, column)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "games.csv"
         _rewrite_row(path, data_dir / "bosphi_games.csv", line_no, bad)
         with pytest.raises(SchemaError) as exc:
             parse_games(path)
     assert (exc.value.line, exc.value.column) == (line_no, column)
-    assert str(exc.value) == str(expected.value)
+    assert str(exc.value) == str(expected)
 
 
 def test_finite_cells_whose_row_sum_overflows_parse(tmp_path, data_dir):
@@ -155,18 +155,23 @@ def test_finite_cells_whose_row_sum_overflows_parse(tmp_path, data_dir):
 def test_valid_rows_never_take_the_per_cell_scan(tmp_path, data_dir, monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return _parse_stat(*args)
+    class Counting(ingest._StatValue):
+        def __getitem__(self, text):
+            calls.append(text)
+            return super().__getitem__(text)
 
-    monkeypatch.setattr(ingest, "_parse_stat", counting)
-    assert parse_games(data_dir / "bosphi_games.csv").games
-    assert calls == []
+    monkeypatch.setattr(ingest, "_StatValue", Counting)
+    path = data_dir / "bosphi_games.csv"
+    assert parse_games(path).games
+    rows = len(path.read_text(encoding="utf-8").splitlines()) - 1
+    assert len(calls) == 37 * rows  # one lookup per cell, no scan
+    calls.clear()
     bad = tmp_path / "bad.csv"
-    _rewrite_row(bad, data_dir / "bosphi_games.csv", 2, {3: "x"})
+    _rewrite_row(bad, path, 2, {3: "x"})
     with pytest.raises(SchemaError):
         parse_games(bad)
-    assert len(calls) == 4  # the scan stops at the first bad cell
+    # the row's cells up to the bad one, then the scan up to it again
+    assert len(calls) == 4 + 4 and calls[:4] == calls[4:] and calls[3] == "x"
 
 
 def test_stat_cells_accept_what_float_accepts_if_finite_and_non_negative(tmp_path, data_dir):
@@ -432,7 +437,7 @@ def written_cells(rows) -> list[list[str]]:
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(FINITE, min_size=37, max_size=37), min_size=1, max_size=3))
 def test_written_stat_cells_are_fmt_stat_of_each_value(rows):
-    assert written_cells(rows) == [[ingest._fmt_stat(v) for v in row] for row in rows]
+    assert written_cells(rows) == [[ingest._StatText()[v] for v in row] for row in rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,7 +445,7 @@ def test_written_stat_cells_are_fmt_stat_of_each_value(rows):
        fill=FINITE)
 def test_non_finite_stat_values_raise_as_fmt_stat_does(bad, at, fill):
     with pytest.raises(Exception) as expected:
-        ingest._fmt_stat(bad)
+        ingest._StatText()[bad]
     row = [fill] * 37
     row[at] = bad
     with pytest.raises(expected.type) as got:
@@ -507,7 +512,8 @@ def whole_rows(ds, header, stats) -> str:
     for g in ds.games:
         for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
             w.writerows([g.game_id, g.date.isoformat(), team, opp, ln.player_id,
-                         ds.player_name(ln.player_id), *map(ingest._fmt_stat, stats(ln))]
+                         ds.player_name(ln.player_id),
+                         *(ingest._StatText()[v] for v in stats(ln))]
                         for ln in g.lines if ln.team_id == team)
     return buf.getvalue()
 
@@ -687,6 +693,19 @@ def test_salary_write_parse_round_trip(tmp_path):
     again = parse_salaries(path)
     assert again.entries == table.entries
     assert again.names == table.names
+
+
+@pytest.mark.parametrize("text", ["\r", "\n", "\r\n", ",", '"'],
+                         ids=["cr", "lf", "crlf", "comma", "quote"])
+@pytest.mark.parametrize("where", ["name", "id"])
+def test_a_written_salary_table_parses_back_whatever_its_names_and_ids_hold(tmp_path, text,
+                                                                           where):
+    odd = f"p{text}1" if where == "id" else "p1"
+    table = SalaryTable({odd: 7, "p2": 9}, {odd: f"A{text}B", "p2": "Plain"})
+    path = tmp_path / "s.csv"
+    write_salaries_csv(table, path)
+    assert parse_salaries(path) == table
+    assert path.read_bytes().endswith(b"p2,Plain,9\n")
 
 
 def test_validate_clean_fixture_has_zero_violations(bosphi):
@@ -927,8 +946,43 @@ def test_a_salary_table_default_names_dict_is_its_own():
     a, b = SalaryTable({"a": 1}), SalaryTable({"b": 2})
     assert a.names == b.names == {}
     assert a.names is not b.names
-    a.names["a"] = "Ann"
-    assert b.names == {} and SalaryTable({"c": 3}).names == {}
+    with pytest.raises(TypeError):
+        a.names["a"] = "Ann"
+    assert a.names == b.names == {} and SalaryTable({"c": 3}).names == {}
+
+
+def test_name_and_salary_maps_are_read_only_copies(bosphi, data_dir):
+    sal = parse_salaries(data_dir / "bosphi_salaries.csv")
+    total, name = sal.total, bosphi.player_name("al-horford")
+    for mapping, value in ((bosphi.player_names, "Someone Else"), (sal.entries, 1),
+                           (sal.names, "Someone Else")):
+        with pytest.raises(TypeError):
+            mapping["al-horford"] = value
+        with pytest.raises(TypeError):
+            del mapping["al-horford"]
+        with pytest.raises(AttributeError):
+            mapping.clear()
+    assert sal.total == total == 263_710_396
+    assert bosphi.player_name("al-horford") == name == sal.name("al-horford")
+
+    entries, names = {"a": 1}, {"a": "Ann"}
+    table = SalaryTable(entries, names)
+    ds = SeasonDataset.from_games(bosphi.games, names)
+    entries["a"], names["a"] = 2, "Bo"
+    assert (table.total, table.name("a"), ds.player_name("a")) == (1, "Ann", "Ann")
+    assert table._replace(entries={"a": 3}).total == 3
+    with pytest.raises(TypeError):
+        table._replace(entries={"a": 3}).entries["a"] = 4
+
+
+@pytest.mark.parametrize("record", ["season", "salaries"])
+def test_a_pickled_season_or_salary_table_is_equal_and_read_only(record, bosphi, data_dir):
+    original = bosphi if record == "season" else parse_salaries(data_dir / "bosphi_salaries.csv")
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is type(original) and copy == original
+    names = copy.player_names if record == "season" else copy.names
+    with pytest.raises(TypeError):
+        names["al-horford"] = "Someone Else"
 
 
 def test_synth_config_default_dicts_are_its_own():

@@ -7,7 +7,6 @@ import pytest
 from gcproi import (
     SalaryTable,
     SeasonDataset,
-    SingleGameValue,
     SynthConfig,
     cash_flows,
     comparison,
@@ -151,7 +150,6 @@ def test_roi_boards_filter_and_count(synth_world):
     ranked = sorted(qualifying, key=lambda r: (-r.roi, r.player_name, r.player_id))
     assert top_ids == [r.player_id for r in ranked[:10]]
     assert bottom_ids == [r.player_id for r in ranked[::-1][:10]]
-    assert [r.rank for r in boards.top] == list(range(1, len(boards.top) + 1))
 
     # excluded players never appear
     excluded = {r.player_id for r in rows if r.status != STATUS_OK}
@@ -159,11 +157,23 @@ def test_roi_boards_filter_and_count(synth_world):
     assert not excluded & set(bottom_ids)
 
 
+def test_roi_boards_hold_the_ok_roi_rows_in_board_order(synth_world):
+    ds, salaries, _, reports, value = synth_world
+    boards = leaderboard_roi(ds, reports, salaries, value, top_k=7, bottom_k=5,
+                             min_games=10)
+    ok = [r for r in roi_table(ds, reports, salaries, value, min_games=10)
+          if r.status == STATUS_OK]
+    assert boards.top == tuple(ok[:7])
+    assert boards.bottom == tuple(sorted(ok, key=lambda r: (r.roi, r.player_name,
+                                                             r.player_id))[:5])
+    assert all(type(r) is reporting.RoiRow for r in boards.top + boards.bottom)
+
+
 def test_a_player_without_a_rate_ranks_between_below_min_games_and_total_default(synth_world):
     ds, salaries, _, reports, _ = synth_world
     # A subnormal slot value pushes each root toward -1; for some players
     # 1 + rate falls below the spacing of doubles there.
-    value = SingleGameValue.override(1e-310)
+    value = 1e-310
     rows = roi_table(ds, reports, salaries, value, min_games=1)
     statuses = [r.status for r in rows]
     assert STATUS_NO_RATE in statuses and STATUS_TOTAL_DEFAULT in statuses
@@ -307,7 +317,7 @@ def test_roi_sign_tracks_the_scaled_breakeven(synth_world):
     # With a fixed SGV, scaling a salary moves the player relative to his
     # break-even: the rate sign must follow sum(flows) vs the scaled salary.
     ds, salaries, _, reports, _ = synth_world
-    value = SingleGameValue.override(2_000_000.0)
+    value = 2_000_000.0
     for player in sorted(ds.player_ids)[:8]:
         flows_sum = math.fsum(
             cash_flows(ds, reports, player, value, 1.0).flows)
