@@ -12,13 +12,12 @@ unreadable or malformed input, an unknown id, or a bad flag value),
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
-import io
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from .errors import GcproiError, MissingSalary
 from .ingest import (
     SalaryTable,
     SeasonDataset,
+    _row_text,
+    _write,
     parse_games,
     parse_salaries,
     validate_dataset,
@@ -51,24 +52,11 @@ def _emit(header: list[str], rows: list[list], args) -> None:
     strings except in JSON mode, where typed values pass through."""
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        text = buf.getvalue()
-    _write_text(text, args.out)
-
-
-def _write_text(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8", newline="")
-        except OSError as exc:
-            raise GcproiError(f"cannot write {out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+        chunks = [json.dumps(payload, indent=2) + "\n"]
+    else:  # each row cut from _row_text's CR LF to LF, as the file writers do
+        row_text = _row_text()
+        chunks = (row_text(row)[:-2] + "\n" for row in (header, *rows))
+    _write(args.out or sys.stdout, chunks)
 
 
 def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcpReport]]:
@@ -105,7 +93,7 @@ def cmd_gcp(args) -> int:
                 for side in sides
             ],
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(args.out or sys.stdout, [json.dumps(payload, indent=2) + "\n"])
         return EXIT_OK
 
     header = ["game_id", "team", "player_id", "player_name", "weight",
@@ -237,7 +225,7 @@ def cmd_validate(args) -> int:
     violations = validate_dataset(ds, strict_season=args.strict_season)
     lines = [f"{v.kind}: {v.message}" for v in violations]
     lines.append(f"{len(violations)} violation(s)")
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write(args.out or sys.stdout, ["\n".join(lines) + "\n"])
     return EXIT_VALIDATION if violations else EXIT_OK
 
 
@@ -248,13 +236,9 @@ def cmd_synth(args) -> int:
                             miss_prob=args.miss_prob, realistic=args.realistic)
     ds, salaries, _ = synth.synth_season(cfg)
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_games_csv(ds, out_dir / "games.csv")
-        write_salaries_csv(salaries, out_dir / "salaries.csv")
-    except OSError as exc:
-        raise GcproiError(
-            f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_games_csv(ds, out_dir / "games.csv")
+    write_salaries_csv(salaries, out_dir / "salaries.csv")
     return EXIT_OK
 
 
@@ -368,6 +352,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MISSING_SALARY
     except GcproiError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        # Inputs are read through _csv_reader, which makes a read error a SchemaError,
+        # so this is a failed write: of the file named, or of stdout, which then gets
+        # the null device, so that the flush at exit cannot fail again on what it holds.
+        if exc.filename is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_SCHEMA
     finally:
         if collecting:

@@ -18,7 +18,11 @@ rosters, so it carries no GCP. Parsing is single-pass, each parser reading
 rows straight from the csv reader that _csv_reader opens. The resulting
 SeasonDataset and SalaryTable hold no reference cycles, are immutable (their
 name and salary maps are read-only copies) and are safe to share across
-threads.
+threads. A GameRecord or SalaryTable rejects the empty ids and the
+salaries that its parser rejects, by the same checks (_check_ids,
+_check_salary), so a writer never emits one. Output has one path: every
+CSV row, here and in the CLI, is text from _row_text, which quotes a cell
+holding a CR or an LF, and every file or stream is written by _write.
 
 One lookup, _StatValue, parses and checks every stat cell. Equal stat texts
 are parsed once per file and share one float, and the lines of a file share
@@ -40,7 +44,7 @@ from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DuplicateLine,
@@ -75,6 +79,13 @@ def _read_only(self, name: str, *value) -> None:
 
 
 _construct = classmethod(lambda cls, fields: cls(*fields))  # _make, _replace: checked too
+
+
+def _check_ids(ids: Iterable[str], line: int | None = None) -> None:
+    """The id rule of a games file and a GameRecord: game, team and player
+    ids are non-empty."""
+    if not all(ids):
+        raise SchemaError("game_id, team, opponent and player_id must be non-empty", line)
 
 
 class _GameFields(NamedTuple):
@@ -116,6 +127,7 @@ class GameRecord(_GameFields):
             players.add(ln.player_id)
             if any(_positive(values)):  # a line is active if one value is positive
                 roster.append(ln)
+        _check_ids((game_id, team1, team2, *players))
         self.__dict__["_rosters"] = {t: tuple(r) for t, r in rosters.items()}
         return self
 
@@ -220,16 +232,40 @@ class _SalaryFields(NamedTuple):
     names: Mapping[str, str]
 
 
+#: The most characters of a bad salary cell an error echoes.
+_ECHO = 40
+
+
+def _check_salary(player_id: str, salary: int, line: int | None = None) -> None:
+    """The rule of a salaries file row and a SalaryTable entry: a non-empty
+    id, and a salary of type int (a bool is not one) in (0, 2**53] dollars.
+    parse_salaries passes a cell that int() rejects as its text."""
+    if not player_id:
+        raise SchemaError("player_id must be non-empty", line, "player_id")
+    if type(salary) is not int:
+        shown = repr(salary) if not isinstance(salary, str) or len(salary) <= _ECHO else (
+            f"{salary[:_ECHO]!r}... ({len(salary)} characters)")
+        raise SchemaError(f"salary must be integer dollars, got {shown}", line, "salary_usd")
+    if salary <= 0:
+        raise NonPositiveSalary(player_id, salary, line)
+    if salary > 2**53:
+        raise SchemaError("salary exceeds 2**53 dollars", line, "salary_usd")
+
+
 class SalaryTable(_SalaryFields):
     """Annual salary in integer dollars per player, and names ({} when left
-    out), each held as a read-only copy of the mapping given."""
+    out), each held as a read-only copy of the mapping given. Building one
+    checks each entry as parse_salaries checks a row (_check_salary)."""
 
     __slots__ = ()
     _make = _construct
 
     def __new__(cls, entries: dict[str, int], names: dict[str, str] | None = None) -> SalaryTable:
-        return super().__new__(cls, MappingProxyType(dict(entries)),
+        self = super().__new__(cls, MappingProxyType(dict(entries)),
                                MappingProxyType(dict(names or {})))
+        for player_id, salary in self.entries.items():
+            _check_salary(player_id, salary)
+        return self
 
     def __reduce__(self):
         return type(self), (dict(self.entries), dict(self.names))
@@ -329,9 +365,7 @@ def parse_games(path: str | Path, fmt: str = "derived",
             if len(row) != width:
                 raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
             game_id, date_text, team, opponent, player_id, player_name = row[:6]
-            if not game_id or not team or not opponent or not player_id:
-                raise SchemaError("game_id, team, opponent and player_id must be non-empty",
-                                  line_no)
+            _check_ids((game_id, team, opponent, player_id), line_no)
             if team == opponent:
                 raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
             game = pending.get(game_id)
@@ -399,10 +433,6 @@ def parse_games(path: str | Path, fmt: str = "derived",
     return SeasonDataset.from_games(games, player_names)
 
 
-#: The most characters of a bad salary cell an error echoes.
-_ECHO = 40
-
-
 def parse_salaries(path: str | Path) -> SalaryTable:
     """Parse the salaries CSV. Salaries are exact integer dollars."""
     entries: dict[str, int] = {}
@@ -418,23 +448,15 @@ def parse_salaries(path: str | Path) -> SalaryTable:
             if len(row) != width:
                 raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
             player_id, player_name, salary_text = row
-            if not player_id:
-                raise SchemaError("player_id must be non-empty", line_no, "player_id")
-            if player_id in entries:
+            if player_id in entries:  # never "": _check_salary keeps it out
                 raise SchemaError(
                     f"duplicate salary entry for player {player_id!r} "
                     f"(first at line {lines_seen[player_id]})", line_no, "player_id")
             try:
                 salary = int(salary_text)
             except ValueError:
-                shown = repr(salary_text) if len(salary_text) <= _ECHO else (
-                    f"{salary_text[:_ECHO]!r}... ({len(salary_text)} characters)")
-                raise SchemaError(f"salary must be integer dollars, got {shown}",
-                                  line_no, "salary_usd") from None
-            if salary <= 0:
-                raise NonPositiveSalary(player_id, salary, line_no)
-            if salary > 2**53:
-                raise SchemaError("salary exceeds 2**53 dollars", line_no, "salary_usd")
+                salary = salary_text
+            _check_salary(player_id, salary, line_no)
             entries[player_id] = salary
             names[player_id] = player_name
             lines_seen[player_id] = line_no
@@ -455,41 +477,46 @@ class _StatText(dict):
 
 
 def _row_text():
-    """A csv writerow that returns the row's text, ending in CR LF. The
-    writers cut that to LF: csv quotes its line terminator's characters, so
-    a cell holding a CR or an LF is quoted on every Python and the file
+    """A csv writerow that returns the row's text, ending in CR LF. Callers
+    cut that to LF: csv quotes its line terminator's characters, so
+    a cell holding a CR or an LF is quoted on every Python and the text
     parses back."""
     # writerow returns what its target's write returns: here, the row text.
     return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
-def _write_lines(ds: SeasonDataset, path: str | Path | io.TextIOBase,
-                 header: tuple[str, ...], stats) -> None:
-    """Write header, then each player-game as its id columns and stats(line).
+def _write(target: str | Path | io.TextIOBase, chunks: Iterable[str]) -> None:
+    """Write text chunks to an open text stream and flush it, or to the file
+    at target as UTF-8 with newline="", naming target in any OSError."""
+    if isinstance(target, io.TextIOBase):
+        target.writelines(chunks)
+        target.flush()
+    else:
+        try:
+            with open(target, "w", newline="", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            exc.filename = target
+            raise
+
+
+def _game_lines(ds: SeasonDataset, header: tuple[str, ...], stats) -> Iterator[str]:
+    """The header line, then each player-game as its id columns and stats(line).
 
     Only id cells go through csv quoting (see _row_text); a stat text never
     needs it."""
     row_text = _row_text()
-
-    def emit(fh) -> None:
-        write = fh.write
-        write(row_text(header)[:-2] + "\n")
-        cell = _StatText().__getitem__
-        name = ds.player_name
-        for g in ds.games:
-            day = g.date.isoformat()
-            for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
-                for ln in g.lines:
-                    if ln.team_id == team:
-                        ids = row_text((g.game_id, day, team, opp, ln.player_id,
-                                        name(ln.player_id)))
-                        write(f"{ids[:-2]},{','.join(map(cell, stats(ln)))}\n")
-
-    if isinstance(path, io.TextIOBase):
-        emit(path)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
+    yield row_text(header)[:-2] + "\n"
+    cell = _StatText().__getitem__
+    name = ds.player_name
+    for g in ds.games:
+        day = g.date.isoformat()
+        for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
+            for ln in g.lines:
+                if ln.team_id == team:
+                    ids = row_text((g.game_id, day, team, opp, ln.player_id,
+                                    name(ln.player_id)))
+                    yield f"{ids[:-2]},{','.join(map(cell, stats(ln)))}\n"
 
 
 def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None:
@@ -498,22 +525,21 @@ def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None
     The emitted form is byte-stable: parsing it back and re-writing yields
     identical bytes.
     """
-    _write_lines(ds, path, GAMES_HEADER, lambda ln: ln.values)
+    _write(path, _game_lines(ds, GAMES_HEADER, lambda ln: ln.values))
 
 
-def write_raw_games_csv(ds: SeasonDataset, path: str | Path) -> None:
+def write_raw_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None:
     """Write a SeasonDataset in the source-stat schema (inverse adjustments)."""
-    _write_lines(ds, path, RAW_GAMES_HEADER,
-                 lambda ln: underive_fields(ln.values))
+    _write(path, _game_lines(ds, RAW_GAMES_HEADER,
+                             lambda ln: underive_fields(ln.values)))
 
 
-def write_salaries_csv(table: SalaryTable, path: str | Path) -> None:
+def write_salaries_csv(table: SalaryTable, path: str | Path | io.TextIOBase) -> None:
     """Write the table in the salaries schema, rows by player id, each cut
     from _row_text's CR LF to LF."""
     row_text = _row_text()
     rows = ([p, table.name(p), str(table.entries[p])] for p in sorted(table.entries))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(row_text(row)[:-2] + "\n" for row in (SALARIES_HEADER, *rows))
+    _write(path, (row_text(row)[:-2] + "\n" for row in (SALARIES_HEADER, *rows)))
 
 
 def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> tuple[Violation, ...]:

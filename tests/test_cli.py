@@ -1,8 +1,16 @@
+import csv
+import errno
 import gc
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gcproi
 from gcproi import cli, parse_games, parse_salaries, sgv
 from gcproi.cli import main
 
@@ -109,6 +117,8 @@ def test_schema_error_exits_2(tmp_path):
 
 BAD_INPUTS = {
     "missing-file": ["histogram", "--games", "{tmp}/missing.csv"],
+    "gcp-unknown-team": ["gcp", "--games", "{games}", "--game-id", "2023040401",
+                         "--team", "NYK"],
     "directory": ["histogram", "--games", "{tmp}"],
     "games-not-utf8": ["histogram", "--games", "{tmp}/latin1.csv"],
     "salaries-not-utf8": ["roi", "--games", "{games}", "--salaries", "{tmp}/latin1.csv"],
@@ -468,3 +478,102 @@ def test_values_beyond_the_float_range_exit_2_with_one_error_line(argv, tmp_path
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_summary_with_no_qualifying_player_has_empty_figures(tmp_path, data_dir):
+    rc, body = run(["summary", "--games", str(data_dir / "bosphi_games.csv"),
+                    "--salaries", str(data_dir / "bosphi_salaries.csv")], tmp_path)
+    assert rc == 0
+    assert body.decode().splitlines()[1:] == ["0,,,,,,"]
+
+
+def csv_rows(body: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(body.decode(), newline="")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["roi", "--salaries", "{salaries}", "--min-games", "1"],
+    ["gcp", "--game-id", "2023040401"],
+    ["pvgcp-board", "--salaries", "{salaries}"],
+], ids=["roi", "gcp", "pvgcp-board"])
+def test_a_name_holding_a_carriage_return_reads_back_as_the_same_row(argv, tmp_path, data_dir):
+    # Before 3.13, a csv writer whose line terminator is LF leaves a lone CR
+    # unquoted, and a reader then splits the row there.
+    text = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8")
+    assert text.count(",Al Horford,") == 1
+    (tmp_path / "cr.csv").write_bytes(text.replace(",Al Horford,", ',"Al\rHorford",').encode())
+    argv = [arg.format(salaries=data_dir / "bosphi_salaries.csv") for arg in argv]
+    _, plain = run(argv + ["--games", str(data_dir / "bosphi_games.csv")], tmp_path, "plain")
+    _, cr = run(argv + ["--games", str(tmp_path / "cr.csv")], tmp_path, "cr")
+    assert b'"Al\rHorford"' in cr
+    want = [[cell.replace("Al Horford", "Al\rHorford") for cell in row]
+            for row in csv_rows(plain)]
+    assert csv_rows(cr) == want
+
+
+#: Arguments after --games for each subcommand that prints, on bosphi.
+PRINTING = {
+    "gcp": ["--game-id", "2023040401"],
+    "histogram": [],
+    "roi": ["--salaries", "{salaries}", "--min-games", "1"],
+    "pvgcp-board": ["--salaries", "{salaries}"],
+    "compare": ["--player-a", "jayson-tatum", "--player-b", "joel-embiid"],
+    "scatter": ["--salaries", "{salaries}", "--min-games", "1"],
+    "breakeven": ["--salaries", "{salaries}", "--salary", "10000000", "--n-games", "20"],
+    "summary": ["--salaries", "{salaries}", "--min-games", "1"],
+    "validate": ["--salaries", "{salaries}"],
+}
+
+
+def printing_argv(sub: str, data_dir) -> list[str]:
+    return [sub, "--games", str(data_dir / "bosphi_games.csv"),
+            *(arg.format(salaries=data_dir / "bosphi_salaries.csv") for arg in PRINTING[sub])]
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("sub", sorted(PRINTING))
+def test_stdout_gets_the_bytes_out_gets(sub, form, tmp_path, data_dir, capsysbinary):
+    argv = printing_argv(sub, data_dir) + FORMS[form]
+    rc, body = run(argv, tmp_path)
+    assert rc == 0 and body
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    assert capsysbinary.readouterr() == (body, b"")
+
+
+@pytest.mark.parametrize("sub", sorted(PRINTING))
+def test_a_closed_stdout_exits_2_with_one_error_line(sub, data_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to write_end now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(gcproi.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, so the error can wait for the flush at exit
+    try:
+        child = subprocess.run([sys.executable, "-m", "gcproi.cli", *printing_argv(sub, data_dir)],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("argv, name, code", [
+    (["histogram", "--games", "{games}", "--out", "./missing/x"], "./missing/x", errno.ENOENT),
+    (["histogram", "--games", "{games}", "--out", "missing//x"], "missing//x", errno.ENOENT),
+    (["histogram", "--games", "{games}", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+    (["synth", "--out-dir", "{file}"], "{file}", errno.EEXIST),
+    (["synth", "--out-dir", "{file}/sub"], "{file}/sub", errno.ENOTDIR),
+    (["synth", "--out-dir", "taken"], "taken/games.csv", errno.EISDIR),
+    (["histogram", "--games", "{games}", "--out", "/dev/full"], "/dev/full", errno.ENOSPC),
+], ids=["out-dot-missing", "out-double-slash", "out-directory", "synth-file",
+        "synth-under-a-file", "synth-games-csv-is-a-directory", "out-dev-full"])
+def test_a_failed_write_names_the_path_as_given(argv, name, code, tmp_path, data_dir,
+                                                monkeypatch, capsys):
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("taken\n", encoding="utf-8")
+    (tmp_path / "taken" / "games.csv").mkdir(parents=True)
+    paths = {"tmp": tmp_path, "games": data_dir / "bosphi_games.csv", "file": tmp_path / "file"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {name.format(**paths)}: {os.strerror(code)}\n")

@@ -342,6 +342,13 @@ def test_non_positive_investment_rejected():
         irr(series(0.0, [1.0]))
 
 
+@pytest.mark.parametrize("salary", [0, -1, 0.0, -0.5])
+def test_cash_flows_reject_a_salary_that_is_not_positive(salary):
+    ds = build_two_team_season(1, ["solo"], ["b1"])
+    with pytest.raises(NonPositiveInvestment, match="salary must be positive"):
+        cash_flows(ds, season_reports(ds), "solo", 100.0, salary=salary)
+
+
 def test_non_positive_tolerance_rejected():
     for bad in (0.0, -1e-6, math.nan):
         with pytest.raises(NonPositiveInput):

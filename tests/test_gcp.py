@@ -199,6 +199,16 @@ def test_bound_checks_the_active_set_before_the_player():
     with pytest.raises(EmptyActiveSet):
         gcp_upper_bound(game, "A", "nobody")
 
+
+@pytest.mark.parametrize("player", ["a2", "nobody", "b"])
+def test_bound_rejects_a_player_without_an_active_line_for_the_team(player):
+    game = make_game("g1", date(2024, 1, 1), "A", "B",
+                     [make_line("a1", "A", "g1", MIN=10, POSS=20),
+                      make_line("a2", "A", "g1"),  # all zero: inactive
+                      make_line("b", "B", "g1", MIN=1, POSS=1)])
+    with pytest.raises(UnknownPlayer, match=f"player '{player}' has no active line for team 'A'"):
+        gcp_upper_bound(game, "A", player)
+
 def test_golden_distribution_has_twenty_values(bosphi):
     values = nonzero_gcp_distribution(bosphi)
     assert len(values) == 20

@@ -695,6 +695,66 @@ def test_salary_write_parse_round_trip(tmp_path):
     assert again.names == table.names
 
 
+@pytest.mark.parametrize("entries, error, message", [
+    ({"": 5}, SchemaError, "player_id must be non-empty"),
+    ({"a": 0}, NonPositiveSalary, "non-positive salary 0 for player 'a'"),
+    ({"a": -5}, NonPositiveSalary, "non-positive salary -5 for player 'a'"),
+    ({"a": 2**53 + 1}, SchemaError, "salary exceeds 2**53 dollars"),
+    ({"a": 1.5}, SchemaError, "salary must be integer dollars, got 1.5"),
+    ({"a": 5.0}, SchemaError, "salary must be integer dollars, got 5.0"),
+    ({"a": True}, SchemaError, "salary must be integer dollars, got True"),
+    ({"a": "5"}, SchemaError, "salary must be integer dollars, got '5'"),
+], ids=["empty-id", "zero", "negative", "over-2**53", "fraction", "float", "bool", "text"])
+def test_a_salary_table_rejects_what_parse_salaries_rejects(entries, error, message):
+    with pytest.raises(error) as exc:
+        SalaryTable(entries)
+    assert type(exc.value) is error and str(exc.value) == message
+    with pytest.raises(error):
+        SalaryTable({"ok": 1})._replace(entries=entries)
+
+
+@pytest.mark.parametrize("empty", ["game_id", "team1", "team2", "player_id"])
+def test_a_game_record_rejects_the_empty_ids_parse_games_rejects(empty):
+    ids = {"game_id": "g1", "team1": "A", "team2": "B", "player_id": "a1"}
+    ids[empty] = ""
+    lines = (make_line(ids["player_id"], ids["team1"], ids["game_id"], MIN=10),
+             make_line("b1", ids["team2"], ids["game_id"], MIN=10))
+    with pytest.raises(SchemaError) as exc:
+        make_game(ids["game_id"], DAY, ids["team1"], ids["team2"], lines)
+    assert str(exc.value) == "game_id, team, opponent and player_id must be non-empty"
+
+
+#: Id and name text a salaries file can hold: no NUL, which the csv reader
+#: of 3.10 rejects, and no lone surrogate, which UTF-8 cannot encode.
+FILE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.dictionaries(FILE_TEXT, st.one_of(st.integers(-2, 2**53 + 2), st.booleans(),
+                                                    st.floats(0.5, 1e6)), max_size=4),
+       names=st.dictionaries(FILE_TEXT, FILE_TEXT, max_size=4))
+def test_a_salary_table_that_builds_writes_a_file_that_parses_back_equal(entries, names):
+    try:
+        table = SalaryTable(entries, names)
+    except SchemaError:
+        assert not all(p and type(s) is int and 0 < s <= 2**53 for p, s in entries.items())
+        return
+    buf = io.StringIO()
+    write_salaries_csv(table, buf)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "salaries.csv"
+        path.write_bytes(buf.getvalue().encode("utf-8"))
+        again = parse_salaries(path)
+    assert again.entries == table.entries
+    assert again.names == {p: table.name(p) for p in table.entries}
+
+
+def test_an_unknown_games_format_is_a_value_error(data_dir):
+    with pytest.raises(ValueError, match="unknown games format 'bogus'"):
+        parse_games(data_dir / "bosphi_games.csv", fmt="bogus")
+
+
 @pytest.mark.parametrize("text", ["\r", "\n", "\r\n", ",", '"'],
                          ids=["cr", "lf", "crlf", "comma", "quote"])
 @pytest.mark.parametrize("where", ["name", "id"])

@@ -303,6 +303,21 @@ def test_salary_summary_statistics(synth_world):
     assert empty.qualifying == 0 and empty.mean is None
 
 
+def test_a_one_player_pool_has_that_salary_as_every_figure():
+    # a1 plays both games; a2, b1 and b2 play one each.
+    games = [make_game("g1", date(2024, 1, 1), "A", "B",
+                       [make_line("a1", "A", "g1", MIN=10, POSS=20),
+                        make_line("a2", "A", "g1", MIN=5, POSS=10),
+                        make_line("b1", "B", "g1", MIN=8, POSS=20)]),
+             make_game("g2", date(2024, 1, 2), "A", "B",
+                       [make_line("a1", "A", "g2", MIN=10, POSS=20),
+                        make_line("b2", "B", "g2", MIN=8, POSS=20)])]
+    ds = SeasonDataset.from_games(games)
+    salaries = SalaryTable({"a1": 5_000, "a2": 1, "b1": 2, "b2": 3})
+    s = salary_summary(ds, season_reports(ds), salaries, min_games=2)
+    assert (s.qualifying, s.mean, s.median, s.p75) == (1, 5_000.0, 5_000.0, 5_000.0)
+
+
 def test_pvgcp_board_is_invariant_under_salary_scaling(synth_world):
     ds, salaries, _, reports, _ = synth_world
     scaled = SalaryTable(entries={p: s * 7 for p, s in salaries.entries.items()},
