@@ -12,6 +12,7 @@ unreadable or malformed input, an unknown id, or a bad flag value),
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import itertools
@@ -47,6 +48,13 @@ def _fmt(value: float, places: int, full_precision: bool) -> str:
     return f"{value:.{places}f}"
 
 
+def _stdout():
+    """sys.stdout; an OSError when there is none, as when fd 1 was closed at start."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _emit(header: list[str], rows: list[list], args) -> None:
     """Write rows as CSV or JSON to --out or stdout. All cells are already
     strings except in JSON mode, where typed values pass through."""
@@ -56,7 +64,7 @@ def _emit(header: list[str], rows: list[list], args) -> None:
     else:  # each row cut from _row_text's CR LF to LF, as the file writers do
         row_text = _row_text()
         chunks = (row_text(row)[:-2] + "\n" for row in (header, *rows))
-    _write(args.out or sys.stdout, chunks)
+    _write(args.out or _stdout(), chunks)
 
 
 def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcpReport]]:
@@ -93,7 +101,7 @@ def cmd_gcp(args) -> int:
                 for side in sides
             ],
         }
-        _write(args.out or sys.stdout, [json.dumps(payload, indent=2) + "\n"])
+        _write(args.out or _stdout(), [json.dumps(payload, indent=2) + "\n"])
         return EXIT_OK
 
     header = ["game_id", "team", "player_id", "player_name", "weight",
@@ -225,7 +233,7 @@ def cmd_validate(args) -> int:
     violations = validate_dataset(ds, strict_season=args.strict_season)
     lines = [f"{v.kind}: {v.message}" for v in violations]
     lines.append(f"{len(violations)} violation(s)")
-    _write(args.out or sys.stdout, ["\n".join(lines) + "\n"])
+    _write(args.out or _stdout(), ["\n".join(lines) + "\n"])
     return EXIT_VALIDATION if violations else EXIT_OK
 
 
@@ -357,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
         # Inputs are read through _csv_reader, which makes a read error a SchemaError,
         # so this is a failed write: of the file named, or of stdout, which then gets
         # the null device, so that the flush at exit cannot fail again on what it holds.
-        if exc.filename is None:
+        # A missing stdout holds nothing to flush.
+        if exc.filename is None and sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
               file=sys.stderr)

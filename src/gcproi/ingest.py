@@ -22,7 +22,9 @@ threads. A GameRecord or SalaryTable rejects the empty ids and the
 salaries that its parser rejects, by the same checks (_check_ids,
 _check_salary), so a writer never emits one. Output has one path: every
 CSV row, here and in the CLI, is text from _row_text, which quotes a cell
-holding a CR or an LF, and every file or stream is written by _write.
+holding a CR or an LF, and every file or stream is written by _write. The
+games writers quote id cells once per game side (game, date, team,
+opponent) and once per player (id, name), and join stat texts unquoted.
 
 One lookup, _StatValue, parses and checks every stat cell. Equal stat texts
 are parsed once per file and share one float, and the lines of a file share
@@ -470,9 +472,12 @@ class _StatText(dict):
     value is written as repr(v), and NaN and inf raise."""
 
     def __missing__(self, v: float) -> str:
-        if v == int(v) and abs(v) < 1e16:
-            text = self[v] = str(int(v))
-            return text
+        if -1e16 < v < 1e16:
+            if v.is_integer():
+                text = self[v] = str(int(v))
+                return text
+        elif not math.isfinite(v):
+            int(v)  # raises ValueError for NaN, OverflowError for inf and -inf
         return repr(v)
 
 
@@ -504,19 +509,26 @@ def _game_lines(ds: SeasonDataset, header: tuple[str, ...], stats) -> Iterator[s
     """The header line, then each player-game as its id columns and stats(line).
 
     Only id cells go through csv quoting (see _row_text); a stat text never
-    needs it."""
+    needs it. csv quotes each cell on its own, and its one whole-row rule (a
+    lone empty cell is written "") cannot apply to a part of two or four
+    cells, so the side's and the player's parts, each quoted once, join to
+    the text of the whole row."""
     row_text = _row_text()
     yield row_text(header)[:-2] + "\n"
     cell = _StatText().__getitem__
     name = ds.player_name
+    players: dict[str, str] = {}  # player id -> its id and name cells
     for g in ds.games:
         day = g.date.isoformat()
         for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
+            side = row_text((g.game_id, day, team, opp))[:-2]
             for ln in g.lines:
                 if ln.team_id == team:
-                    ids = row_text((g.game_id, day, team, opp, ln.player_id,
-                                    name(ln.player_id)))
-                    yield f"{ids[:-2]},{','.join(map(cell, stats(ln)))}\n"
+                    player = players.get(ln.player_id)
+                    if player is None:
+                        player = players[ln.player_id] = row_text(
+                            (ln.player_id, name(ln.player_id)))[:-2]
+                    yield f"{side},{player},{','.join(map(cell, stats(ln)))}\n"
 
 
 def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None:

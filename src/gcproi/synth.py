@@ -131,6 +131,14 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     }
     count_fields = [int(f) for f in FIELD_ORDER if f not in FRACTIONAL_FIELDS]
     fraction_fields = [int(f) for f in FRACTIONAL_FIELDS]
+    # Per team, the count and fractional fields drawn, in order, and whether
+    # minutes are rescaled; a silenced field is never drawn.
+    draws = {}
+    for t in teams:
+        silenced = set(cfg.zero_fields.get(t, ()))
+        draws[t] = ([f for f in count_fields if f not in silenced],
+                    [f for f in fraction_fields if f not in silenced],
+                    cfg.realistic and FieldId.MIN not in silenced)
 
     rounds = _round_robin(teams, cfg.games_per_team)
     games: list[GameRecord] = []
@@ -148,10 +156,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
             schedule[away].append(game_id)
             lines: list[PlayerGameLine] = []
             for team in (home, away):
-                silenced = set(cfg.zero_fields.get(team, ()))
-                # A silenced field is never drawn; the rest are drawn in order.
-                drawn_counts = [f for f in count_fields if f not in silenced]
-                drawn_fractions = [f for f in fraction_fields if f not in silenced]
+                drawn_counts, drawn_fractions, rescale_minutes = draws[team]
                 actives = []
                 for player in rosters[team]:
                     prob = cfg.miss_prob_overrides.get(player, cfg.miss_prob)
@@ -186,12 +191,12 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                 for f in drawn_counts:
                     if not any(columns[f]):
                         team_lines[0][f] = 1.0
-                if cfg.realistic and FieldId.MIN not in silenced:
+                if rescale_minutes:
                     total_min = math.fsum(columns[FieldId.MIN])
                     for v in team_lines:
                         v[FieldId.MIN] = v[FieldId.MIN] * 240.0 / total_min
-                lines.extend(PlayerGameLine(p, team, game_id, tuple(v))
-                             for p, v in zip(actives, team_lines))
+                lines.extend(tuple.__new__(PlayerGameLine, (p, team, game_id, tuple(v)))
+                             for p, v in zip(actives, team_lines))  # at C speed
             games.append(GameRecord(game_id=game_id, date=day, team1=home,
                                     team2=away, lines=tuple(lines)))
 

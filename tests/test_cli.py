@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -554,6 +555,20 @@ def test_a_closed_stdout_exits_2_with_one_error_line(sub, data_dir):
         os.close(write_end)
     assert child.returncode == 2
     assert child.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+@pytest.mark.parametrize("sub, form", [("histogram", []), ("validate", []),
+                                       ("gcp", ["--format", "json"])],
+                         ids=["histogram", "validate", "gcp-json"])
+def test_no_stdout_at_start_exits_2_with_one_error_line(sub, form, data_dir):
+    # With fd 1 closed when Python starts, sys.stdout is None.
+    env = dict(os.environ, PYTHONPATH=str(Path(gcproi.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "gcproi.cli", *printing_argv(sub, data_dir),
+                            *form], stderr=subprocess.PIPE, env=env,
+                           preexec_fn=partial(os.close, 1))
+    assert child.returncode == 2
+    assert child.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
 
 
 @pytest.mark.parametrize("argv, name, code", [

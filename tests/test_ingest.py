@@ -4,7 +4,7 @@ import math
 import pickle
 import sys
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
 
@@ -446,6 +446,7 @@ def test_written_stat_cells_are_fmt_stat_of_each_value(rows):
 def test_non_finite_stat_values_raise_as_fmt_stat_does(bad, at, fill):
     with pytest.raises(Exception) as expected:
         ingest._StatText()[bad]
+    assert expected.type is (ValueError if math.isnan(bad) else OverflowError)
     row = [fill] * 37
     row[at] = bad
     with pytest.raises(expected.type) as got:
@@ -489,19 +490,28 @@ AWKWARD = ("a,b", 'say "hi"', "two\nlines", "crlf\r\n", " padded ", "", "plain",
 
 
 def awkward_season(bosphi, texts) -> SeasonDataset:
-    """The golden game's stat rows under game, team and player ids and names
-    built from texts, lines in the order parse_games gives them."""
+    """The golden game's stat rows, played three times on consecutive days
+    under game, team and player ids and names built from texts, lines in the
+    order parse_games gives them. Each player keeps one id and name in every
+    game; the teams swap home and away from game to game, and the first
+    player moves to the other team after the first game."""
     game = bosphi.games[0]
     team_ids = {game.team1: f"A{texts[0]}", game.team2: f'B"{texts[-1]}'}
-    lines, names = [], {}
-    for i, ln in enumerate(game.lines):
-        player_id = f"p{i:02d}{texts[i % len(texts)]}"
-        names[player_id] = texts[(i + 1) % len(texts)]
-        lines.append(PlayerGameLine(player_id, team_ids[ln.team_id], "g,1", ln.values))
-    lines.sort(key=lambda ln: (ln.team_id != team_ids[game.team1], ln.player_id))
-    return SeasonDataset.from_games(
-        [make_game("g,1", game.date, team_ids[game.team1], team_ids[game.team2], lines)],
-        names)
+    other = {game.team1: game.team2, game.team2: game.team1}
+    records, names = [], {}
+    for k in range(3):
+        game_id = f"g,{k}"
+        home, away = (game.team1, game.team2)[::-1 if k % 2 else 1]
+        lines = []
+        for i, ln in enumerate(game.lines):
+            player_id = f"p{i:02d}{texts[i % len(texts)]}"
+            names[player_id] = texts[(i + 1) % len(texts)]
+            team = other[ln.team_id] if i == 0 and k > 0 else ln.team_id
+            lines.append(PlayerGameLine(player_id, team_ids[team], game_id, ln.values))
+        lines.sort(key=lambda ln: (ln.team_id != team_ids[home], ln.player_id))
+        records.append(make_game(game_id, game.date + timedelta(days=k),
+                                 team_ids[home], team_ids[away], lines))
+    return SeasonDataset.from_games(records, names)
 
 
 def whole_rows(ds, header, stats) -> str:
@@ -521,6 +531,9 @@ def whole_rows(ds, header, stats) -> str:
 def test_written_id_cells_are_quoted_as_whole_csv_rows_quote_them(tmp_path, bosphi):
     from gcproi.fields import underive_fields
     ds = awkward_season(bosphi, AWKWARD)
+    moved = ds.games[0].lines[0].player_id  # awkward: "p00a,b", named 'say "hi"'
+    assert len(ds.games) == 3 and [team for team, _, _ in ds.player_runs(moved)] == [
+        ds.games[0].team1, ds.games[0].team2]
     derived, raw = tmp_path / "games.csv", tmp_path / "raw.csv"
     write_games_csv(ds, derived)
     write_raw_games_csv(ds, raw)
