@@ -57,15 +57,8 @@ class UnknownPlayer(GcproiError):
 
 
 class EmptyActiveSet(GcproiError):
-    """All 37 team totals are zero for one team-game (forfeit-like record)."""
-
-    def __init__(self, game_id: str | None = None, team_id: str | None = None):
-        self.game_id = game_id
-        self.team_id = team_id
-        where = ""
-        if game_id is not None or team_id is not None:
-            where = f" (game {game_id!r}, team {team_id!r})"
-        super().__init__(f"no stat field has a positive team total{where}")
+    """omega was given no active field. A team of a GameRecord always has
+    one, since the record rejects a team without an active line."""
 
 
 class DivisionDomain(GcproiError):

@@ -62,17 +62,15 @@ def team_totals(game: GameRecord, team_id: str) -> TeamGameTotals:
 
 
 def active_fields(totals: TeamGameTotals) -> frozenset[FieldId]:
-    """Fields with a positive team total."""
-    active = frozenset(f for f, v in zip(FIELD_ORDER, totals.totals) if v > 0.0)
-    if not active:
-        raise EmptyActiveSet(totals.game_id, totals.team_id)
-    return active
+    """Fields with a positive team total; never empty for a team of a
+    GameRecord, which has an active line."""
+    return frozenset(f for f, v in zip(FIELD_ORDER, totals.totals) if v > 0.0)
 
 
 def omega(active: frozenset[FieldId]) -> float:
     """The categorical weight, 1 over the number of active fields."""
     if not active:
-        raise EmptyActiveSet()
+        raise EmptyActiveSet("no stat field has a positive team total")
     return 1.0 / len(active)
 
 

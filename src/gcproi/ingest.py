@@ -18,13 +18,14 @@ rosters, so it carries no GCP. Parsing is single-pass, each parser reading
 rows straight from the csv reader that _csv_reader opens. The resulting
 SeasonDataset and SalaryTable hold no reference cycles, are immutable (their
 name and salary maps are read-only copies) and are safe to share across
-threads. A GameRecord or SalaryTable rejects the empty ids and the
-salaries that its parser rejects, by the same checks (_check_ids,
-_check_salary), so a writer never emits one. Output has one path: every
-CSV row, here and in the CLI, is text from _row_text, which quotes a cell
-holding a CR or an LF, and every file or stream is written by _write. The
-games writers quote id cells once per game side (game, date, team,
-opponent) and once per player (id, name), and join stat texts unquoted.
+threads. Each record rejects what its parser rejects, so a writer never
+emits it: a PlayerGameLine a negative, NaN or infinite stat, a GameRecord an
+empty id (by the parser's _check_ids) and a team without an active line, a
+SalaryTable a bad entry (by the parser's _check_salary). Output has one
+path: every CSV row, here and in the CLI, is text from _row_text, which
+quotes a cell holding a CR or an LF, and every file or stream is written by
+_write. The games writers quote id cells once per game side (game, date,
+team, opponent) and once per player (id, name), and join stat texts unquoted.
 
 One lookup, _StatValue, parses and checks every stat cell. Equal stat texts
 are parsed once per file and share one float, and the lines of a file share
@@ -63,15 +64,6 @@ RAW_GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + RAW_STATS
 SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
 
 
-class PlayerGameLine(NamedTuple):
-    """One player's stat row for one game."""
-
-    player_id: str
-    team_id: str
-    game_id: str
-    values: StatRow
-
-
 _positive = partial(map, (0.0).__lt__)
 _player_id = attrgetter("player_id")
 
@@ -81,6 +73,31 @@ def _read_only(self, name: str, *value) -> None:
 
 
 _construct = classmethod(lambda cls, fields: cls(*fields))  # _make, _replace: checked too
+
+
+class _LineFields(NamedTuple):
+    player_id: str
+    team_id: str
+    game_id: str
+    values: StatRow
+
+
+class PlayerGameLine(_LineFields):
+    """One player's stat row for one game. Building one rejects a value that
+    is negative, NaN or infinite, as parse_games rejects its cell, naming the
+    first such field; -0.0 is a zero. parse_games and synth_season, whose
+    values are checked already, build lines with tuple.__new__."""
+
+    __slots__ = ()
+    _make = _construct
+
+    def __new__(cls, player_id: str, team_id: str, game_id: str,
+                values: StatRow) -> PlayerGameLine:
+        for f, v in zip(FIELD_ORDER, values):
+            if not 0.0 <= v < math.inf:
+                raise SchemaError(f"stat {f.name} of player {player_id!r} in game {game_id!r} "
+                                  f"must be finite and non-negative, got {v!r}")
+        return super().__new__(cls, player_id, team_id, game_id, values)
 
 
 def _check_ids(ids: Iterable[str], line: int | None = None) -> None:
@@ -101,8 +118,9 @@ class _GameFields(NamedTuple):
 class GameRecord(_GameFields):
     """One game: two distinct team ids and the player lines of both teams.
     Building one rejects a line of another game or team, a second line of
-    one player and a row without the 37 fields, and splits the active lines
-    into the two rosters, each in lines order. Equality ignores the rosters."""
+    one player, a row without the 37 fields, and a team without an active
+    line (one with a positive value), and splits the active lines into the
+    two rosters, each in lines order. Equality ignores the rosters."""
 
     __setattr__ = __delattr__ = _read_only
     _make = _construct
@@ -130,6 +148,9 @@ class GameRecord(_GameFields):
             if any(_positive(values)):  # a line is active if one value is positive
                 roster.append(ln)
         _check_ids((game_id, team1, team2, *players))
+        for t, roster in rosters.items():
+            if not roster:
+                raise SchemaError(f"game {game_id!r} has no active player for team {t!r}")
         self.__dict__["_rosters"] = {t: tuple(r) for t, r in rosters.items()}
         return self
 
@@ -143,7 +164,8 @@ class GameRecord(_GameFields):
 
     def totals(self, team_id: str) -> StatRow:
         """Each field summed with math.fsum over the team's roster; 37 zeros
-        for an empty roster. A sum beyond the float range is a GcproiError."""
+        for a team not in the game. A sum beyond the float range is a
+        GcproiError."""
         rows = [ln.values for ln in self.roster(team_id)]
         try:
             return tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
@@ -285,7 +307,6 @@ class Violation(NamedTuple):
     message: str
     game_id: str | None = None
     team_id: str | None = None
-    player_id: str | None = None
 
 
 class _StatValue(dict):
@@ -303,12 +324,6 @@ class _StatValue(dict):
             raise ValueError(f"stat must be finite and non-negative, got {text!r}")
         self[text] = v
         return v
-
-
-def _row_ok(values: StatRow) -> bool:
-    """True when every value is finite and non-negative and their sum does
-    not overflow: NaN and inf fail through the sum, negatives through the min."""
-    return min(values) >= 0.0 and sum(values) < math.inf
 
 
 @contextmanager
@@ -424,13 +439,10 @@ def parse_games(path: str | Path, fmt: str = "derived",
     for game_id, _, game_date, t1, t2, first_line, lines1, lines2, _ in pending.values():
         lines1.sort(key=_player_id)
         lines2.sort(key=_player_id)
-        game = GameRecord(game_id=game_id, date=game_date, team1=t1, team2=t2,
-                          lines=(*lines1, *lines2))
-        for t in game.teams:
-            if not game.roster(t):
-                raise SchemaError(f"game {game_id!r} has no active player for team {t!r}",
-                                  first_line)
-        games.append(game)
+        try:
+            games.append(GameRecord(game_id, game_date, t1, t2, (*lines1, *lines2)))
+        except SchemaError as exc:  # a team without an active line: no row checks that
+            raise SchemaError(str(exc), first_line) from None
 
     return SeasonDataset.from_games(games, player_names)
 
@@ -528,7 +540,15 @@ def _game_lines(ds: SeasonDataset, header: tuple[str, ...], stats) -> Iterator[s
                     if player is None:
                         player = players[ln.player_id] = row_text(
                             (ln.player_id, name(ln.player_id)))[:-2]
-                    yield f"{side},{player},{','.join(map(cell, stats(ln)))}\n"
+                    row = stats(ln)
+                    try:
+                        text = ",".join(map(cell, row))
+                    except OverflowError:  # an underive_fields sum beyond the float range
+                        stat = next(h for h, v in zip(header[len(ID_COLUMNS):], row)
+                                    if v == math.inf)
+                        raise GcproiError(f"stat {stat!r} of player {ln.player_id!r} in game "
+                                          f"{g.game_id!r} exceeds the float range") from None
+                    yield f"{side},{player},{text}\n"
 
 
 def write_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> None:
@@ -555,38 +575,18 @@ def write_salaries_csv(table: SalaryTable, path: str | Path | io.TextIOBase) -> 
 
 
 def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> tuple[Violation, ...]:
-    """Report-only checks of what a built dataset can still get wrong: a
-    non-finite or negative stat value, a team with no active player in a
-    game, a team total beyond the float range and, with strict_season set, a
-    team in more than 82 games. No violations, an empty tuple, means valid."""
+    """Report-only checks of what a built dataset can still get wrong: a team
+    total beyond the float range and, with strict_season set, a team in more
+    than 82 games. The records reject every other fault when they are built.
+    No violations, an empty tuple, means valid."""
     out: list[Violation] = []
     for g in ds.games:
-        for ln in g.lines:
-            if _row_ok(ln.values):
-                continue
-            for f, v in zip(FIELD_ORDER, ln.values):
-                if v != v or v in (math.inf, -math.inf):
-                    kind = "NonFiniteValue"
-                elif v < 0.0:
-                    kind = "NegativeValue"
-                else:
-                    continue
-                out.append(Violation(kind, f"{f.name} is {v} for player {ln.player_id!r} "
-                                           f"in game {g.game_id!r}",
-                                     game_id=g.game_id, player_id=ln.player_id))
         for team in g.teams:
-            if not g.roster(team):
-                out.append(Violation("EmptyTeamGame",
-                                     f"team {team!r} has no active player in game {g.game_id!r}",
-                                     game_id=g.game_id, team_id=team))
-                continue
             try:
                 g.totals(team)
             except GcproiError as exc:
                 out.append(Violation("TotalOverflow", str(exc),
                                      game_id=g.game_id, team_id=team))
-            except ValueError:  # inf and -inf in one field, reported above
-                pass
 
     if strict_season:
         for team, games in sorted(ds.team_games.items()):

@@ -132,6 +132,8 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     salary entry make the calculation impossible and raise MissingSalary
     listing all of them.
     """
+    if min_games < 0:
+        raise GcproiError(f"min_games must not be negative, got {min_games}")
     check_salaries(ds, salaries)
     dataset_players = ds.player_ids
     rows = []
@@ -244,6 +246,8 @@ def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcpReport],
                    salaries: SalaryTable,
                    min_games: int = DEFAULT_MIN_GAMES) -> SalarySummary:
     """Mean, median and 75th percentile salary of the qualifying pool."""
+    if min_games < 0:
+        raise GcproiError(f"min_games must not be negative, got {min_games}")
     import statistics  # with fractions and decimal, only this function needs it
     check_salaries(ds, salaries)
     metrics = _player_metrics(ds, reports)

@@ -75,6 +75,9 @@ class SynthConfig(_SynthFields):
         for prob in (self.miss_prob, *self.miss_prob_overrides.values()):
             if not (0.0 <= prob <= 1.0):
                 raise InvalidConfig(f"miss probability out of [0, 1]: {prob}")
+        for team, fields in self.zero_fields.items():
+            if set(FieldId) <= set(fields):  # the team would have no active line
+                raise InvalidConfig(f"zero_fields silences every field of team {team!r}")
 
 
 class SynthBookkeeping(NamedTuple):

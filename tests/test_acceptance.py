@@ -38,7 +38,7 @@ from gcproi import (
     synth_season,
 )
 from gcproi.cli import main
-from gcproi.errors import AllZeroFlows, EmptyActiveSet
+from gcproi.errors import AllZeroFlows, SchemaError
 from gcproi.reporting import STATUS_TOTAL_DEFAULT, roi_table
 
 from conftest import BOS_EXPECTED, BOSPHI_GAME_ID, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
@@ -268,13 +268,13 @@ def test_criterion_7_degenerate_handling():
         assert rows["T00P01"].status == STATUS_TOTAL_DEFAULT
         assert rows["T00P01"].roi is None
 
-        # an all-zero team-game raises with the offending game id attached
+        # an all-zero team-game raises with the offending game id attached,
+        # when the game is built
         from datetime import date
-        game = make_game("g-dead", date(2024, 1, 1), "A", "B",
-                         [make_line("a1", "A", "g-dead"),
-                          make_line("b1", "B", "g-dead", MIN=1)])
-        with pytest.raises(EmptyActiveSet) as exc:
-            game_report(game)
+        with pytest.raises(SchemaError) as exc:
+            make_game("g-dead", date(2024, 1, 1), "A", "B",
+                      [make_line("a1", "A", "g-dead"),
+                       make_line("b1", "B", "g-dead", MIN=1)])
         assert "g-dead" in str(exc.value)
 
         # players under the games-played floor stay off the boards

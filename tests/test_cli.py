@@ -147,6 +147,12 @@ BAD_INPUTS = {
                               "--season-games", "0"],
     "scatter-season-games-zero": ["scatter", "--games", "{games}", "--salaries",
                                   "{salaries}", "--season-games", "0"],
+    "roi-min-games-negative": ["roi", "--games", "{games}", "--salaries", "{salaries}",
+                               "--min-games", "-5"],
+    "scatter-min-games-negative": ["scatter", "--games", "{games}", "--salaries",
+                                   "{salaries}", "--min-games", "-5"],
+    "summary-min-games-negative": ["summary", "--games", "{games}", "--salaries",
+                                   "{salaries}", "--min-games", "-5"],
     "breakeven-without-salaries-or-sgv": ["breakeven", "--salary", "1000", "--n-games", "10",
                                           "--games", "{games}"],
     "breakeven-season-games-zero": ["breakeven", "--salary", "1000000", "--n-games", "10",

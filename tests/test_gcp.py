@@ -22,9 +22,11 @@ from gcproi.errors import (
     DivisionDomain,
     EmptyActiveSet,
     GcproiError,
+    SchemaError,
     UnknownPlayer,
     UnknownTeam,
 )
+from gcproi.gcp import TeamGameTotals
 
 from conftest import BOS_EXPECTED, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
 
@@ -77,12 +79,17 @@ def test_bos_sits_out_two_fields_phi_one(bosphi):
 
 
 def test_all_zero_totals_raise_with_game_context():
-    game = make_game("g9", date(2024, 1, 1), "A", "B",
-                     [make_line("p1", "A", "g9"), make_line("p2", "B", "g9", MIN=1)])
-    with pytest.raises(EmptyActiveSet) as exc:
-        active_fields(team_totals(game, "A"))
-    assert "g9" in str(exc.value)
-    assert exc.value.game_id == "g9"
+    # A team whose totals are all zero has no active line, and the game
+    # rejects it when built, so active_fields never meets one.
+    with pytest.raises(SchemaError) as exc:
+        make_game("g9", date(2024, 1, 1), "A", "B",
+                  [make_line("p1", "A", "g9"), make_line("p2", "B", "g9", MIN=1)])
+    assert str(exc.value) == "game 'g9' has no active player for team 'A'"
+    # Only totals a caller builds can be all zero, and omega rejects their empty set.
+    zeros = TeamGameTotals("g9", "A", (0.0,) * 37)
+    assert active_fields(zeros) == frozenset()
+    with pytest.raises(EmptyActiveSet):
+        omega(active_fields(zeros))
 
 
 def test_active_count_drops_by_the_number_of_zeroed_fields():
@@ -193,10 +200,14 @@ def test_bound_requires_positive_min_and_poss():
 
 
 def test_bound_checks_the_active_set_before_the_player():
-    # Team A's only line is all zero, so its roster is empty.
+    # A game whose team A has only an all-zero line is rejected when built,
+    # so the bound's first check of a built game's team is the player.
+    with pytest.raises(SchemaError, match="^game 'g1' has no active player for team 'A'$"):
+        make_game("g1", date(2024, 1, 1), "A", "B",
+                  [make_line("a", "A", "g1"), make_line("b", "B", "g1", MIN=1)])
     game = make_game("g1", date(2024, 1, 1), "A", "B",
-                     [make_line("a", "A", "g1"), make_line("b", "B", "g1", MIN=1)])
-    with pytest.raises(EmptyActiveSet):
+                     [make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1", MIN=1)])
+    with pytest.raises(UnknownPlayer):
         gcp_upper_bound(game, "A", "nobody")
 
 

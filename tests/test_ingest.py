@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gcproi import (
     RAW_STATS,
     FieldId,
+    GameRecord,
     SalaryTable,
     SeasonDataset,
     parse_games,
@@ -373,8 +374,9 @@ def test_team_with_no_active_players_is_rejected(tmp_path):
     path.write_text(",".join(GAMES_HEADER) + "\n"
                     + ",".join(row1) + "\n" + ",".join(row2) + "\n",
                     encoding="utf-8")
-    with pytest.raises(SchemaError, match="no active player"):
+    with pytest.raises(SchemaError) as exc:
         parse_games(path)
+    assert str(exc.value) == "game 'g1' has no active player for team 'BBB' (line 2)"
 
 
 def test_conflicting_game_metadata_is_rejected(tmp_path):
@@ -423,35 +425,50 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0 ** 53, 1e16 - 2.0,
 FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),
                    st.floats(allow_nan=False, allow_infinity=False),
                    st.integers(-2 ** 60, 2 ** 60).map(float))
+#: The values a line holds: finite and non-negative, -0.0 included.
+STAT = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if v >= 0.0]),
+                 st.floats(min_value=0.0, allow_infinity=False),
+                 st.integers(0, 2 ** 60).map(float))
 
 
 def written_cells(rows) -> list[list[str]]:
-    """The stat cells write_games_csv emits for one game holding one line per row."""
+    """The stat cells write_games_csv emits for the lines of team A holding
+    one line per row, in a game where each team has one more, active, line."""
     lines = [PlayerGameLine(f"p{i}", "A", "g1", tuple(row)) for i, row in enumerate(rows)]
+    lines += [make_line("z", "A", "g1", MIN=1), make_line("q", "B", "g1", MIN=1)]
     ds = SeasonDataset.from_games([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
     buf = io.StringIO()
     write_games_csv(ds, buf)
-    return [row[6:] for row in csv.reader(io.StringIO(buf.getvalue()))][1:]
+    return [row[6:] for row in csv.reader(io.StringIO(buf.getvalue()))][1:len(rows) + 1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(FINITE, min_size=37, max_size=37), min_size=1, max_size=3))
 def test_written_stat_cells_are_fmt_stat_of_each_value(rows):
+    # A line rejects a negative value, so no writer meets one: write its
+    # magnitude instead (-0.0 is not negative and stays).
+    for row in rows:
+        if any(v < 0.0 for v in row):
+            with pytest.raises(SchemaError, match="must be finite and non-negative"):
+                PlayerGameLine("p", "A", "g1", tuple(row))
+    rows = [[-v if v < 0.0 else v for v in row] for row in rows]
     assert written_cells(rows) == [[ingest._StatText()[v] for v in row] for row in rows]
 
 
 @settings(max_examples=60, deadline=None)
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), at=st.integers(0, 36),
-       fill=FINITE)
+       fill=STAT)
 def test_non_finite_stat_values_raise_as_fmt_stat_does(bad, at, fill):
     with pytest.raises(Exception) as expected:
         ingest._StatText()[bad]
     assert expected.type is (ValueError if math.isnan(bad) else OverflowError)
+    # A line holding one is rejected when built, so no writer meets it.
     row = [fill] * 37
     row[at] = bad
-    with pytest.raises(expected.type) as got:
+    with pytest.raises(SchemaError) as exc:
         written_cells([row])
-    assert type(got.value) is expected.type
+    assert str(exc.value) == (f"stat {FieldId(at).name} of player 'p0' in game 'g1' "
+                              f"must be finite and non-negative, got {bad!r}")
 
 
 def test_raw_stat_schema_round_trips_through_the_adjustments(tmp_path, bosphi):
@@ -737,6 +754,109 @@ def test_a_game_record_rejects_the_empty_ids_parse_games_rejects(empty):
     assert str(exc.value) == "game_id, team, opponent and player_id must be non-empty"
 
 
+@settings(max_examples=100, deadline=None)
+@given(bad=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -5e-324]),
+                     st.floats(max_value=-5e-324)),
+       at=st.integers(0, 36), fill=STAT)
+def test_a_line_rejects_a_negative_or_non_finite_value_naming_its_field(bad, at, fill):
+    values = [fill] * 37
+    values[at] = bad
+    with pytest.raises(SchemaError) as exc:
+        PlayerGameLine("p", "A", "g1", tuple(values))
+    assert str(exc.value) == (f"stat {FieldId(at).name} of player 'p' in game 'g1' "
+                              f"must be finite and non-negative, got {bad!r}")
+
+
+@pytest.mark.parametrize("values", [
+    (-0.0,) * 37, (5e-324,) * 37, (1e308, 1e308) + (0.0,) * 35,
+], ids=["negative-zero", "smallest-subnormal", "sum-overflows"])
+def test_a_line_holds_the_values_parse_games_accepts_and_replace_checks(values):
+    ln = PlayerGameLine("p", "A", "g1", values)
+    assert ln.values == values
+    with pytest.raises(SchemaError, match="^stat STL of player 'p' in game 'g1' must"):
+        ln._replace(values=values[:FieldId.STL] + (-1.0,) + values[FieldId.STL + 1:])
+    with pytest.raises(SchemaError, match="^stat MIN of player 'p' in game 'g1' must"):
+        PlayerGameLine._make(("p", "A", "g1", (math.nan,) + values[1:]))
+    assert pickle.loads(pickle.dumps(ln)) == ln
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1")],
+     "game 'g1' has no active player for team 'B'"),
+    ([make_line("a", "A", "g1"), make_line("b", "B", "g1", MIN=1)],
+     "game 'g1' has no active player for team 'A'"),
+    ([make_line("a", "A", "g1"), make_line("b", "B", "g1")],
+     "game 'g1' has no active player for team 'A'"),
+    ([make_line("a", "A", "g1", MIN=1)], "game 'g1' has no active player for team 'B'"),
+    ([make_line("", "A", "g1"), make_line("b", "B", "g1")],
+     "game_id, team, opponent and player_id must be non-empty"),
+], ids=["team2-zero", "team1-zero", "both-zero-team1-first", "team2-without-lines",
+        "ids-first"])
+def test_a_game_record_rejects_a_team_without_an_active_line(lines, message):
+    with pytest.raises(SchemaError) as exc:
+        make_game("g1", DAY, "A", "B", lines)
+    assert str(exc.value) == message
+
+
+@st.composite
+def season_parts(draw) -> list[tuple]:
+    """Up to three games among teams A, B and C as (game id, date, teams,
+    line fields), each team with one to three lines sorted by player id, as
+    parse_games sorts them. One row in ten is all zero, and one in ten holds
+    a negative or non-finite value."""
+    games = []
+    for k in range(draw(st.integers(1, 3))):
+        teams = draw(st.permutations("ABC"))[:2]
+        lines = []
+        for team in teams:
+            for player in sorted(draw(st.lists(st.sampled_from("xyz"), min_size=1,
+                                               max_size=3, unique=True))):
+                row = draw(st.lists(STAT, min_size=37, max_size=37))
+                kind = draw(st.integers(0, 9))
+                if kind == 0:
+                    row = [0.0] * 37
+                elif kind == 1:
+                    row[draw(st.integers(0, 36))] = draw(st.sampled_from(
+                        [-1.0, -5e-324, math.nan, math.inf, -math.inf]))
+                lines.append((f"{team}-{player}", team, f"g{k}", tuple(row)))
+        games.append((f"g{k}", DAY + timedelta(days=draw(st.integers(0, 2))), teams, lines))
+    return games
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=season_parts())
+def test_a_season_of_checked_records_writes_a_file_that_parses_back_equal(parts):
+    try:
+        ds = SeasonDataset.from_games(
+            [GameRecord(game_id, day, *teams, tuple(PlayerGameLine(*ln) for ln in lines))
+             for game_id, day, teams, lines in parts],
+            {ln[0]: f"Name {ln[0]}" for *_, lines in parts for ln in lines})
+    except SchemaError:  # only a bad value or a team without an active line
+        assert any(not 0.0 <= v < math.inf for *_, lines in parts for ln in lines
+                   for v in ln[3]) or any(
+            not any(v > 0.0 for ln in lines if ln[1] == team for v in ln[3])
+            for _, _, teams, lines in parts for team in teams)
+        return
+    buf = io.StringIO()
+    write_games_csv(ds, buf)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "games.csv"
+        path.write_bytes(buf.getvalue().encode("utf-8"))
+        assert parse_games(path) == ds
+
+
+def test_the_raw_writer_names_a_source_stat_whose_sum_overflows():
+    line = make_line("p1", "A", "g1", APM=1e308, AST2=1e308, PAST=1e308)
+    ds = SeasonDataset.from_games([make_game("g1", DAY, "A", "B",
+                                             [line, make_line("q1", "B", "g1", MIN=1)])])
+    write_games_csv(ds, io.StringIO())  # every value is finite
+    with pytest.raises(GcproiError) as exc:
+        write_raw_games_csv(ds, io.StringIO())
+    assert type(exc.value) is GcproiError
+    assert str(exc.value) == (
+        "stat 'Passes Made' of player 'p1' in game 'g1' exceeds the float range")
+
+
 #: Id and name text a salaries file can hold: no NUL, which the csv reader
 #: of 3.10 rejects, and no lone surrogate, which UTF-8 cannot encode.
 FILE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -788,15 +908,12 @@ def test_validate_clean_fixture_has_zero_violations(bosphi):
 
 
 def test_validate_flags_one_negative_minute():
-    lines = [make_line("p1", "A", "g1", MIN=-5.0, POSS=10),
-             make_line("p2", "B", "g1", MIN=8.0, POSS=10)]
-    ds = SeasonDataset.from_games([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
-    report = validate_dataset(ds)
-    assert len(report) == 1
-    v = report[0]
-    assert v.kind == "NegativeValue"
-    assert v.player_id == "p1"
-    assert v.game_id == "g1"
+    # The line rejects it when built, naming the field, player and game, so
+    # validate_dataset never meets it.
+    with pytest.raises(SchemaError) as exc:
+        make_line("p1", "A", "g1", MIN=-5.0, POSS=10)
+    assert str(exc.value) == (
+        "stat MIN of player 'p1' in game 'g1' must be finite and non-negative, got -5.0")
 
 
 def test_validate_finds_exactly_the_injected_violations():
@@ -814,11 +931,13 @@ def test_validate_finds_exactly_the_injected_violations():
     assert not validate_dataset(SeasonDataset.from_games([g1, g2, g3]))
 
     injected = []
-    # 1. a negative value
-    bad_line = make_line("A-p0", "A", "g1", MIN=-1.0)
+    # 1. a negative value cannot be built, but a team total that overflows can
+    with pytest.raises(SchemaError, match="must be finite and non-negative"):
+        make_line("A-p0", "A", "g1", MIN=-1.0)
+    big = [make_line(f"A-p{i}", "A", "g1", MIN=1e308) for i in range(2)]
     g1_bad = make_game("g1", date(2024, 1, 1), "A", "B",
-                       [bad_line] + [ln for ln in g1.lines if ln.player_id != "A-p0"])
-    injected.append("NegativeValue")
+                       big + [ln for ln in g1.lines if ln.player_id not in ("A-p0", "A-p1")])
+    injected.append("TotalOverflow")
     # 2. a duplicated player line cannot be built
     with pytest.raises(DuplicateLine):
         make_game("g2", date(2024, 1, 2), "A", "C", g2.lines + (g2.lines[0],))
@@ -849,15 +968,17 @@ def test_validate_strict_season_flags_team_over_82():
 
 
 def test_validate_reports_each_team_whose_total_overflows():
+    # Lines holding inf and -inf, whose sum is NaN, are rejected when built.
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(SchemaError, match="^stat MIN of player 'b1' in game 'g1' must"):
+            PlayerGameLine("b1", "B", "g1", (bad,) + (1.0,) * 36)
     big = [make_line(p, "A", "g1", MIN=1e308) for p in ("a1", "a2")]
-    cancelled = [PlayerGameLine("b1", "B", "g1", (math.inf,) + (1.0,) * 36),
-                 PlayerGameLine("b2", "B", "g1", (-math.inf,) + (1.0,) * 36)]
-    ds = SeasonDataset.from_games([make_game("g1", DAY, "A", "B", big + cancelled)])
+    also = [make_line(p, "B", "g1", POSS=1e308) for p in ("b1", "b2")]
+    ds = SeasonDataset.from_games([make_game("g1", DAY, "A", "B", big + also)])
     report = validate_dataset(ds)
-    assert [(v.kind, v.team_id) for v in report] == [
-        ("NonFiniteValue", None), ("NonFiniteValue", None), ("TotalOverflow", "A")]
-    assert report[-1].game_id == "g1"
-    assert report[-1].message == (
+    assert [(v.kind, v.team_id, v.game_id) for v in report] == [
+        ("TotalOverflow", "A", "g1"), ("TotalOverflow", "B", "g1")]
+    assert report[0].message == (
         "a total of team 'A' in game 'g1' exceeds the float range")
 
 
@@ -1071,18 +1192,22 @@ def test_synth_config_default_dicts_are_its_own():
 
 
 def test_validate_reports_each_bad_cell_in_field_order_then_empty_teams():
+    # The records reject these faults when built: a line names its first bad
+    # field in field order, and a game a team without an active line.
     values = [0.0] * len(FieldId)
     values[FieldId.MIN] = 5.0
     values[FieldId.FG2O] = math.nan
     values[FieldId.STL] = -2.0
     values[FieldId.POSS] = math.inf
+    for field, fixed in ((FieldId.FG2O, 1.0), (FieldId.STL, 2.0), (FieldId.POSS, 3.0)):
+        with pytest.raises(SchemaError, match=f"^stat {field.name} of player 'a' in game 'g1'"):
+            PlayerGameLine("a", "A", "g1", tuple(values))
+        values[field] = fixed
     lines = [PlayerGameLine("a", "A", "g1", tuple(values)),
              make_line("b", "B", "g1")]  # all zero: inactive
-    report = validate_dataset(SeasonDataset.from_games([make_game("g1", DAY, "A", "B", lines)]))
-    assert [(v.kind, v.message.split()[0]) for v in report] == [
-        ("NonFiniteValue", "FG2O"), ("NegativeValue", "STL"), ("NonFiniteValue", "POSS"),
-        ("EmptyTeamGame", "team")]
-    assert report[-1].team_id == "B"
+    with pytest.raises(SchemaError) as exc:
+        make_game("g1", DAY, "A", "B", lines)
+    assert str(exc.value) == "game 'g1' has no active player for team 'B'"
 
 
 # --- parsers on arbitrary bytes ---------------------------------------------

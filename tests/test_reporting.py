@@ -279,6 +279,17 @@ def test_roi_boards_reject_a_negative_size(top_k, bottom_k, synth_world):
     with pytest.raises(GcproiError, match="must not be negative"):
         leaderboard_roi(ds, reports, salaries, value, top_k=top_k, bottom_k=bottom_k)
 
+@pytest.mark.parametrize("table", [roi_table, roi_salary_scatter, leaderboard_roi,
+                                   salary_summary])
+def test_a_negative_min_games_is_rejected(table, synth_world):
+    ds, salaries, _, reports, value = synth_world
+    args = (ds, reports, salaries) + (() if table is salary_summary else (value,))
+    with pytest.raises(GcproiError) as exc:
+        table(*args, min_games=-5)
+    assert str(exc.value) == "min_games must not be negative, got -5"
+    table(*args, min_games=0)
+
+
 def test_histogram_bin_count_is_bounded(monkeypatch):
     monkeypatch.setattr(reporting, "MAX_HISTOGRAM_BINS", 10)
     assert len(histogram_bins([0.0, 9.5], 1.0)) == 10

@@ -199,6 +199,14 @@ def test_invalid_configs_are_rejected():
         synth_season(SynthConfig(miss_prob=1.5))
 
 
+def test_a_team_silenced_in_every_field_is_an_invalid_config():
+    # Its lines would all be zero, and a game rejects a team without an active line.
+    with pytest.raises(InvalidConfig, match="silences every field of team 'T00'"):
+        SynthConfig(zero_fields={"T00": tuple(FieldId)}).validate()
+    ds, _, _ = synth_season(SynthConfig(zero_fields={"T00": tuple(FieldId)[1:]}))
+    assert all(g.roster("T00") for g in ds.team_games["T00"])
+
+
 def test_oracle_solves_the_closed_forms():
     s = CashFlowSeries(player_id="p", cf0=100.0, flows=(110.0,), schedule=("g1",))
     assert irr_oracle(s) == pytest.approx(0.10, abs=1e-9)
