@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import pickle
 import sys
@@ -252,6 +253,32 @@ ERROR_PARITY = {
     # reads as the same day; before 3.11 it reads only YYYY-MM-DD.
     "respelled-date": (6, {"date": "20230404"},
                        None if sys.version_info >= (3, 11) else _date_error(6, "20230404")),
+    # The second row of a side (lines 13, 23 and 33 follow a row of the other
+    # side or game) and later rows: each row still checks its own player id,
+    # stats and name, and a row whose side cells differ is a new side.
+    "second-row-player-empty": (13, {"player_id": ""}, (
+        "SchemaError", "game_id, team, opponent and player_id must be non-empty (line 13)",
+        13, None)),
+    "second-row-stat-nan": (23, {"FG3O": "nan"}, (
+        "SchemaError", "stat must be finite and non-negative, got 'nan' (line 23, column FG3O)",
+        23, "FG3O")),
+    "second-row-stat-negative": (33, {"FG3O": "-1"}, (
+        "SchemaError", "stat must be finite and non-negative, got '-1' (line 33, column FG3O)",
+        33, "FG3O")),
+    "second-row-stat-not-a-number": (13, {"FG3O": "x"}, (
+        "SchemaError", "not a number: 'x' (line 13, column FG3O)", 13, "FG3O")),
+    "second-row-name-conflict": (23, {"player_name": "Someone Else"}, (
+        "SchemaError", "player 'grant-williams' has conflicting names 'Grant Williams' and "
+        "'Someone Else' (line 23, column player_name)", 23, "player_name")),
+    "second-row-duplicate-player": (13, {"player_id": "tobias-harris",
+                                         "player_name": "Tobias Harris"}, (
+        "DuplicateLine", "duplicate line for player 'tobias-harris' in game '2023040401' "
+        "(line 13)", 13, None)),
+    # A BOS row with team and opponent swapped is a valid row of PHI's side.
+    "later-row-team-and-opponent-swapped": (8, {"team": "PHI", "opponent": "BOS"}, None),
+    "later-row-of-another-pair": (8, {"opponent": "NYK"}, (
+        "SchemaError", "game '2023040401' has conflicting team pairs (line 8, column team)",
+        8, "team")),
 }
 
 
@@ -277,17 +304,91 @@ def test_a_respelled_date_parses_to_the_same_dataset(tmp_path, data_dir):
     assert parse_games(respelled) == plain
 
 
+#: Rows put between lines 5 and 6 of _two_games, two rows of BOS's side in
+#: the first game: each is a line's text, or the number of a line to repeat.
+#: With them, the cells {column: text} changed on line 6, and the error, as
+#: in ERROR_PARITY, or None where the file parses to _two_games' dataset.
+ROWS_INSIDE_A_SIDE = {
+    "blank-row": ([""], {}, None),
+    "blank-row-then-empty-player": ([""], {"player_id": ""}, (
+        "SchemaError", "game_id, team, opponent and player_id must be non-empty (line 7)",
+        7, None)),
+    "blank-row-then-bad-stat": ([""], {"FG3O": "nan"}, (
+        "SchemaError", "stat must be finite and non-negative, got 'nan' (line 7, column FG3O)",
+        7, "FG3O")),
+    "repeated-row": ([5], {}, (
+        "DuplicateLine", "duplicate line for player 'marcus-smart' in game '2023040401' "
+        "(line 6)", 6, None)),
+    "blank-row-then-repeated-row": (["", 5], {}, (
+        "DuplicateLine", "duplicate line for player 'marcus-smart' in game '2023040401' "
+        "(line 7)", 7, None)),
+}
+
+
+@pytest.mark.parametrize("rows, cells, expected", ROWS_INSIDE_A_SIDE.values(),
+                         ids=ROWS_INSIDE_A_SIDE)
+def test_rows_put_inside_a_side_give_the_recorded_result(tmp_path, data_dir, rows, cells,
+                                                          expected):
+    path = _two_games(tmp_path / "games.csv", data_dir, {6: cells})
+    lines = path.read_text(encoding="utf-8").splitlines()
+    put = [lines[r - 1] if isinstance(r, int) else r for r in rows]
+    path.write_text("\n".join(lines[:5] + put + lines[5:]) + "\n", encoding="utf-8")
+    if expected is None:
+        assert parse_games(path) == parse_games(_two_games(tmp_path / "plain.csv", data_dir))
+        return
+    with pytest.raises(SchemaError) as exc:
+        parse_games(path)
+    assert (type(exc.value).__name__, str(exc.value), exc.value.line,
+            exc.value.column) == expected
+
+
 def test_equal_stat_texts_give_one_float_and_keep_their_bits(tmp_path, data_dir):
+    # An integral text is parsed once per file and shared; any other text is
+    # parsed on each line, to the same bits. "-0" keeps its sign.
     path = _two_games(tmp_path / "games.csv", data_dir, {
-        2: {"FG2O": "-0", "FG2X": "1", "FG3O": "1.0", "FG3X": "12.5"},
-        23: {"FG3X": "12.5"}})
+        2: {"FG2O": "-0", "FG2X": "1", "FG3O": "1.0", "FG3X": "12.5", "FTO": "12"},
+        23: {"FG3X": "12.5", "FTO": "12"}})
     ds = parse_games(path)
     first, later = ds.games[0], ds.games[1]
     tatum = next(ln.values for ln in first.lines if ln.player_id == "jayson-tatum")
     williams = next(ln.values for ln in later.lines if ln.player_id == "grant-williams")
     assert math.copysign(1.0, tatum[FieldId.FG2O]) == -1.0
     assert tatum[FieldId.FG2X] == tatum[FieldId.FG3O] == 1.0
-    assert tatum[FieldId.FG3X] is williams[FieldId.FG3X]
+    assert tatum[FieldId.FTO] is williams[FieldId.FTO]
+    assert tatum[FieldId.FG3X] == williams[FieldId.FG3X] == 12.5
+    assert tatum[FieldId.FG3X].hex() == williams[FieldId.FG3X].hex()
+
+
+def test_the_stat_memo_keeps_integral_values_only():
+    value = ingest._StatValue()
+    for text, v in (("12.5", 12.5), ("1e-7", 1e-7), ("7", 7.0), ("1e308", 1e308)):
+        assert value[text] == v
+    assert dict(value) == {"7": 7.0, "1e308": 1e308}
+
+
+def test_a_file_of_distinct_fractional_cells_leaves_no_fractional_text_in_the_memo(
+        tmp_path, data_dir, monkeypatch):
+    memos = []
+
+    class Kept(ingest._StatValue):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(ingest, "_StatValue", Kept)
+    head, *rows = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    k = itertools.count(1)
+    out, cells = [head], {}  # cells: player id -> the row's texts, non-zero ones distinct
+    for row in (line.split(",") for line in rows):
+        texts = cells[row[4]] = [repr(float(t) + next(k) * 1e-7) if float(t) else t
+                                 for t in row[6:]]
+        out.append(",".join(row[:6] + texts))
+    path = tmp_path / "distinct.csv"
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    ds = parse_games(path)
+    assert len(memos) == 1 and dict(memos[0]) == {"0": 0.0}
+    for ln in ds.games[0].lines:
+        assert [v.hex() for v in ln.values] == [float(t).hex() for t in cells[ln.player_id]]
 
 
 def test_a_bad_stat_text_raises_at_its_first_line_and_is_not_remembered(tmp_path, data_dir):
@@ -765,6 +866,19 @@ def test_a_line_rejects_a_negative_or_non_finite_value_naming_its_field(bad, at,
         PlayerGameLine("p", "A", "g1", tuple(values))
     assert str(exc.value) == (f"stat {FieldId(at).name} of player 'p' in game 'g1' "
                               f"must be finite and non-negative, got {bad!r}")
+
+
+@pytest.mark.parametrize("values, message", [
+    (("1",) + (0.0,) * 36, "stat MIN of player 'p' in game 'g1' is not a number: '1'"),
+    ((0.0, None) + (0.0,) * 35, "stat FG2O of player 'p' in game 'g1' is not a number: None"),
+    (None, "the values of player 'p' in game 'g1' are not a sequence: NoneType"),
+    (iter((0.0,) * 37), "the values of player 'p' in game 'g1' are not a sequence: "
+                        "tuple_iterator"),
+], ids=["text", "none-value", "none", "iterator"])
+def test_a_line_rejects_values_that_are_not_a_sequence_of_numbers(values, message):
+    with pytest.raises(SchemaError) as exc:
+        PlayerGameLine("p", "A", "g1", values)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("values", [
