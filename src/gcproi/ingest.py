@@ -27,16 +27,12 @@ quotes a cell holding a CR or an LF, and every file or stream is written by
 _write. The games writers quote id cells once per game side (game, date,
 team, opponent) and once per player (id, name), and join stat texts unquoted.
 
-One lookup, _StatValue, parses and checks every stat cell. An integral stat
-text is parsed once per file and its lines share one float; any other text
-is parsed wherever it appears, so the memo holds no more than the file's
-distinct integral texts. Box scores are mostly small integer counts (only
-MIN, ODIS and DDIS are fractional in the benchmark's synthetic seasons,
-whose fractional texts never repeat). The lines of a file share one string
-per game, team and player id. A side's rows (game, date, team, opponent)
-usually come in a run: a row whose four side cells equal the previous row's
-skips the checks those cells passed there, and checks only its own player
-id, stats, name and pairing, so every error is the one a full check gives.
+One lookup, _StatValue, parses and checks every stat cell. A text that is
+integral or short (at most 5 characters, as "37.8" or "0.25") is parsed once
+per file and its lines share one float. A longer fractional text, such as a
+full-precision repr, is parsed wherever it appears and never kept, so a
+file of such texts costs no memo entry per cell. The lines of a file share
+one string per game, team and player id.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Sequence
 from contextlib import contextmanager
 from datetime import date as Date
 from functools import cached_property, partial
@@ -89,8 +84,9 @@ class _LineFields(NamedTuple):
 class PlayerGameLine(_LineFields):
     """One player's stat row for one game. Building one rejects a value that
     is negative, NaN or infinite, as parse_games rejects its cell, naming the
-    first such field; -0.0 is a zero. It rejects values that are not a
-    sequence, or a value that is not a number, as a SchemaError too.
+    first such field; -0.0 is a zero. It rejects values that are not
+    iterable, or a value that is not a number, as a SchemaError too, and
+    keeps the values as a tuple, so a caller's list cannot change them.
     parse_games and synth_season, whose values are checked already, build
     lines with tuple.__new__."""
 
@@ -99,9 +95,11 @@ class PlayerGameLine(_LineFields):
 
     def __new__(cls, player_id: str, team_id: str, game_id: str,
                 values: StatRow) -> PlayerGameLine:
-        if not isinstance(values, Sequence):
+        try:
+            values = tuple(values)
+        except TypeError:
             raise SchemaError(f"the values of player {player_id!r} in game {game_id!r} "
-                              f"are not a sequence: {type(values).__name__}")
+                              f"are not a sequence: {type(values).__name__}") from None
         for f, v in zip(FIELD_ORDER, values):
             try:
                 if 0.0 <= v < math.inf:
@@ -323,13 +321,16 @@ class Violation(NamedTuple):
     team_id: str | None = None
 
 
+_SHORT_TEXT = 5  # one decimal below 1000, two below 100
+
+
 class _StatValue(dict):
     """Stat value by cell text, for one parse call: float(text) when finite
     and non-negative; any other text raises ValueError, with the message that
-    the cell's SchemaError carries. Only an integral value is remembered, as
-    _StatText remembers only integral values: equal integral texts share one
-    float, and a fractional text, which seldom repeats, is parsed again each
-    time, to the same bits. Keyed by text, so "-0" stays -0.0."""
+    the cell's SchemaError carries. A value is remembered when it is integral
+    or its text is at most _SHORT_TEXT characters long: box scores repeat
+    such texts, and equal ones share one float. Any other text is parsed
+    again each time, to the same bits. Keyed by text, so "-0" stays -0.0."""
 
     def __missing__(self, text: str) -> float:
         try:
@@ -338,7 +339,7 @@ class _StatValue(dict):
             raise ValueError(f"not a number: {text!r}") from None
         if not 0.0 <= v < math.inf:
             raise ValueError(f"stat must be finite and non-negative, got {text!r}")
-        if v.is_integer():
+        if v.is_integer() or len(text) <= _SHORT_TEXT:
             self[text] = v
         return v
 
@@ -389,7 +390,6 @@ def parse_games(path: str | Path, fmt: str = "derived",
     shared: dict[str, str] = {}  # one str object per team and player id
     value = _StatValue().__getitem__
 
-    side = None  # the previous row's (game, date text, team, opponent) cells
     with _csv_reader(path, header) as reader:
         # Each record is numbered by the physical line it starts on.
         start = reader.line_num + 1
@@ -399,25 +399,18 @@ def parse_games(path: str | Path, fmt: str = "derived",
                 continue
             if len(row) != width:
                 raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
-            player_id, player_name = row[4], row[5]
-            if row[:4] != side:  # a new game side: check its cells
-                side = row[:4]
-                game_id, date_text, team, opponent = side
-                _check_ids((game_id, team, opponent, player_id), line_no)
-                if team == opponent:
-                    raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
-                game = pending.get(game_id)
-                if game is None or date_text != game[1]:
-                    try:
-                        game_date = Date.fromisoformat(date_text)
-                    except ValueError:
-                        raise SchemaError(f"bad ISO date: {date_text!r}", line_no,
-                                          "date") from None
-                lines = None  # found below: the game's checks follow the stats and name
-            elif not player_id:  # the side's cells passed on an earlier row
-                _check_ids((player_id,), line_no)
+            game_id, date_text, team, opponent, player_id, player_name = row[:6]
+            _check_ids((game_id, team, opponent, player_id), line_no)
+            if team == opponent:
+                raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
+            game = pending.get(game_id)
+            if game is None or date_text != game[1]:
+                try:
+                    game_date = Date.fromisoformat(date_text)
+                except ValueError:
+                    raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
 
-            del row[:6]
+            del row[:6]  # row now holds the stat cells, with no copy
             try:
                 values = tuple(map(value, row))
             except ValueError:  # rescan cell by cell to name the first bad cell's column
@@ -438,28 +431,27 @@ def parse_games(path: str | Path, fmt: str = "derived",
                     f"player {player_id!r} has conflicting names {known!r} and {player_name!r}",
                     line_no, "player_name")
 
-            if lines is None:
-                team = shared.setdefault(team, team)
-                if game is None:
-                    game = pending[game_id] = [game_id, date_text, game_date, team,
-                                               shared.setdefault(opponent, opponent), line_no,
-                                               [], [], set()]
-                else:
-                    if date_text != game[1] and game_date != game[2]:
-                        raise SchemaError(
-                            f"game {game_id!r} has conflicting dates {game[2]} and {game_date}",
-                            line_no, "date")
-                    if not (team == game[3] and opponent == game[4]
-                            or team == game[4] and opponent == game[3]):
-                        raise SchemaError(
-                            f"game {game_id!r} has conflicting team pairs", line_no, "team")
-                    game_id = game[0]
-                lines, players = game[6 if team == game[3] else 7], game[8]
+            team = shared.setdefault(team, team)
             player_id = shared.setdefault(player_id, player_id)
+            if game is None:
+                game = pending[game_id] = [game_id, date_text, game_date, team,
+                                           shared.setdefault(opponent, opponent), line_no,
+                                           [], [], set()]
+            else:
+                if date_text != game[1] and game_date != game[2]:
+                    raise SchemaError(
+                        f"game {game_id!r} has conflicting dates {game[2]} and {game_date}",
+                        line_no, "date")
+                if not (team == game[3] and opponent == game[4]
+                        or team == game[4] and opponent == game[3]):
+                    raise SchemaError(
+                        f"game {game_id!r} has conflicting team pairs", line_no, "team")
+                game_id = game[0]
+            players = game[8]
             if player_id in players:
                 raise DuplicateLine(player_id, game_id, line_no)
             players.add(player_id)
-            lines.append(  # PlayerGameLine(...), at C speed
+            game[6 if team == game[3] else 7].append(  # PlayerGameLine(...), at C speed
                 tuple.__new__(PlayerGameLine, (player_id, team, game_id, values)))
 
     games = []

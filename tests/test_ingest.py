@@ -254,8 +254,8 @@ ERROR_PARITY = {
     "respelled-date": (6, {"date": "20230404"},
                        None if sys.version_info >= (3, 11) else _date_error(6, "20230404")),
     # The second row of a side (lines 13, 23 and 33 follow a row of the other
-    # side or game) and later rows: each row still checks its own player id,
-    # stats and name, and a row whose side cells differ is a new side.
+    # side or game) and later rows fail on their own cells, as a side's first
+    # row does.
     "second-row-player-empty": (13, {"player_id": ""}, (
         "SchemaError", "game_id, team, opponent and player_id must be non-empty (line 13)",
         13, None)),
@@ -343,11 +343,13 @@ def test_rows_put_inside_a_side_give_the_recorded_result(tmp_path, data_dir, row
 
 
 def test_equal_stat_texts_give_one_float_and_keep_their_bits(tmp_path, data_dir):
-    # An integral text is parsed once per file and shared; any other text is
-    # parsed on each line, to the same bits. "-0" keeps its sign.
+    # An integral or short text is parsed once per file and shared; a longer
+    # fractional text is parsed on each line, to the same bits. "-0" keeps
+    # its sign.
     path = _two_games(tmp_path / "games.csv", data_dir, {
-        2: {"FG2O": "-0", "FG2X": "1", "FG3O": "1.0", "FG3X": "12.5", "FTO": "12"},
-        23: {"FG3X": "12.5", "FTO": "12"}})
+        2: {"FG2O": "-0", "FG2X": "1", "FG3O": "1.0", "FG3X": "12.5", "FTO": "12",
+            "FTX": "12.345678"},
+        23: {"FG3X": "12.5", "FTO": "12", "FTX": "12.345678"}})
     ds = parse_games(path)
     first, later = ds.games[0], ds.games[1]
     tatum = next(ln.values for ln in first.lines if ln.player_id == "jayson-tatum")
@@ -355,19 +357,22 @@ def test_equal_stat_texts_give_one_float_and_keep_their_bits(tmp_path, data_dir)
     assert math.copysign(1.0, tatum[FieldId.FG2O]) == -1.0
     assert tatum[FieldId.FG2X] == tatum[FieldId.FG3O] == 1.0
     assert tatum[FieldId.FTO] is williams[FieldId.FTO]
-    assert tatum[FieldId.FG3X] == williams[FieldId.FG3X] == 12.5
-    assert tatum[FieldId.FG3X].hex() == williams[FieldId.FG3X].hex()
+    assert tatum[FieldId.FG3X] is williams[FieldId.FG3X]
+    assert tatum[FieldId.FTX] == williams[FieldId.FTX] == 12.345678
+    assert tatum[FieldId.FTX].hex() == williams[FieldId.FTX].hex()
 
 
-def test_the_stat_memo_keeps_integral_values_only():
+def test_the_stat_memo_keeps_integral_and_short_texts_only():
     value = ingest._StatValue()
-    for text, v in (("12.5", 12.5), ("1e-7", 1e-7), ("7", 7.0), ("1e308", 1e308)):
+    kept = {"12.5": 12.5, "1e-7": 1e-7, "12.34": 12.34, "7": 7.0, "1e308": 1e308,
+            "123456.0": 123456.0}
+    for text, v in (*kept.items(), ("12.345", 12.345), ("1.0000001e-07", 1.0000001e-07)):
         assert value[text] == v
-    assert dict(value) == {"7": 7.0, "1e308": 1e308}
+    assert dict(value) == kept
 
 
-def test_a_file_of_distinct_fractional_cells_leaves_no_fractional_text_in_the_memo(
-        tmp_path, data_dir, monkeypatch):
+def _memos(monkeypatch) -> list:
+    """The _StatValue of each parse_games call from here on."""
     memos = []
 
     class Kept(ingest._StatValue):
@@ -376,6 +381,25 @@ def test_a_file_of_distinct_fractional_cells_leaves_no_fractional_text_in_the_me
             memos.append(self)
 
     monkeypatch.setattr(ingest, "_StatValue", Kept)
+    return memos
+
+
+def test_a_box_score_parses_each_stat_text_once(data_dir, monkeypatch):
+    # bosphi_games.csv writes MIN, ODIS and DDIS to one or two decimals, as
+    # box scores do: its fractional texts repeat, and are kept.
+    memos = _memos(monkeypatch)
+    path = data_dir / "bosphi_games.csv"
+    ds = parse_games(path)
+    texts = {t for row in path.read_text(encoding="utf-8").splitlines()[1:]
+             for t in row.split(",")[6:]}
+    assert len(memos) == 1 and dict(memos[0]) == {t: float(t) for t in texts}
+    shared = {id(v) for v in memos[0].values()}
+    assert all(id(v) in shared for ln in ds.games[0].lines for v in ln.values)
+
+
+def test_a_file_of_full_precision_cells_leaves_no_fractional_text_in_the_memo(
+        tmp_path, data_dir, monkeypatch):
+    memos = _memos(monkeypatch)
     head, *rows = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
     k = itertools.count(1)
     out, cells = [head], {}  # cells: player id -> the row's texts, non-zero ones distinct
@@ -872,13 +896,23 @@ def test_a_line_rejects_a_negative_or_non_finite_value_naming_its_field(bad, at,
     (("1",) + (0.0,) * 36, "stat MIN of player 'p' in game 'g1' is not a number: '1'"),
     ((0.0, None) + (0.0,) * 35, "stat FG2O of player 'p' in game 'g1' is not a number: None"),
     (None, "the values of player 'p' in game 'g1' are not a sequence: NoneType"),
-    (iter((0.0,) * 37), "the values of player 'p' in game 'g1' are not a sequence: "
-                        "tuple_iterator"),
-], ids=["text", "none-value", "none", "iterator"])
+    (1.0, "the values of player 'p' in game 'g1' are not a sequence: float"),
+], ids=["text", "none-value", "none", "number"])
 def test_a_line_rejects_values_that_are_not_a_sequence_of_numbers(values, message):
     with pytest.raises(SchemaError) as exc:
         PlayerGameLine("p", "A", "g1", values)
     assert str(exc.value) == message
+
+
+def test_a_line_keeps_its_values_as_a_tuple():
+    values = [1.0] * 37
+    ln = PlayerGameLine("a", "A", "g1", values)
+    game = GameRecord("g1", date(2024, 1, 1), "A", "B", (ln, make_line("b", "B", "g1", MIN=1)))
+    values[0] = -5.0  # the caller's list changes after the checks
+    assert type(ln.values) is tuple and ln.values == (1.0,) * 37
+    assert game.totals("A") == (1.0,) * 37
+    assert ln == PlayerGameLine("a", "A", "g1", iter((1.0,) * 37))
+    assert hash(game) == hash(game._replace())
 
 
 @pytest.mark.parametrize("values", [
