@@ -76,9 +76,11 @@ def _sgv_for(args, ds: SeasonDataset | None = None, salaries: SalaryTable | None
     if args.sgv_override is None:
         games = len(ds.games) if args.season_games is None else args.season_games
         return finance.sgv(salaries.total, games)
-    if 0.0 < args.sgv_override < math.inf:
-        return args.sgv_override
-    raise GcproiError(f"SGV override must be a positive finite number, got {args.sgv_override}")
+    if not 0.0 < args.sgv_override < math.inf:
+        raise GcproiError(f"SGV override must be a positive finite number, got {args.sgv_override}")
+    if args.season_games is not None and args.season_games <= 0:  # finance.sgv's check
+        raise GcproiError(f"game count must be positive, got {args.season_games}")
+    return args.sgv_override
 
 
 def cmd_gcp(args) -> int:

@@ -26,14 +26,6 @@ from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset
 
 
-class TeamGameTotals(NamedTuple):
-    """Per-field totals for one team in one game, as a stat row."""
-
-    game_id: str
-    team_id: str
-    totals: StatRow
-
-
 class TeamGcp(NamedTuple):
     """One team's side of a game report. Inactive players carry no entry."""
 
@@ -54,17 +46,17 @@ class GameGcpReport(NamedTuple):
         raise UnknownTeam(f"team {team_id!r} not in game {self.game_id!r}")
 
 
-def team_totals(game: GameRecord, team_id: str) -> TeamGameTotals:
-    """Sum every field over the team's lines for this game."""
+def team_totals(game: GameRecord, team_id: str) -> StatRow:
+    """Sum every field over the team's lines for this game, as a stat row."""
     if team_id not in game.teams:
         raise UnknownTeam(f"team {team_id!r} not in game {game.game_id!r}")
-    return TeamGameTotals(game_id=game.game_id, team_id=team_id, totals=game.totals(team_id))
+    return game.totals(team_id)
 
 
-def active_fields(totals: TeamGameTotals) -> frozenset[FieldId]:
+def active_fields(totals: StatRow) -> frozenset[FieldId]:
     """Fields with a positive team total; never empty for a team of a
     GameRecord, which has an active line."""
-    return frozenset(f for f, v in zip(FIELD_ORDER, totals.totals) if v > 0.0)
+    return frozenset(f for f, v in zip(FIELD_ORDER, totals) if v > 0.0)
 
 
 def omega(active: frozenset[FieldId]) -> float:
@@ -84,7 +76,7 @@ def _side(game: GameRecord, team_id: str) -> TeamGcp:
     totals = team_totals(game, team_id)
     active = active_fields(totals)
     w = omega(active)
-    divisors = tuple(t if t > 0.0 else math.inf for t in totals.totals)
+    divisors = tuple(t if t > 0.0 else math.inf for t in totals)
     gcp = {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
            for ln in game.roster(team_id)}
     return TeamGcp(team_id=team_id, weight=w, active_fields=active, gcp=gcp)
@@ -119,7 +111,7 @@ def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     if ln is None:
         raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
                             f"in game {game.game_id!r}")
-    min_t, poss_t = totals.totals[FieldId.MIN], totals.totals[FieldId.POSS]
+    min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
     if min_t <= 0.0 or poss_t <= 0.0:
         raise DivisionDomain(
             f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
@@ -132,18 +124,14 @@ def season_reports(ds: SeasonDataset) -> dict[str, GameGcpReport]:
     return {g.game_id: game_report(g) for g in ds.games}
 
 
-def nonzero_gcp_distribution(ds: SeasonDataset,
-                             reports: dict[str, GameGcpReport] | None = None) -> list[float]:
+def nonzero_gcp_distribution(ds: SeasonDataset) -> list[float]:
     """All strictly positive GCP values across the dataset.
 
     One value per active player-game; order follows dataset, team, then
     roster order.
     """
-    if reports is None:
-        reports = season_reports(ds)
     out: list[float] = []
-    for g in ds.games:
-        rep = reports[g.game_id]
+    for rep in season_reports(ds).values():
         for side in rep.teams:
             out.extend(v for v in side.gcp.values() if v > 0.0)
     return out

@@ -135,7 +135,7 @@ def test_criterion_4_full_season_reproduction():
         assert "Derrick Rose" in boards.bottom[0].player_name
         assert boards.bottom[0].roi * 100.0 == pytest.approx(-0.080, abs=0.001)
 
-        values = nonzero_gcp_distribution(ds, reports)
+        values = nonzero_gcp_distribution(ds)
         assert len(values) == 25_892
         assert max(values) == pytest.approx(0.338, abs=0.0005)
 

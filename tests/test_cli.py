@@ -143,10 +143,19 @@ BAD_INPUTS = {
     "synth-games-csv-is-a-directory": ["synth", "--out-dir", "{tmp}/taken"],
     "tol-nan": ["roi", "--games", "{games}", "--salaries", "{salaries}", "--tol", "nan"],
     "tol-zero": ["roi", "--games", "{games}", "--salaries", "{salaries}", "--tol", "0"],
+    "tol-negative-no-player-solved": ["roi", "--games", "{games}", "--salaries", "{salaries}",
+                                      "--sgv-override", "5e-324", "--tol", "-1"],
     "roi-season-games-zero": ["roi", "--games", "{games}", "--salaries", "{salaries}",
                               "--season-games", "0"],
     "scatter-season-games-zero": ["scatter", "--games", "{games}", "--salaries",
                                   "{salaries}", "--season-games", "0"],
+    "roi-sgv-override-season-games-zero": ["roi", "--games", "{games}", "--salaries",
+                                           "{salaries}", "--sgv-override", "1000",
+                                           "--season-games", "0"],
+    "scatter-sgv-override-season-games-negative": ["scatter", "--games", "{games}",
+                                                   "--salaries", "{salaries}",
+                                                   "--sgv-override", "1000",
+                                                   "--season-games", "-3"],
     "roi-min-games-negative": ["roi", "--games", "{games}", "--salaries", "{salaries}",
                                "--min-games", "-5"],
     "scatter-min-games-negative": ["scatter", "--games", "{games}", "--salaries",
@@ -158,6 +167,8 @@ BAD_INPUTS = {
     "breakeven-season-games-zero": ["breakeven", "--salary", "1000000", "--n-games", "10",
                                     "--games", "{games}", "--salaries", "{salaries}",
                                     "--season-games", "0"],
+    "breakeven-sgv-season-games-zero": ["breakeven", "--salary", "1e6", "--n-games", "82",
+                                        "--sgv", "1000", "--season-games", "0"],
     "salaries-cell-over-field-limit": ["summary", "--games", "{games}",
                                        "--salaries", "{tmp}/huge.csv"],
     "salaries-nul-byte": ["summary", "--games", "{games}", "--salaries", "{tmp}/nul.csv"],
@@ -348,6 +359,22 @@ def test_a_bad_sgv_override_is_named_on_stderr(sub, text, shown, tmp_path, data_
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("sub, games", [("roi", "0"), ("scatter", "-3"), ("breakeven", "0")])
+@pytest.mark.parametrize("sgv_given", [False, True], ids=["derived", "override"])
+def test_a_season_game_count_below_one_is_named_on_stderr(sub, games, sgv_given, tmp_path,
+                                                          data_dir, capsys):
+    argv = [sub, "--games", str(data_dir / "bosphi_games.csv"),
+            "--salaries", str(data_dir / "bosphi_salaries.csv"), "--season-games", games,
+            "--out", str(tmp_path / "x")]
+    if sub == "breakeven":
+        argv += ["--salary", "1e6", "--n-games", "82"]
+    if sgv_given:
+        argv += ["--sgv" if sub == "breakeven" else "--sgv-override", "1000"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: game count must be positive, got {games}\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_breakeven_without_sgv_or_data_fails(tmp_path):
     rc = main(["breakeven", "--salary", "10", "--n-games", "2",
                "--out", str(tmp_path / "x")])
@@ -367,6 +394,25 @@ def test_compare_emits_aligned_series(tmp_path, data_dir):
     assert row[0] == "1"
     assert float(row[2]) == pytest.approx(0.2064, abs=5e-5)
     assert float(row[5]) == pytest.approx(0.2530, abs=5e-5)
+
+
+def test_compare_exits_2_on_a_team_total_overflow_in_a_game_neither_player_played(
+        tmp_path, capsys):
+    assert main(["synth", "--seed", "3", "--teams", "4", "--out-dir", str(tmp_path)]) == 0
+    games = tmp_path / "games.csv"
+    argv = ["compare", "--games", str(games), "--player-a", "T01P00", "--player-b", "T02P00",
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 0
+    lines = games.read_text(encoding="utf-8").splitlines()
+    for i in (1, 2):  # T00's first two rows of G00001, which is T00 v T03
+        row = lines[i].split(",")
+        assert row[:4] == ["G00001", "2024-01-01", "T00", "T03"]
+        lines[i] = ",".join(row[:6] + ["1e308"] + row[7:])
+    games.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: a total of team 'T00' in game 'G00001' exceeds the float range\n")
 
 
 def test_scatter_and_summary(tmp_path, data_dir):

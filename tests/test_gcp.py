@@ -26,7 +26,6 @@ from gcproi.errors import (
     UnknownPlayer,
     UnknownTeam,
 )
-from gcproi.gcp import TeamGameTotals
 
 from conftest import BOS_EXPECTED, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
 
@@ -34,10 +33,18 @@ from conftest import BOS_EXPECTED, GOLDEN_TOL, PHI_EXPECTED, make_game, make_lin
 def test_bos_team_totals_match_the_published_columns(bosphi):
     game = bosphi.games[0]
     totals = team_totals(game, "BOS")
-    assert totals.totals[FieldId.MIN] == pytest.approx(240.0, abs=1e-9)
-    assert totals.totals[FieldId.CHGD] == 0.0
-    assert totals.totals[FieldId.DLBR] == 0.0
-    assert totals.totals[FieldId.POSS] == 450.0
+    assert totals[FieldId.MIN] == pytest.approx(240.0, abs=1e-9)
+    assert totals[FieldId.CHGD] == 0.0
+    assert totals[FieldId.DLBR] == 0.0
+    assert totals[FieldId.POSS] == 450.0
+
+
+def test_team_totals_is_the_games_stat_row(bosphi):
+    for game in bosphi.games:
+        for team in game.teams:
+            totals = team_totals(game, team)
+            assert type(totals) is tuple
+            assert totals == game.totals(team)
 
 
 def test_single_player_team_totals_equal_his_line():
@@ -45,7 +52,7 @@ def test_single_player_team_totals_equal_his_line():
     ln_b = make_line("other", "B", "g1", MIN=30, POSS=50)
     game = make_game("g1", date(2024, 1, 1), "A", "B", [ln_a, ln_b])
     totals = team_totals(game, "A")
-    assert totals.totals == ln_a.values
+    assert totals == ln_a.values
 
 
 def test_random_roster_totals_match_column_sum_oracle():
@@ -60,7 +67,7 @@ def test_random_roster_totals_match_column_sum_oracle():
     totals = team_totals(game, "A")
     for f in FieldId:
         column = [ln.values[f] for ln in lines]
-        assert totals.totals[f] == math.fsum(column)
+        assert totals[f] == math.fsum(column)
 
 
 def test_unknown_team_rejected(bosphi):
@@ -86,7 +93,7 @@ def test_all_zero_totals_raise_with_game_context():
                   [make_line("p1", "A", "g9"), make_line("p2", "B", "g9", MIN=1)])
     assert str(exc.value) == "game 'g9' has no active player for team 'A'"
     # Only totals a caller builds can be all zero, and omega rejects their empty set.
-    zeros = TeamGameTotals("g9", "A", (0.0,) * 37)
+    zeros = (0.0,) * 37
     assert active_fields(zeros) == frozenset()
     with pytest.raises(EmptyActiveSet):
         omega(active_fields(zeros))
@@ -295,7 +302,7 @@ def test_a_team_total_beyond_the_float_range_names_game_and_team():
     with pytest.raises(GcproiError) as exc:
         team_totals(game, "A")
     assert "'A'" in str(exc.value) and "'g1'" in str(exc.value)
-    assert team_totals(game, "B").totals[FieldId.MIN] == 1e308
+    assert team_totals(game, "B")[FieldId.MIN] == 1e308
 
 
 @pytest.mark.parametrize("field", ["team_id", "weight", "active_fields", "gcp"])

@@ -1151,7 +1151,7 @@ def test_validate_team_totals_equal_player_sums(bosphi):
         totals = team_totals(game, team)
         roster = game.roster(team)
         for f in FieldId:
-            assert totals.totals[f] == math.fsum(ln.values[f] for ln in roster)
+            assert totals[f] == math.fsum(ln.values[f] for ln in roster)
 
 
 # --- construction-time invariants ------------------------------------------

@@ -24,7 +24,7 @@ from gcproi import (
     synth_season,
 )
 from gcproi import reporting
-from gcproi.errors import GcproiError, MissingSalary, UnknownPlayer
+from gcproi.errors import GcproiError, MissingSalary, NonPositiveInput, UnknownPlayer
 from gcproi.reporting import (
     STATUS_BELOW_MIN_GAMES,
     STATUS_NO_RATE,
@@ -288,6 +288,21 @@ def test_a_negative_min_games_is_rejected(table, synth_world):
         table(*args, min_games=-5)
     assert str(exc.value) == "min_games must not be negative, got -5"
     table(*args, min_games=0)
+
+
+@pytest.mark.parametrize("abs_tol", [-1.0, 0.0, math.nan])
+def test_roi_table_rejects_a_tolerance_that_is_not_positive(abs_tol):
+    # No player reaches irr, which checks the tolerance of each solve.
+    empty = SeasonDataset.from_games([])
+    with pytest.raises(NonPositiveInput) as exc:
+        roi_table(empty, {}, SalaryTable(entries={}), 1.0, abs_tol=abs_tol)
+    assert str(exc.value) == f"abs_tol must be positive, got {abs_tol}"
+
+
+def test_roi_table_names_a_missing_salary_before_a_bad_tolerance(synth_world):
+    ds, _, _, reports, value = synth_world
+    with pytest.raises(MissingSalary):
+        roi_table(ds, reports, SalaryTable(entries={}), value, abs_tol=-1.0)
 
 
 def test_histogram_bin_count_is_bounded(monkeypatch):
