@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Every error is a GcproiError and
+every input-file error a SchemaError; any other subclass exists only because
+a caller branches on it, naming it in an except clause in this package."""
 
 from __future__ import annotations
 
@@ -19,24 +21,6 @@ class SchemaError(GcproiError):
         super().__init__(f"{message}{loc}")
 
 
-class DuplicateLine(SchemaError):
-    """The same player appears more than once in one game."""
-
-    def __init__(self, player_id: str, game_id: str, line: int | None = None):
-        self.player_id = player_id
-        self.game_id = game_id
-        super().__init__(f"duplicate line for player {player_id!r} in game {game_id!r}", line)
-
-
-class NonPositiveSalary(SchemaError):
-    """A salary entry is zero or negative."""
-
-    def __init__(self, player_id: str, salary: int, line: int | None = None):
-        self.player_id = player_id
-        self.salary = salary
-        super().__init__(f"non-positive salary {salary} for player {player_id!r}", line)
-
-
 class NegativeDerivedField(SchemaError):
     """A stat adjustment formula produced a negative value, i.e. the source
     stats are internally inconsistent."""
@@ -48,38 +32,9 @@ class NegativeDerivedField(SchemaError):
                          line)
 
 
-class UnknownTeam(GcproiError):
-    pass
-
-
-class UnknownPlayer(GcproiError):
-    pass
-
-
-class EmptyActiveSet(GcproiError):
-    """omega was given no active field. A team of a GameRecord always has
-    one, since the record rejects a team without an active line."""
-
-
-class DivisionDomain(GcproiError):
-    """A team total needed as a denominator is zero."""
-
-
-class DomainError(GcproiError):
-    """A discount rate at or below -1 was supplied."""
-
-
-class NonPositiveInput(GcproiError):
-    pass
-
-
 class AllZeroFlows(GcproiError):
     """Every game cash flow is zero: the series has no internal rate of
     return. Callers should surface this as a total-default outcome."""
-
-
-class NonPositiveInvestment(GcproiError):
-    pass
 
 
 class MissingSalary(GcproiError):
@@ -89,14 +44,6 @@ class MissingSalary(GcproiError):
         self.players = list(players)
         super().__init__(f"missing salary for {len(self.players)} player(s): "
                          + ", ".join(repr(p) for p in self.players))
-
-
-class NoSignChange(GcproiError):
-    """The oracle's rate grid never brackets a root."""
-
-
-class InvalidConfig(GcproiError):
-    pass
 
 
 class ConvergenceError(GcproiError):

@@ -20,14 +20,7 @@ import math
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .errors import (
-    AllZeroFlows,
-    ConvergenceError,
-    DomainError,
-    NonPositiveInput,
-    NonPositiveInvestment,
-    UnknownPlayer,
-)
+from .errors import AllZeroFlows, ConvergenceError, GcproiError
 from .gcp import GameGcpReport
 from .ingest import GameRecord, SeasonDataset
 
@@ -46,10 +39,13 @@ def sgv(total_salary: int, games: int) -> float:
     Full precision is kept; round only for display.
     """
     if total_salary <= 0:
-        raise NonPositiveInput(f"total salary must be positive, got {total_salary}")
+        raise GcproiError(f"total salary must be positive, got {total_salary}")
     if games <= 0:
-        raise NonPositiveInput(f"game count must be positive, got {games}")
-    return total_salary / (2 * games)
+        raise GcproiError(f"game count must be positive, got {games}")
+    value = total_salary / (2 * games)
+    if not value > 0.0:  # below the smallest float: every flow would be a default
+        raise GcproiError(f"SGV rounds to 0.0: too many games for total salary {total_salary}")
+    return value
 
 
 class CashFlowSeries(NamedTuple):
@@ -94,7 +90,7 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
     """
     runs = ds.player_runs(player_id)
     if not runs:
-        raise UnknownPlayer(f"player {player_id!r} never appears in the dataset")
+        raise GcproiError(f"player {player_id!r} never appears in the dataset")
     if len(runs) == 1:
         team = runs[0][0]
         return tuple((g, team) for g in ds.team_games[team])
@@ -123,7 +119,7 @@ def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: 
     appear. scheduled, when given, is the player's scheduled_shares, so that
     callers needing it too compute it once."""
     if salary <= 0:
-        raise NonPositiveInvestment(f"salary must be positive, got {salary}")
+        raise GcproiError(f"salary must be positive, got {salary}")
     slots, shares = scheduled or scheduled_shares(ds, reports, player_id)
     flows = tuple(value * share for share in shares)
     return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
@@ -145,7 +141,7 @@ def npv(rate: float, series: CashFlowSeries) -> float:
     meaningful because every flow is non-negative.
     """
     if rate <= -1.0:
-        raise DomainError(f"rate must exceed -1, got {rate}")
+        raise GcproiError(f"rate must exceed -1, got {rate}")
     inv = 1.0 / (1.0 + rate)
     disc = 1.0
     terms = []
@@ -194,11 +190,11 @@ def irr(series: CashFlowSeries, abs_tol: float = DEFAULT_NPV_TOL) -> RoiResult:
     (roots collapsing toward -1), the result carries npv's honest residual.
     """
     if series.cf0 <= 0.0:
-        raise NonPositiveInvestment(f"cf0 must be positive, got {series.cf0}")
+        raise GcproiError(f"cf0 must be positive, got {series.cf0}")
     if not any(cf > 0.0 for cf in series.flows):
         raise AllZeroFlows(f"player {series.player_id!r} produced no positive cash flow")
     if not abs_tol > 0.0:  # NaN too
-        raise NonPositiveInput(f"abs_tol must be positive, got {abs_tol}")
+        raise GcproiError(f"abs_tol must be positive, got {abs_tol}")
 
     result = _solve(lambda rate: npv(rate, series), abs_tol)
     if abs(result.residual) <= abs_tol:
@@ -285,16 +281,16 @@ def breakeven_gcp(salary: float, n_games: int, value: float) -> float:
     0% rate over n_games: salary / (n_games * value), value being the SGV in
     dollars."""
     if not 0.0 < salary < math.inf:
-        raise NonPositiveInput(f"salary must be a positive finite number, got {salary}")
+        raise GcproiError(f"salary must be a positive finite number, got {salary}")
     if n_games <= 0:
-        raise NonPositiveInput(f"n_games must be positive, got {n_games}")
+        raise GcproiError(f"n_games must be positive, got {n_games}")
     if not 0.0 < value < math.inf:
-        raise NonPositiveInput(f"SGV must be a positive finite number, got {value}")
+        raise GcproiError(f"SGV must be a positive finite number, got {value}")
     try:
         required = salary / (n_games * value)
     except OverflowError:  # an int n_games beyond the float range
-        raise NonPositiveInput("n_games exceeds the float range") from None
+        raise GcproiError("n_games exceeds the float range") from None
     if not required < math.inf:
-        raise NonPositiveInput(f"break-even GCP exceeds the float range (salary {salary}, "
-                               f"n_games {n_games}, SGV {value})")
+        raise GcproiError(f"break-even GCP exceeds the float range (salary {salary}, "
+                          f"n_games {n_games}, SGV {value})")
     return required

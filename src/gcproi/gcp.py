@@ -21,7 +21,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import DivisionDomain, EmptyActiveSet, UnknownPlayer, UnknownTeam
+from .errors import GcproiError
 from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset
 
@@ -43,13 +43,13 @@ class GameGcpReport(NamedTuple):
         for t in self.teams:
             if t.team_id == team_id:
                 return t
-        raise UnknownTeam(f"team {team_id!r} not in game {self.game_id!r}")
+        raise GcproiError(f"team {team_id!r} not in game {self.game_id!r}")
 
 
 def team_totals(game: GameRecord, team_id: str) -> StatRow:
     """Sum every field over the team's lines for this game, as a stat row."""
     if team_id not in game.teams:
-        raise UnknownTeam(f"team {team_id!r} not in game {game.game_id!r}")
+        raise GcproiError(f"team {team_id!r} not in game {game.game_id!r}")
     return game.totals(team_id)
 
 
@@ -62,7 +62,7 @@ def active_fields(totals: StatRow) -> frozenset[FieldId]:
 def omega(active: frozenset[FieldId]) -> float:
     """The categorical weight, 1 over the number of active fields."""
     if not active:
-        raise EmptyActiveSet("no stat field has a positive team total")
+        raise GcproiError("no stat field has a positive team total")
     return 1.0 / len(active)
 
 
@@ -86,8 +86,8 @@ def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
     """GCP of one active player; see the module docstring for the formula."""
     gcp = _side(game, team_id).gcp.get(player_id)
     if gcp is None:
-        raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
-                            f"in game {game.game_id!r}")
+        raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "
+                          f"in game {game.game_id!r}")
     return gcp
 
 
@@ -109,11 +109,11 @@ def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     w = omega(active_fields(totals))
     ln = next((ln for ln in game.roster(team_id) if ln.player_id == player_id), None)
     if ln is None:
-        raise UnknownPlayer(f"player {player_id!r} has no active line for team {team_id!r} "
-                            f"in game {game.game_id!r}")
+        raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "
+                          f"in game {game.game_id!r}")
     min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
     if min_t <= 0.0 or poss_t <= 0.0:
-        raise DivisionDomain(
+        raise GcproiError(
             f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
     min_p, poss_p = ln.values[FieldId.MIN], ln.values[FieldId.POSS]
     return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)

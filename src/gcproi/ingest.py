@@ -4,7 +4,7 @@ Input formats (all UTF-8 CSV; errors name the 1-based line a row starts on):
 
 * games CSV: header ``game_id,date,team,opponent,player_id,player_name``
   followed by the 37 canonical field names in canonical order; one row per
-  player-game; dates ISO-8601.
+  player-game; dates ``YYYY-MM-DD``.
 * raw-stats CSV: same six leading columns followed by the source stat names
   in RAW_STATS order; rows are run through the adjustment formulas while
   parsing.
@@ -48,13 +48,7 @@ from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import (
-    DuplicateLine,
-    GcproiError,
-    NegativeDerivedField,
-    NonPositiveSalary,
-    SchemaError,
-)
+from .errors import GcproiError, NegativeDerivedField, SchemaError
 from .fields import FIELD_ORDER, RAW_STATS, StatRow, derive_fields, underive_fields
 
 ID_COLUMNS = ("game_id", "date", "team", "opponent", "player_id", "player_name")
@@ -151,7 +145,8 @@ class GameRecord(_GameFields):
                 raise SchemaError(f"line of player {ln.player_id!r} ({ln.team_id!r}, game "
                                   f"{ln.game_id!r}) is not part of game {game_id!r}")
             if ln.player_id in players:
-                raise DuplicateLine(ln.player_id, game_id)
+                raise SchemaError(f"duplicate line for player {ln.player_id!r} in game "
+                                  f"{game_id!r}")
             values = ln.values
             if len(values) != width:
                 raise SchemaError(f"player {ln.player_id!r} in game {game_id!r} has "
@@ -283,7 +278,7 @@ def _check_salary(player_id: str, salary: int, line: int | None = None) -> None:
             f"{salary[:_ECHO]!r}... ({len(salary)} characters)")
         raise SchemaError(f"salary must be integer dollars, got {shown}", line, "salary_usd")
     if salary <= 0:
-        raise NonPositiveSalary(player_id, salary, line)
+        raise SchemaError(f"non-positive salary {salary} for player {player_id!r}", line)
     if salary > 2**53:
         raise SchemaError("salary exceeds 2**53 dollars", line, "salary_usd")
 
@@ -405,8 +400,10 @@ def parse_games(path: str | Path, fmt: str = "derived",
                 raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
             game = pending.get(game_id)
             if game is None or date_text != game[1]:
-                try:
+                try:  # YYYY-MM-DD only, the one form 3.10's fromisoformat reads
                     game_date = Date.fromisoformat(date_text)
+                    if game_date.isoformat() != date_text:
+                        raise ValueError(date_text)
                 except ValueError:
                     raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
 
@@ -438,7 +435,7 @@ def parse_games(path: str | Path, fmt: str = "derived",
                                            shared.setdefault(opponent, opponent), line_no,
                                            [], [], set()]
             else:
-                if date_text != game[1] and game_date != game[2]:
+                if date_text != game[1]:
                     raise SchemaError(
                         f"game {game_id!r} has conflicting dates {game[2]} and {game_date}",
                         line_no, "date")
@@ -449,7 +446,8 @@ def parse_games(path: str | Path, fmt: str = "derived",
                 game_id = game[0]
             players = game[8]
             if player_id in players:
-                raise DuplicateLine(player_id, game_id, line_no)
+                raise SchemaError(f"duplicate line for player {player_id!r} in game "
+                                  f"{game_id!r}", line_no)
             players.add(player_id)
             game[6 if team == game[3] else 7].append(  # PlayerGameLine(...), at C speed
                 tuple.__new__(PlayerGameLine, (player_id, team, game_id, values)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary, NonPositiveInput
+from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
 from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp, scheduled_shares
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
@@ -136,7 +136,7 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
         raise GcproiError(f"min_games must not be negative, got {min_games}")
     check_salaries(ds, salaries)
     if not abs_tol > 0.0:  # NaN too; irr checks it only for a player it solves
-        raise NonPositiveInput(f"abs_tol must be positive, got {abs_tol}")
+        raise GcproiError(f"abs_tol must be positive, got {abs_tol}")
     dataset_players = ds.player_ids
     rows = []
     for player_id in sorted(salaries.entries):

@@ -15,7 +15,7 @@ from datetime import date as Date
 from datetime import timedelta
 from typing import NamedTuple
 
-from .errors import InvalidConfig, NoSignChange
+from .errors import GcproiError
 from .fields import FIELD_ORDER, FRACTIONAL_FIELDS, FieldId
 from .finance import CashFlowSeries, npv
 from .ingest import GameRecord, PlayerGameLine, SalaryTable, SeasonDataset
@@ -66,18 +66,18 @@ class SynthConfig(_SynthFields):
 
     def validate(self) -> None:
         if self.teams < 2 or self.teams % 2 != 0:
-            raise InvalidConfig(f"teams must be even and >= 2, got {self.teams}")
+            raise GcproiError(f"teams must be even and >= 2, got {self.teams}")
         if self.games_per_team < 1:
-            raise InvalidConfig(f"games_per_team must be >= 1, got {self.games_per_team}")
+            raise GcproiError(f"games_per_team must be >= 1, got {self.games_per_team}")
         if not (1 <= self.roster_min <= self.roster_max):
-            raise InvalidConfig(
+            raise GcproiError(
                 f"need 1 <= roster_min <= roster_max, got {self.roster_min}..{self.roster_max}")
         for prob in (self.miss_prob, *self.miss_prob_overrides.values()):
             if not (0.0 <= prob <= 1.0):
-                raise InvalidConfig(f"miss probability out of [0, 1]: {prob}")
+                raise GcproiError(f"miss probability out of [0, 1]: {prob}")
         for team, fields in self.zero_fields.items():
             if set(FieldId) <= set(fields):  # the team would have no active line
-                raise InvalidConfig(f"zero_fields silences every field of team {team!r}")
+                raise GcproiError(f"zero_fields silences every field of team {team!r}")
 
 
 class SynthBookkeeping(NamedTuple):
@@ -227,11 +227,11 @@ def irr_oracle(series: CashFlowSeries) -> float:
     Deliberately shares no logic with the production solver.
     """
     if series.cf0 <= 0.0 or not any(cf > 0.0 for cf in series.flows):
-        raise NoSignChange("series violates the solver preconditions")
+        raise GcproiError("series violates the solver preconditions")
     lo = ORACLE_GRID_LO
     f_lo = npv(lo, series)
     if f_lo < 0.0:
-        raise NoSignChange(f"no sign change: value already negative at {lo}")
+        raise GcproiError(f"no sign change: value already negative at {lo}")
     steps = int(round((ORACLE_GRID_HI - ORACLE_GRID_LO) / ORACLE_GRID_STEP))
     hi = None
     for k in range(1, steps + 1):
@@ -242,7 +242,7 @@ def irr_oracle(series: CashFlowSeries) -> float:
             break
         lo = x
     if hi is None:
-        raise NoSignChange(f"no sign change up to rate {ORACLE_GRID_HI}")
+        raise GcproiError(f"no sign change up to rate {ORACLE_GRID_HI}")
     for _ in range(ORACLE_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if npv(mid, series) >= 0.0:

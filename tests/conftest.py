@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -34,6 +35,15 @@ PHI_EXPECTED = {
     "paul-reed": 0.0871,
 }
 GOLDEN_TOL = 5e-5  # the published table prints four decimals
+
+
+@contextmanager
+def raises_exactly(error: type, message: str):
+    """Expect an error of exactly this class, not a subclass, with exactly
+    this message. Yields pytest's ExceptionInfo, for further checks after the block."""
+    with pytest.raises(error) as exc:
+        yield exc
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 @pytest.fixture(scope="session")

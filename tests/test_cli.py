@@ -176,6 +176,10 @@ BAD_INPUTS = {
                                     "--sgv", "1"],
     "breakeven-required-gcp-overflows": ["breakeven", "--salary", "1e308", "--n-games", "1",
                                          "--sgv", "1e-308"],
+    "roi-sgv-rounds-to-zero": ["roi", "--games", "{games}", "--salaries", "{salaries}",
+                               "--season-games", "9" * 340],
+    "scatter-sgv-rounds-to-zero": ["scatter", "--games", "{games}", "--salaries", "{salaries}",
+                                   "--season-games", "9" * 340],
 }
 
 
@@ -230,7 +234,9 @@ def test_main_runs_without_the_collector_and_restores_its_state(case, code, coll
     (["--sgv-override", "1e-310"], "no_rate"),
     (["--sgv-override", "1e308"], "no_rate"),
     (["--sgv-override", "5e-324"], "total_default"),
-], ids=["root-rounds-to-minus-one", "subnormal-sgv", "root-above-max-rate", "flows-underflow"])
+    (["--season-games", "1" + "0" * 320], "no_rate"),
+], ids=["root-rounds-to-minus-one", "subnormal-sgv", "root-above-max-rate", "flows-underflow",
+        "subnormal-derived-sgv"])
 def test_a_solver_failure_is_a_per_player_status(flags, status, tmp_path, data_dir):
     rc, body = run(["roi", "--games", str(data_dir / "bosphi_games.csv"),
                     "--salaries", str(data_dir / "bosphi_salaries.csv")] + flags, tmp_path)
@@ -372,6 +378,33 @@ def test_a_season_game_count_below_one_is_named_on_stderr(sub, games, sgv_given,
         argv += ["--sgv" if sub == "breakeven" else "--sgv-override", "1000"]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: game count must be positive, got {games}\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("sub", ["roi", "scatter", "breakeven"])
+def test_a_season_game_count_that_rounds_the_sgv_to_zero_is_named_on_stderr(sub, tmp_path,
+                                                                           data_dir, capsys):
+    # Every flow would be a zero, a season of defaults; 10**320 games still
+    # give a subnormal SGV, and per-player statuses.
+    argv = [sub, "--games", str(data_dir / "bosphi_games.csv"),
+            "--salaries", str(data_dir / "bosphi_salaries.csv"), "--season-games", "9" * 340,
+            "--out", str(tmp_path / "x")]
+    if sub == "breakeven":
+        argv += ["--salary", "1e6", "--n-games", "82"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: SGV rounds to 0.0: too many games for total salary 263710396\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", ["20230404", "2023-W14-2", "2023-4-4"])
+def test_a_date_not_spelled_yyyy_mm_dd_is_named_on_stderr(text, tmp_path, data_dir, capsys):
+    # date.fromisoformat reads the first two as the golden game's day from 3.11 on.
+    golden = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8")
+    games = tmp_path / "games.csv"
+    games.write_text(golden.replace(",2023-04-04,", f",{text},"), encoding="utf-8")
+    assert main(["histogram", "--games", str(games), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr() == ("", f"error: bad ISO date: {text!r} (line 2, column date)\n")
     assert not (tmp_path / "x").exists()
 
 

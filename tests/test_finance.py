@@ -19,16 +19,9 @@ from gcproi import (
     season_reports,
     sgv,
 )
-from gcproi.errors import (
-    AllZeroFlows,
-    ConvergenceError,
-    DomainError,
-    NonPositiveInput,
-    NonPositiveInvestment,
-    UnknownPlayer,
-)
+from gcproi.errors import AllZeroFlows, ConvergenceError, GcproiError
 
-from conftest import build_two_team_season, make_game, make_line
+from conftest import build_two_team_season, make_game, make_line, raises_exactly
 
 
 def series(cf0, flows, player="p"):
@@ -55,10 +48,20 @@ def test_sgv_matches_hand_division_on_a_six_game_schedule():
 
 
 def test_sgv_rejects_non_positive_inputs():
-    with pytest.raises(NonPositiveInput):
+    with raises_exactly(GcproiError, "total salary must be positive, got 0"):
         sgv(0, 10)
-    with pytest.raises(NonPositiveInput):
+    with raises_exactly(GcproiError, "game count must be positive, got 0"):
         sgv(100, 0)
+
+
+def test_an_sgv_below_the_float_range_is_an_error_and_a_subnormal_one_is_not():
+    # 1 / 2**1074 is the smallest positive float; half of it rounds to 0.0,
+    # which would make every flow a default.
+    assert sgv(1, 2**1073) == 5e-324
+    with raises_exactly(GcproiError, "SGV rounds to 0.0: too many games for total salary 1"):
+        sgv(1, 2**1074)
+    with raises_exactly(GcproiError, "SGV rounds to 0.0: too many games for total salary 7"):
+        sgv(7, 10**400)
 
 
 # --- schedules and cash flows ------------------------------------------
@@ -72,7 +75,7 @@ def test_one_team_player_is_on_the_hook_for_the_whole_schedule():
 
 def test_unknown_player_has_no_schedule():
     ds = build_two_team_season(2, ["a1"], ["b1"])
-    with pytest.raises(UnknownPlayer):
+    with raises_exactly(GcproiError, "player 'ghost' never appears in the dataset"):
         player_schedule(ds, "ghost")
 
 
@@ -255,9 +258,9 @@ def test_one_period_identity():
 
 def test_npv_rejects_rates_at_or_below_minus_one():
     s = series(1.0, [1.0])
-    with pytest.raises(DomainError):
+    with raises_exactly(GcproiError, "rate must exceed -1, got -1.0"):
         npv(-1.0, s)
-    with pytest.raises(DomainError):
+    with raises_exactly(GcproiError, "rate must exceed -1, got -2.0"):
         npv(-2.0, s)
 
 
@@ -338,20 +341,20 @@ def test_all_zero_flows_is_a_distinguished_outcome():
 
 
 def test_non_positive_investment_rejected():
-    with pytest.raises(NonPositiveInvestment):
+    with raises_exactly(GcproiError, "cf0 must be positive, got 0.0"):
         irr(series(0.0, [1.0]))
 
 
 @pytest.mark.parametrize("salary", [0, -1, 0.0, -0.5])
 def test_cash_flows_reject_a_salary_that_is_not_positive(salary):
     ds = build_two_team_season(1, ["solo"], ["b1"])
-    with pytest.raises(NonPositiveInvestment, match="salary must be positive"):
+    with raises_exactly(GcproiError, f"salary must be positive, got {salary}"):
         cash_flows(ds, season_reports(ds), "solo", 100.0, salary=salary)
 
 
 def test_non_positive_tolerance_rejected():
     for bad in (0.0, -1e-6, math.nan):
-        with pytest.raises(NonPositiveInput):
+        with raises_exactly(GcproiError, f"abs_tol must be positive, got {bad}"):
             irr(series(100.0, [110.0]), abs_tol=bad)
 
 
@@ -428,19 +431,20 @@ def test_breakeven_feeds_back_through_the_solver_at_rate_zero():
 
 def test_breakeven_rejects_non_positive_inputs():
     value = 10.0
-    with pytest.raises(NonPositiveInput):
+    with raises_exactly(GcproiError, "salary must be a positive finite number, got 0.0"):
         breakeven_gcp(0.0, 5, value)
-    with pytest.raises(NonPositiveInput):
+    with raises_exactly(GcproiError, "n_games must be positive, got 0"):
         breakeven_gcp(10.0, 0, value)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NonPositiveInput):
+        with raises_exactly(GcproiError, f"SGV must be a positive finite number, got {bad}"):
             breakeven_gcp(10.0, 5, bad)
-        with pytest.raises(NonPositiveInput):
+        with raises_exactly(GcproiError, f"salary must be a positive finite number, got {bad}"):
             breakeven_gcp(bad, 5, value)
 
 
 def test_breakeven_rejects_a_result_beyond_the_float_range():
-    with pytest.raises(NonPositiveInput):
+    with raises_exactly(GcproiError, "break-even GCP exceeds the float range "
+                                     "(salary 1e+308, n_games 1, SGV 1e-308)"):
         breakeven_gcp(1e308, 1, 1e-308)
-    with pytest.raises(NonPositiveInput):
+    with raises_exactly(GcproiError, "n_games exceeds the float range"):
         breakeven_gcp(5.0, int("9" * 400), 1.0)

@@ -18,16 +18,16 @@ from gcproi import (
     season_reports,
     team_totals,
 )
-from gcproi.errors import (
-    DivisionDomain,
-    EmptyActiveSet,
-    GcproiError,
-    SchemaError,
-    UnknownPlayer,
-    UnknownTeam,
-)
+from gcproi.errors import GcproiError, SchemaError
 
-from conftest import BOS_EXPECTED, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
+from conftest import (
+    BOS_EXPECTED,
+    GOLDEN_TOL,
+    PHI_EXPECTED,
+    make_game,
+    make_line,
+    raises_exactly,
+)
 
 
 def test_bos_team_totals_match_the_published_columns(bosphi):
@@ -71,7 +71,7 @@ def test_random_roster_totals_match_column_sum_oracle():
 
 
 def test_unknown_team_rejected(bosphi):
-    with pytest.raises(UnknownTeam):
+    with raises_exactly(GcproiError, "team 'LAL' not in game '2023040401'"):
         team_totals(bosphi.games[0], "LAL")
 
 
@@ -95,7 +95,7 @@ def test_all_zero_totals_raise_with_game_context():
     # Only totals a caller builds can be all zero, and omega rejects their empty set.
     zeros = (0.0,) * 37
     assert active_fields(zeros) == frozenset()
-    with pytest.raises(EmptyActiveSet):
+    with raises_exactly(GcproiError, "no stat field has a positive team total"):
         omega(active_fields(zeros))
 
 
@@ -117,7 +117,7 @@ def test_weight_is_reciprocal_of_active_count(n, expected):
 
 
 def test_weight_of_empty_set_is_an_error():
-    with pytest.raises(EmptyActiveSet):
+    with raises_exactly(GcproiError, "no stat field has a positive team total"):
         omega(frozenset())
 
 
@@ -166,10 +166,10 @@ def test_inactive_players_carry_no_entry():
                       make_line("b", "B", "g1", MIN=1)])
     report = game_report(game)
     assert "a2" not in report.team("A").gcp
-    with pytest.raises(UnknownPlayer):
-        player_gcp(game, "A", "a2")
-    with pytest.raises(UnknownPlayer):
-        player_gcp(game, "A", "nobody")
+    for player in ("a2", "nobody"):
+        with raises_exactly(GcproiError, f"player '{player}' has no active line for team 'A' "
+                                         "in game 'g1'"):
+            player_gcp(game, "A", player)
 
 
 def test_upper_bound_is_one_for_a_full_share_player():
@@ -201,7 +201,7 @@ def test_bound_requires_positive_min_and_poss():
     game = make_game("g1", date(2024, 1, 1), "A", "B",
                      [make_line("a", "A", "g1", TCH=5),  # no MIN, no POSS
                       make_line("b", "B", "g1", MIN=1)])
-    with pytest.raises(DivisionDomain):
+    with raises_exactly(GcproiError, "team 'A' has zero MIN or POSS total in game 'g1'"):
         gcp_upper_bound(game, "A", "a")
 
 
@@ -214,7 +214,8 @@ def test_bound_checks_the_active_set_before_the_player():
                   [make_line("a", "A", "g1"), make_line("b", "B", "g1", MIN=1)])
     game = make_game("g1", date(2024, 1, 1), "A", "B",
                      [make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1", MIN=1)])
-    with pytest.raises(UnknownPlayer):
+    with raises_exactly(GcproiError,
+                        "player 'nobody' has no active line for team 'A' in game 'g1'"):
         gcp_upper_bound(game, "A", "nobody")
 
 
@@ -224,7 +225,8 @@ def test_bound_rejects_a_player_without_an_active_line_for_the_team(player):
                      [make_line("a1", "A", "g1", MIN=10, POSS=20),
                       make_line("a2", "A", "g1"),  # all zero: inactive
                       make_line("b", "B", "g1", MIN=1, POSS=1)])
-    with pytest.raises(UnknownPlayer, match=f"player '{player}' has no active line for team 'A'"):
+    with raises_exactly(GcproiError,
+                        f"player '{player}' has no active line for team 'A' in game 'g1'"):
         gcp_upper_bound(game, "A", player)
 
 def test_golden_distribution_has_twenty_values(bosphi):

@@ -54,3 +54,19 @@ def test_every_module_level_import_is_used(module):
             if name not in used:
                 unused.append(name)
     assert unused == []
+
+
+def test_every_error_subclass_is_caught_by_name():
+    """An error class earns its place only where a caller branches on it:
+    each class in errors.py other than the two bases is named in an except
+    clause of the package."""
+    errors = ast.parse((SOURCES / "errors.py").read_text(encoding="utf-8"))
+    defined = {stmt.name for stmt in errors.body if isinstance(stmt, ast.ClassDef)}
+    caught = set()
+    for path in SOURCES.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node.type)
+                              if isinstance(n, (ast.Name, ast.Attribute)))
+    assert sorted(defined - {"GcproiError", "SchemaError"} - caught) == []

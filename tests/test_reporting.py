@@ -24,7 +24,7 @@ from gcproi import (
     synth_season,
 )
 from gcproi import reporting
-from gcproi.errors import GcproiError, MissingSalary, NonPositiveInput, UnknownPlayer
+from gcproi.errors import GcproiError, MissingSalary
 from gcproi.reporting import (
     STATUS_BELOW_MIN_GAMES,
     STATUS_NO_RATE,
@@ -32,7 +32,7 @@ from gcproi.reporting import (
     STATUS_TOTAL_DEFAULT,
 )
 
-from conftest import make_game, make_line
+from conftest import make_game, make_line, raises_exactly
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +221,7 @@ def test_comparison_zeros_match_the_planted_misses(synth_world):
 
 def test_comparison_rejects_unknown_players(synth_world):
     ds, _, _, reports, _ = synth_world
-    with pytest.raises(UnknownPlayer):
+    with raises_exactly(GcproiError, "player 'ghost' never appears in the dataset"):
         comparison(ds, reports, "T00P00", "ghost")
 
 
@@ -294,9 +294,8 @@ def test_a_negative_min_games_is_rejected(table, synth_world):
 def test_roi_table_rejects_a_tolerance_that_is_not_positive(abs_tol):
     # No player reaches irr, which checks the tolerance of each solve.
     empty = SeasonDataset.from_games([])
-    with pytest.raises(NonPositiveInput) as exc:
+    with raises_exactly(GcproiError, f"abs_tol must be positive, got {abs_tol}"):
         roi_table(empty, {}, SalaryTable(entries={}), 1.0, abs_tol=abs_tol)
-    assert str(exc.value) == f"abs_tol must be positive, got {abs_tol}"
 
 
 def test_roi_table_names_a_missing_salary_before_a_bad_tolerance(synth_world):

@@ -25,9 +25,11 @@ from gcproi import (
     validate_dataset,
     write_games_csv,
 )
-from gcproi.errors import AllZeroFlows, InvalidConfig, NoSignChange
+from gcproi.errors import AllZeroFlows, GcproiError
 from gcproi.fields import FIELD_ORDER, FRACTIONAL_FIELDS
 from gcproi.synth import COUNT_MAX, MINUTES_MAX, SALARY_MAX, SALARY_MIN
+
+from conftest import raises_exactly
 
 
 def dataset_bytes(ds) -> bytes:
@@ -189,19 +191,19 @@ def test_realistic_mode_normalizes_team_minutes():
 
 
 def test_invalid_configs_are_rejected():
-    with pytest.raises(InvalidConfig):
+    with raises_exactly(GcproiError, "teams must be even and >= 2, got 3"):
         synth_season(SynthConfig(teams=3))
-    with pytest.raises(InvalidConfig):
+    with raises_exactly(GcproiError, "games_per_team must be >= 1, got 0"):
         synth_season(SynthConfig(games_per_team=0))
-    with pytest.raises(InvalidConfig):
+    with raises_exactly(GcproiError, "need 1 <= roster_min <= roster_max, got 5..3"):
         synth_season(SynthConfig(roster_min=5, roster_max=3))
-    with pytest.raises(InvalidConfig):
+    with raises_exactly(GcproiError, "miss probability out of [0, 1]: 1.5"):
         synth_season(SynthConfig(miss_prob=1.5))
 
 
 def test_a_team_silenced_in_every_field_is_an_invalid_config():
     # Its lines would all be zero, and a game rejects a team without an active line.
-    with pytest.raises(InvalidConfig, match="silences every field of team 'T00'"):
+    with raises_exactly(GcproiError, "zero_fields silences every field of team 'T00'"):
         SynthConfig(zero_fields={"T00": tuple(FieldId)}).validate()
     ds, _, _ = synth_season(SynthConfig(zero_fields={"T00": tuple(FieldId)[1:]}))
     assert all(g.roster("T00") for g in ds.team_games["T00"])
@@ -218,15 +220,15 @@ def test_oracle_solves_the_closed_forms():
 def test_oracle_rejects_out_of_window_roots():
     # root above the grid ceiling
     high = CashFlowSeries(player_id="p", cf0=1.0, flows=(1e6,), schedule=("g1",))
-    with pytest.raises(NoSignChange):
+    with raises_exactly(GcproiError, "no sign change up to rate 10.0"):
         irr_oracle(high)
     # root below the grid floor
     low = CashFlowSeries(player_id="p", cf0=1e8, flows=(1.0,), schedule=("g1",))
-    with pytest.raises(NoSignChange):
+    with raises_exactly(GcproiError, "no sign change: value already negative at -0.999"):
         irr_oracle(low)
     # no positive flow at all
     flat = CashFlowSeries(player_id="p", cf0=10.0, flows=(0.0,), schedule=("g1",))
-    with pytest.raises(NoSignChange):
+    with raises_exactly(GcproiError, "series violates the solver preconditions"):
         irr_oracle(flat)
 
 
