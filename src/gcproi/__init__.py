@@ -50,6 +50,6 @@ from .reporting import (
     roi_table,
     salary_summary,
 )
-from .synth import SynthConfig, irr_oracle, synth_season
+from .synth import SynthConfig, synth_season
 
 __version__ = "0.1.0"

@@ -67,7 +67,7 @@ def _emit(header: list[str], rows: list[list], args) -> None:
     _write(args.out or _stdout(), chunks)
 
 
-def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcpReport]]:
+def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcp]]:
     ds = parse_games(args.games)
     return ds, parse_salaries(args.salaries), gcp.season_reports(ds)
 
@@ -86,21 +86,24 @@ def _sgv_for(args, ds: SeasonDataset | None = None, salaries: SalaryTable | None
 def cmd_gcp(args) -> int:
     ds = parse_games(args.games)
     game = ds.get_game(args.game_id)
-    report = gcp.game_report(game)
-    sides = [report.team(args.team)] if args.team else list(report.teams)
+    report = gcp.game_report(game)  # first, so that a total overflow is the error shown
+    sides = []  # (team, weight, active fields, shares) per printed team
+    for team in [args.team] if args.team else report:
+        active = gcp.active_fields(gcp.team_totals(game, team))
+        sides.append((team, gcp.omega(active), active, report[team]))
 
     if args.format == "json":
         payload = {
-            "game_id": report.game_id,
+            "game_id": game.game_id,
             "teams": [
                 {
-                    "team": side.team_id,
-                    "weight": side.weight,
-                    "active_field_count": len(side.active_fields),
-                    "active_fields": sorted(f.name for f in side.active_fields),
-                    "players": {p: v for p, v in side.gcp.items()},
+                    "team": team,
+                    "weight": weight,
+                    "active_field_count": len(active),
+                    "active_fields": sorted(f.name for f in active),
+                    "players": shares,
                 }
-                for side in sides
+                for team, weight, active, shares in sides
             ],
         }
         _write(args.out or _stdout(), [json.dumps(payload, indent=2) + "\n"])
@@ -109,11 +112,10 @@ def cmd_gcp(args) -> int:
     header = ["game_id", "team", "player_id", "player_name", "weight",
               "active_fields", "gcp"]
     rows = []
-    for side in sides:
-        for player_id, share in side.gcp.items():
-            rows.append([report.game_id, side.team_id, player_id,
-                         ds.player_name(player_id), repr(side.weight),
-                         str(len(side.active_fields)),
+    for team, weight, active, shares in sides:
+        for player_id, share in shares.items():
+            rows.append([game.game_id, team, player_id,
+                         ds.player_name(player_id), repr(weight), str(len(active)),
                          _fmt(share, 4, args.full_precision)])
     _emit(header, rows, args)
     return EXIT_OK

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import AllZeroFlows, ConvergenceError, GcproiError
-from .gcp import GameGcpReport
+from .gcp import GameGcp
 from .ingest import GameRecord, SeasonDataset
 
 #: Stop refining the rate bracket once it is this narrow.
@@ -102,16 +102,16 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
 Scheduled = tuple[tuple[tuple[GameRecord, str], ...], tuple[float, ...]]
 
 
-def scheduled_shares(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def scheduled_shares(ds: SeasonDataset, reports: dict[str, GameGcp],
                      player_id: str) -> Scheduled:
     """The player's schedule (see player_schedule) and their GCP in each
     (game, team) slot; 0.0 where the player did not play."""
     slots = player_schedule(ds, player_id)
-    return slots, tuple(reports[g.game_id].team(team).gcp.get(player_id, 0.0)
+    return slots, tuple(reports[g.game_id][team].get(player_id, 0.0)
                         for g, team in slots)
 
 
-def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
+def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcp], player_id: str,
                value: float, salary: float,
                scheduled: Scheduled | None = None) -> CashFlowSeries:
     """Realized cash-flow series for one player: value (the SGV, in
@@ -126,7 +126,7 @@ def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: 
                           schedule=tuple(g.game_id for g, _ in slots))
 
 
-def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport], player_id: str,
+def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcp], player_id: str,
           scheduled: Scheduled | None = None) -> PvGcp:
     """Sum the player's GCPs over their schedule; scheduled as in cash_flows."""
     _, shares = scheduled or scheduled_shares(ds, reports, player_id)

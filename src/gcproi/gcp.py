@@ -19,31 +19,14 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
 
 from .errors import GcproiError
 from .fields import FIELD_ORDER, FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset
 
 
-class TeamGcp(NamedTuple):
-    """One team's side of a game report. Inactive players carry no entry."""
-
-    team_id: str
-    weight: float
-    active_fields: frozenset[FieldId]
-    gcp: dict[str, float]
-
-
-class GameGcpReport(NamedTuple):
-    game_id: str
-    teams: tuple[TeamGcp, TeamGcp]
-
-    def team(self, team_id: str) -> TeamGcp:
-        for t in self.teams:
-            if t.team_id == team_id:
-                return t
-        raise GcproiError(f"team {team_id!r} not in game {self.game_id!r}")
+#: One game's report: team id -> player id -> GCP, for active players only.
+GameGcp = dict[str, dict[str, float]]
 
 
 def team_totals(game: GameRecord, team_id: str) -> StatRow:
@@ -66,39 +49,35 @@ def omega(active: frozenset[FieldId]) -> float:
     return 1.0 / len(active)
 
 
-def _side(game: GameRecord, team_id: str) -> TeamGcp:
-    """One team's side of the game report.
+def _side(game: GameRecord, team_id: str) -> dict[str, float]:
+    """One team's side of the game report: player id -> GCP.
 
     Each zero team total is replaced by an inf divisor: a field the team
     never recorded then adds an exact +0.0 term to a player's share sum, and
     fsum is correctly rounded, so that term changes nothing.
     """
     totals = team_totals(game, team_id)
-    active = active_fields(totals)
-    w = omega(active)
+    w = omega(active_fields(totals))
     divisors = tuple(t if t > 0.0 else math.inf for t in totals)
-    gcp = {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
-           for ln in game.roster(team_id)}
-    return TeamGcp(team_id=team_id, weight=w, active_fields=active, gcp=gcp)
+    return {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
+            for ln in game.roster(team_id)}
 
 
 def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
     """GCP of one active player; see the module docstring for the formula."""
-    gcp = _side(game, team_id).gcp.get(player_id)
+    gcp = _side(game, team_id).get(player_id)
     if gcp is None:
         raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "
                           f"in game {game.game_id!r}")
     return gcp
 
 
-def game_report(game: GameRecord) -> GameGcpReport:
-    """GCPs for the active players of both teams of one game.
-
-    Player order inside each team map follows roster order, so output is
-    deterministic for a given dataset.
+def game_report(game: GameRecord) -> GameGcp:
+    """GCPs for the active players of both teams of one game, keyed by team
+    id in game.teams order. Player order inside each team map follows roster
+    order, so output is deterministic for a given dataset.
     """
-    t1, t2 = (_side(game, team_id) for team_id in game.teams)
-    return GameGcpReport(game_id=game.game_id, teams=(t1, t2))
+    return {team_id: _side(game, team_id) for team_id in game.teams}
 
 
 def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
@@ -119,7 +98,7 @@ def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
 
 
-def season_reports(ds: SeasonDataset) -> dict[str, GameGcpReport]:
+def season_reports(ds: SeasonDataset) -> dict[str, GameGcp]:
     """Game reports for every game, keyed by game id, in dataset order."""
     return {g.game_id: game_report(g) for g in ds.games}
 
@@ -132,6 +111,6 @@ def nonzero_gcp_distribution(ds: SeasonDataset) -> list[float]:
     """
     out: list[float] = []
     for rep in season_reports(ds).values():
-        for side in rep.teams:
-            out.extend(v for v in side.gcp.values() if v > 0.0)
+        for side in rep.values():
+            out.extend(v for v in side.values() if v > 0.0)
     return out

@@ -1,6 +1,6 @@
 """Per-game dataset and salary table: file formats, parsing, validation.
 
-Input formats (all UTF-8 CSV; errors name the 1-based line a row starts on):
+Input formats (UTF-8 CSV, no NUL byte; errors name the 1-based line a row starts on):
 
 * games CSV: header ``game_id,date,team,opponent,player_id,player_name``
   followed by the 37 canonical field names in canonical order; one row per
@@ -339,15 +339,23 @@ class _StatValue(dict):
         return v
 
 
+def _without_nul(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the lines; a NUL raises 3.10's csv.reader error on every Python."""
+    for line_no, line in enumerate(lines, 1):
+        if "\x00" in line:
+            raise SchemaError("malformed CSV: line contains NUL", line_no)
+        yield line
+
+
 @contextmanager
 def _csv_reader(path: str | Path, expected_header: tuple[str, ...]):
     """Open path as CSV, check its header row and yield the reader, placed at
-    the first data row. A csv.Error, UnicodeDecodeError or OSError raised
-    while the block reads becomes a SchemaError."""
+    the first data row. A NUL byte, or a csv.Error, UnicodeDecodeError or
+    OSError raised while the block reads, becomes a SchemaError."""
     try:
         # utf-8-sig tolerates the BOM spreadsheet exports tend to prepend
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(_without_nul(fh))
             try:
                 header = next(reader)
             except StopIteration:
@@ -356,7 +364,7 @@ def _csv_reader(path: str | Path, expected_header: tuple[str, ...]):
                 raise SchemaError(
                     f"bad header; expected {','.join(expected_header)!r}", 1)
             yield reader
-    except csv.Error as exc:  # a NUL byte (3.10) or a cell over csv.field_size_limit()
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise SchemaError(f"malformed CSV: {exc}", reader.line_num) from None
     except UnicodeDecodeError:
         raise SchemaError(f"{path} is not UTF-8 text") from None

@@ -14,7 +14,7 @@ from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
 from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp, scheduled_shares
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
-from .gcp import GameGcpReport, nonzero_gcp_distribution
+from .gcp import GameGcp, nonzero_gcp_distribution
 from .ingest import SalaryTable, SeasonDataset
 
 STATUS_OK = "ok"
@@ -90,7 +90,7 @@ class SalarySummary(NamedTuple):
     p75: float | None
 
 
-def _player_metrics(ds: SeasonDataset, reports: dict[str, GameGcpReport]):
+def _player_metrics(ds: SeasonDataset, reports: dict[str, GameGcp]):
     """pvgcp result per dataset player, sorted by player id."""
     return {p: pvgcp(ds, reports, p) for p in sorted(ds.player_ids)}
 
@@ -102,7 +102,7 @@ def check_salaries(ds: SeasonDataset, salaries: SalaryTable) -> None:
         raise MissingSalary(missing)
 
 
-def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcp],
                       salaries: SalaryTable, top_k: int = 50) -> list[LeaderboardRow]:
     """Board of cumulative GCP, highest first. Salary is display-only here
     and may be absent for some players."""
@@ -119,7 +119,7 @@ def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcpReport],
             for rank, m in enumerate(order[:top_k], start=1)]
 
 
-def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
               salaries: SalaryTable, value: float,
               min_games: int = DEFAULT_MIN_GAMES,
               abs_tol: float = DEFAULT_NPV_TOL) -> list[RoiRow]:
@@ -168,7 +168,7 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     return rows
 
 
-def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcp],
                     salaries: SalaryTable, value: float,
                     top_k: int = 50, bottom_k: int = 50,
                     min_games: int = DEFAULT_MIN_GAMES) -> RoiBoards:
@@ -190,7 +190,7 @@ def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     )
 
 
-def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def comparison(ds: SeasonDataset, reports: dict[str, GameGcp],
                player_a: str, player_b: str) -> ComparisonSeries:
     """Game-by-game GCP series for two players, with running sums."""
     def one(player_id: str):
@@ -204,7 +204,7 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcpReport],
     return ComparisonSeries(player_a, player_b, *one(player_a), *one(player_b))
 
 
-def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcp],
                        salaries: SalaryTable, value: float,
                        min_games: int = DEFAULT_MIN_GAMES) -> list[RoiRow]:
     """The ok rows of roi_table, one per qualifying player, by (salary, player_id)."""
@@ -244,7 +244,7 @@ def gcp_histogram(ds: SeasonDataset, bin_width: float = 0.01) -> list[HistogramB
     return histogram_bins(nonzero_gcp_distribution(ds), bin_width)
 
 
-def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcpReport],
+def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcp],
                    salaries: SalaryTable,
                    min_games: int = DEFAULT_MIN_GAMES) -> SalarySummary:
     """Mean, median and 75th percentile salary of the qualifying pool."""

@@ -19,16 +19,17 @@ from gcproi import (
     CashFlowSeries,
     FieldId,
     SynthConfig,
+    active_fields,
     breakeven_gcp,
     comparison,
     game_report,
     gcp_upper_bound,
     irr,
-    irr_oracle,
     leaderboard_pvgcp,
     leaderboard_roi,
     nonzero_gcp_distribution,
     npv,
+    omega,
     parse_games,
     parse_salaries,
     pvgcp,
@@ -36,10 +37,12 @@ from gcproi import (
     season_reports,
     sgv,
     synth_season,
+    team_totals,
 )
 from gcproi.cli import main
 from gcproi.errors import AllZeroFlows, SchemaError
 from gcproi.reporting import STATUS_TOTAL_DEFAULT, roi_table
+from gcproi.synth import irr_oracle
 
 from conftest import BOS_EXPECTED, BOSPHI_GAME_ID, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
 
@@ -61,18 +64,19 @@ def test_criterion_1_golden_game():
         started = time.perf_counter()
         ds = parse_games(DATA / "bosphi_games.csv")
         report = season_reports(ds)[BOSPHI_GAME_ID]
-        assert report.team("BOS").weight == 1 / 35
-        assert report.team("PHI").weight == 1 / 36
+        game = ds.get_game(BOSPHI_GAME_ID)
+        assert omega(active_fields(team_totals(game, "BOS"))) == 1 / 35
+        assert omega(active_fields(team_totals(game, "PHI"))) == 1 / 36
         for team, expected in (("BOS", BOS_EXPECTED), ("PHI", PHI_EXPECTED)):
-            side = report.team(team)
-            assert set(side.gcp) == set(expected)
+            side = report[team]
+            assert set(side) == set(expected)
             for player, published in expected.items():
-                assert side.gcp[player] == pytest.approx(published, abs=GOLDEN_TOL), player
+                assert side[player] == pytest.approx(published, abs=GOLDEN_TOL), player
         # spot anchors called out explicitly
-        assert report.team("BOS").gcp["jayson-tatum"] == pytest.approx(0.2064, abs=GOLDEN_TOL)
-        assert report.team("BOS").gcp["luke-kornet"] == pytest.approx(0.0912, abs=GOLDEN_TOL)
-        assert report.team("PHI").gcp["joel-embiid"] == pytest.approx(0.2530, abs=GOLDEN_TOL)
-        assert report.team("PHI").gcp["james-harden"] == pytest.approx(0.2179, abs=GOLDEN_TOL)
+        assert report["BOS"]["jayson-tatum"] == pytest.approx(0.2064, abs=GOLDEN_TOL)
+        assert report["BOS"]["luke-kornet"] == pytest.approx(0.0912, abs=GOLDEN_TOL)
+        assert report["PHI"]["joel-embiid"] == pytest.approx(0.2530, abs=GOLDEN_TOL)
+        assert report["PHI"]["james-harden"] == pytest.approx(0.2179, abs=GOLDEN_TOL)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -153,11 +157,11 @@ def test_criterion_5_property_suites():
         rng = random.Random(1005)
         for g in ds.games:
             rep = reports[g.game_id]
-            for side in rep.teams:
-                assert math.fsum(side.gcp.values()) == pytest.approx(1.0, abs=1e-12)
-                for player, share in side.gcp.items():
+            for team, side in rep.items():
+                assert math.fsum(side.values()) == pytest.approx(1.0, abs=1e-12)
+                for player, share in side.items():
                     assert share >= 0.0
-                    bound = gcp_upper_bound(g, side.team_id, player)
+                    bound = gcp_upper_bound(g, team, player)
                     assert share <= bound + 1e-12
 
             # field-scaling invariance: scale one random field on both teams
@@ -171,9 +175,9 @@ def test_criterion_5_property_suites():
             ]
             scaled = game_report(make_game(g.game_id, g.date, g.team1, g.team2,
                                            scaled_lines))
-            for side in rep.teams:
-                for player, share in side.gcp.items():
-                    assert abs(scaled.team(side.team_id).gcp[player] - share) <= 1e-12
+            for team, side in rep.items():
+                for player, share in side.items():
+                    assert abs(scaled[team][player] - share) <= 1e-12
 
         # -- solver properties on >= 500 random series
         def random_series(k):

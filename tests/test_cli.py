@@ -1,6 +1,7 @@
 import csv
 import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -59,6 +60,49 @@ def test_gcp_team_filter(tmp_path, data_dir):
     lines = body.decode().splitlines()[1:]
     assert len(lines) == 10
     assert all(ln.split(",")[1] == "PHI" for ln in lines)
+
+
+#: sha256 of `gcp --game-id 2023040401` on the bosphi games, by format and
+#: --team: weights 0.02857142857142857 (1/35, BOS) and 1/36 (PHI), over 35
+#: and 36 active fields.
+GCP_BOSPHI = {
+    ("csv", ""): "6a211c7573fd1492f8fb8a1666fed05892569c754cff8f08a7de881ba39b5cfd",
+    ("csv", "PHI"): "aea638119582f915cb14cbb5ff9d2b2a74d76c283db782c6d946642787be1323",
+    ("json", ""): "a3d6ffeb04247681be8da993451e7135fd95260694387df160812343bc0f39ce",
+    ("json", "PHI"): "8c6a64702b5b39eb7297fe2bc18732f07d2b2b48eeb9da13724edd575b8dd75c",
+}
+
+
+@pytest.mark.parametrize("form, team", GCP_BOSPHI, ids=["csv", "csv-PHI", "json", "json-PHI"])
+def test_gcp_on_the_golden_game_gives_the_recorded_bytes(form, team, tmp_path, data_dir):
+    rc, body = run(["gcp", "--games", str(data_dir / "bosphi_games.csv"),
+                    "--game-id", "2023040401", "--format", form, "--team", team], tmp_path)
+    assert rc == 0
+    assert hashlib.sha256(body).hexdigest() == GCP_BOSPHI[form, team]
+
+
+def test_gcp_names_an_unknown_team(tmp_path, data_dir, capsys):
+    rc = main(["gcp", "--games", str(data_dir / "bosphi_games.csv"), "--game-id", "2023040401",
+               "--team", "NYK", "--out", str(tmp_path / "x")])
+    assert (rc, capsys.readouterr().err) == (2, "error: team 'NYK' not in game '2023040401'\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("team", ["", "BOS", "PHI", "NYK"])
+def test_gcp_reports_a_total_overflow_before_checking_the_team(team, tmp_path, data_dir,
+                                                                capsys):
+    lines = (data_dir / "bosphi_games.csv").read_text(encoding="utf-8").splitlines()
+    min_col = lines[0].split(",").index("MIN")
+    for k in (1, 2):  # two BOS lines whose MIN cells sum beyond the float range
+        cells = lines[k].split(",")
+        cells[min_col] = "1e308"
+        lines[k] = ",".join(cells)
+    (tmp_path / "overflow.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["gcp", "--games", str(tmp_path / "overflow.csv"), "--game-id", "2023040401",
+               "--team", team, "--out", str(tmp_path / "x")])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: a total of team 'BOS' in game '2023040401' exceeds the float range\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_game_id_is_a_data_error(tmp_path, data_dir):
@@ -199,6 +243,40 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: A NUL put into one cell of a bosphi input: (file, 1-based line, column
+#: index, subcommand). Each exits 2 naming the line, as CPython 3.10's csv
+#: reader does, on every supported Python.
+NUL_CASES = {
+    "game-id": ("games", 3, 0, "validate"),
+    "player-id": ("games", 3, 4, "validate"),
+    "player-name": ("games", 3, 5, "validate"),
+    "stat-cell": ("games", 5, 6, "validate"),
+    "games-header": ("games", 1, 10, "validate"),
+    "salaries-cell": ("salaries", 4, 2, "summary"),
+    "salaries-name": ("salaries", 2, 1, "summary"),
+    "salaries-header": ("salaries", 1, 0, "summary"),
+}
+
+
+@pytest.mark.parametrize("which, line_no, column, sub", NUL_CASES.values(), ids=NUL_CASES)
+def test_a_nul_byte_in_an_input_exits_2_naming_its_line(which, line_no, column, sub,
+                                                        tmp_path, data_dir, capsys):
+    paths = {"games": data_dir / "bosphi_games.csv",
+             "salaries": data_dir / "bosphi_salaries.csv"}
+    lines = paths[which].read_text(encoding="utf-8").split("\n")
+    cells = lines[line_no - 1].split(",")
+    cells[column] += "\x00x"
+    lines[line_no - 1] = ",".join(cells)
+    paths[which] = tmp_path / f"{which}.csv"
+    paths[which].write_text("\n".join(lines), encoding="utf-8")
+    argv = [sub, "--games", str(paths["games"]), "--out", str(tmp_path / "x")]
+    if sub == "summary":
+        argv += ["--salaries", str(paths["salaries"])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: malformed CSV: line contains NUL (line {line_no})\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])

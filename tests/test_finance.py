@@ -12,7 +12,6 @@ from gcproi import (
     breakeven_gcp,
     cash_flows,
     irr,
-    irr_oracle,
     npv,
     player_schedule,
     pvgcp,
@@ -20,6 +19,7 @@ from gcproi import (
     sgv,
 )
 from gcproi.errors import AllZeroFlows, ConvergenceError, GcproiError
+from gcproi.synth import irr_oracle
 
 from conftest import build_two_team_season, make_game, make_line, raises_exactly
 
@@ -239,7 +239,7 @@ def test_pvgcp_sums_shares_and_counts_appearances():
     ds = build_two_team_season(6, ["a1", "a2"], ["b1"], misses={"a1": {1, 4}})
     reports = season_reports(ds)
     m = pvgcp(ds, reports, "a1")
-    direct = math.fsum(reports[g.game_id].team(t).gcp.get("a1", 0.0)
+    direct = math.fsum(reports[g.game_id][t].get("a1", 0.0)
                        for g, t in player_schedule(ds, "a1"))
     assert m.value == direct
     assert m.games_played == 4

@@ -807,6 +807,24 @@ def test_rows_after_a_multi_line_cell_report_the_line_they_start_on(tmp_path):
     assert (exc.value.line, exc.value.column) == (4, "salary_usd")
 
 
+def test_a_blank_salaries_line_is_skipped_and_still_counted(tmp_path):
+    # header on line 1, the two-line name on lines 2-3, a blank line 4 and a
+    # row on line 5; then a bad salary on line 6
+    text = 'player_id,player_name,salary_usd\np1,"Two\nLines",5\n\np2,P Two,7\n'
+    path, plain = tmp_path / "s.csv", tmp_path / "plain.csv"
+    path.write_text(text, encoding="utf-8")
+    plain.write_text(text.replace("\n\n", "\n"), encoding="utf-8")
+    table = parse_salaries(path)
+    assert table == parse_salaries(plain)
+    assert (dict(table.entries), dict(table.names)) == ({"p1": 5, "p2": 7},
+                                                        {"p1": "Two\nLines", "p2": "P Two"})
+    path.write_text(text + "p3,P Three,x\n", encoding="utf-8")
+    with raises_exactly(SchemaError, "salary must be integer dollars, got 'x' "
+                                     "(line 6, column salary_usd)") as exc:
+        parse_salaries(path)
+    assert (exc.value.line, exc.value.column) == (6, "salary_usd")
+
+
 @pytest.mark.parametrize("bad_row, column", [
     (lambda row: row.replace(",37.8,", ",x,", 1), "MIN"),
     (lambda row: row.rsplit(",", 1)[0], None),
@@ -992,8 +1010,8 @@ def test_the_raw_writer_names_a_source_stat_whose_sum_overflows():
         "stat 'Passes Made' of player 'p1' in game 'g1' exceeds the float range")
 
 
-#: Id and name text a salaries file can hold: no NUL, which the csv reader
-#: of 3.10 rejects, and no lone surrogate, which UTF-8 cannot encode.
+#: Id and name text a salaries file can hold: no NUL, which every parser
+#: rejects, and no lone surrogate, which UTF-8 cannot encode.
 FILE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                     max_size=8)
 
@@ -1383,6 +1401,30 @@ def test_parsers_return_or_raise_a_gcproi_error_on_any_bytes(bom, header, chunks
                 parse(path)
             except GcproiError:
                 pass
+
+
+@pytest.mark.parametrize("parse, header", zip(PARSERS, HEADERS), ids=["games", "raw", "salaries"])
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_a_nul_byte_is_a_schema_error_on_every_python(tmp_path, parse, header, where):
+    path = tmp_path / "input.csv"
+    if where == "header":
+        path.write_bytes(header.replace(b",", b"\x00,", 1))
+    else:
+        path.write_bytes(header + b"a,b,\x00\n")
+    line = 1 if where == "header" else 2
+    with raises_exactly(SchemaError, f"malformed CSV: line contains NUL (line {line})") as exc:
+        parse(path)
+    assert (exc.value.line, exc.value.column) == (line, None)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_nul_byte_names_the_physical_line_that_holds_it(tmp_path, newline):
+    # header on line 1, a two-line name on lines 2-3 with the NUL on line 3
+    path = tmp_path / "s.csv"
+    path.write_bytes(f'player_id,player_name,salary_usd{newline}p1,"Two{newline}Li\x00nes",5'
+                     f'{newline}'.encode())
+    with raises_exactly(SchemaError, "malformed CSV: line contains NUL (line 3)"):
+        parse_salaries(path)
 
 
 @pytest.mark.parametrize("parse, header", zip(PARSERS, HEADERS), ids=["games", "raw", "salaries"])

@@ -17,18 +17,19 @@ from gcproi import (
     CashFlowSeries,
     FieldId,
     SynthConfig,
+    active_fields,
     cash_flows,
     game_report,
     gcp_upper_bound,
     irr,
-    irr_oracle,
     npv,
     pvgcp,
     season_reports,
     sgv,
     synth_season,
+    team_totals,
 )
-from gcproi.synth import ORACLE_GRID_HI, ORACLE_GRID_LO
+from gcproi.synth import ORACLE_GRID_HI, ORACLE_GRID_LO, irr_oracle
 
 from conftest import make_game, make_line
 
@@ -68,9 +69,9 @@ def stat_game(draw):
 @given(stat_game())
 def test_each_team_sums_to_unity(game):
     report = game_report(game)
-    for side in report.teams:
-        assert math.fsum(side.gcp.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(v >= 0.0 for v in side.gcp.values())
+    for side in report.values():
+        assert math.fsum(side.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(v >= 0.0 for v in side.values())
 
 
 @given(stat_game(), st.randoms(use_true_random=False))
@@ -81,16 +82,17 @@ def test_roster_permutation_never_changes_shares(game, rnd):
     other = game_report(make_game(game.game_id, game.date, game.team1,
                                   game.team2, tuple(shuffled)))
     for team in game.teams:
-        assert base.team(team).gcp == other.team(team).gcp
+        assert base[team] == other[team]
 
 
 @given(stat_game())
 def test_shares_respect_the_minutes_possessions_bound(game):
     report = game_report(game)
-    for side in report.teams:
-        for player, share in side.gcp.items():
-            if FieldId.MIN in side.active_fields and FieldId.POSS in side.active_fields:
-                bound = gcp_upper_bound(game, side.team_id, player)
+    for team, side in report.items():
+        active = active_fields(team_totals(game, team))
+        for player, share in side.items():
+            if FieldId.MIN in active and FieldId.POSS in active:
+                bound = gcp_upper_bound(game, team, player)
                 assert share <= bound + 1e-12
 
 
@@ -215,5 +217,5 @@ def test_scaling_any_field_is_invariant_on_synthetic_games():
                  for ln in g.lines]
         scaled = game_report(make_game(g.game_id, g.date, g.team1, g.team2, lines))
         for team in g.teams:
-            for player, share in base.team(team).gcp.items():
-                assert scaled.team(team).gcp[player] == pytest.approx(share, abs=1e-12)
+            for player, share in base[team].items():
+                assert scaled[team][player] == pytest.approx(share, abs=1e-12)

@@ -17,7 +17,7 @@ from gcproi import (
     active_fields,
     cash_flows,
     irr,
-    irr_oracle,
+    omega,
     season_reports,
     sgv,
     synth_season,
@@ -27,7 +27,7 @@ from gcproi import (
 )
 from gcproi.errors import AllZeroFlows, GcproiError
 from gcproi.fields import FIELD_ORDER, FRACTIONAL_FIELDS
-from gcproi.synth import COUNT_MAX, MINUTES_MAX, SALARY_MAX, SALARY_MIN
+from gcproi.synth import COUNT_MAX, MINUTES_MAX, SALARY_MAX, SALARY_MIN, irr_oracle
 
 from conftest import raises_exactly
 
@@ -88,13 +88,12 @@ def test_planted_zero_field_shrinks_the_active_set():
     assert book.zero_fields["T02"] == (FieldId.CHGD,)
     reports = season_reports(ds)
     for g in ds.team_games["T02"]:
-        side = reports[g.game_id].team("T02")
-        assert side.weight == 1 / 36
-        assert FieldId.CHGD not in side.active_fields
-        # bookkeeping cross-check against the independent operation
-        assert active_fields(team_totals(g, "T02")) == side.active_fields
+        active = active_fields(team_totals(g, "T02"))
+        assert omega(active) == 1 / 36
+        assert FieldId.CHGD not in active
+        assert math.fsum(reports[g.game_id]["T02"].values()) == pytest.approx(1.0, abs=1e-12)
     for g in ds.team_games["T01"]:
-        assert reports[g.game_id].team("T01").weight == 1 / 37
+        assert omega(active_fields(team_totals(g, "T01"))) == 1 / 37
 
 
 def test_silenced_field_draws_are_golden():
