@@ -22,9 +22,7 @@ from .gcp import (
     active_fields,
     game_report,
     gcp_upper_bound,
-    nonzero_gcp_distribution,
     omega,
-    player_gcp,
     season_reports,
     team_totals,
 )
@@ -45,7 +43,6 @@ from .reporting import (
     gcp_histogram,
     histogram_bins,
     leaderboard_pvgcp,
-    leaderboard_roi,
     roi_salary_scatter,
     roi_table,
     salary_summary,

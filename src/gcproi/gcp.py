@@ -63,15 +63,6 @@ def _side(game: GameRecord, team_id: str) -> dict[str, float]:
             for ln in game.roster(team_id)}
 
 
-def player_gcp(game: GameRecord, team_id: str, player_id: str) -> float:
-    """GCP of one active player; see the module docstring for the formula."""
-    gcp = _side(game, team_id).get(player_id)
-    if gcp is None:
-        raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "
-                          f"in game {game.game_id!r}")
-    return gcp
-
-
 def game_report(game: GameRecord) -> GameGcp:
     """GCPs for the active players of both teams of one game, keyed by team
     id in game.teams order. Player order inside each team map follows roster
@@ -101,16 +92,3 @@ def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcp]:
     """Game reports for every game, keyed by game id, in dataset order."""
     return {g.game_id: game_report(g) for g in ds.games}
-
-
-def nonzero_gcp_distribution(ds: SeasonDataset) -> list[float]:
-    """All strictly positive GCP values across the dataset.
-
-    One value per active player-game; order follows dataset, team, then
-    roster order.
-    """
-    out: list[float] = []
-    for rep in season_reports(ds).values():
-        for side in rep.values():
-            out.extend(v for v in side.values() if v > 0.0)
-    return out

@@ -14,7 +14,7 @@ from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
 from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp, scheduled_shares
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
-from .gcp import GameGcp, nonzero_gcp_distribution
+from .gcp import GameGcp, season_reports
 from .ingest import SalaryTable, SeasonDataset
 
 STATUS_OK = "ok"
@@ -49,17 +49,6 @@ class RoiRow(NamedTuple):
     pvgcp: float
     roi: float | None
     status: str
-
-
-class RoiBoards(NamedTuple):
-    """The ok rows of roi_table, best first (top) and worst first (bottom)."""
-
-    top: tuple[RoiRow, ...]
-    bottom: tuple[RoiRow, ...]
-    qualifying: int
-    total_defaults: int
-    below_min_games: int
-    no_rate: int
 
 
 class ComparisonSeries(NamedTuple):
@@ -131,6 +120,9 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
     reported as no_rate. Players appearing in the games data without a
     salary entry make the calculation impossible and raise MissingSalary
     listing all of them.
+
+    Row order is a contract: ok rows first, best first (roi descending, then
+    name and id), as the top ROI board; then below_min_games, no_rate, total_default.
     """
     if min_games < 0:
         raise GcproiError(f"min_games must not be negative, got {min_games}")
@@ -168,28 +160,6 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
     return rows
 
 
-def leaderboard_roi(ds: SeasonDataset, reports: dict[str, GameGcp],
-                    salaries: SalaryTable, value: float,
-                    top_k: int = 50, bottom_k: int = 50,
-                    min_games: int = DEFAULT_MIN_GAMES) -> RoiBoards:
-    """Top and bottom ROI boards over players with at least min_games
-    appearances. Players of every other status are excluded and only counted."""
-    if top_k < 0 or bottom_k < 0:
-        raise GcproiError(f"board sizes must not be negative, got {top_k} and {bottom_k}")
-    rows = roi_table(ds, reports, salaries, value, min_games=min_games)
-    # roi_table lists the ok rows first, in top-board order.
-    qualifying = [r for r in rows if r.status == STATUS_OK]
-    bottom = sorted(qualifying, key=lambda r: (r.roi, r.player_name, r.player_id))
-    return RoiBoards(
-        top=tuple(qualifying[:top_k]),
-        bottom=tuple(bottom[:bottom_k]),
-        qualifying=len(qualifying),
-        total_defaults=sum(1 for r in rows if r.status == STATUS_TOTAL_DEFAULT),
-        below_min_games=sum(1 for r in rows if r.status == STATUS_BELOW_MIN_GAMES),
-        no_rate=sum(1 for r in rows if r.status == STATUS_NO_RATE),
-    )
-
-
 def comparison(ds: SeasonDataset, reports: dict[str, GameGcp],
                player_a: str, player_b: str) -> ComparisonSeries:
     """Game-by-game GCP series for two players, with running sums."""
@@ -225,23 +195,28 @@ def histogram_bins(values: list[float], bin_width: float = 0.01) -> list[Histogr
         raise ValueError(f"bin_width must be a positive finite number, got {bin_width}")
     if not values:
         return []
-    lo, hi = min(values) / bin_width, max(values) / bin_width
-    if not (-math.inf < lo <= hi < math.inf
-            and math.floor(hi) - math.floor(lo) < MAX_HISTOGRAM_BINS):
+    counts: dict[int, int] = {}
+    if -math.inf < min(values) / bin_width <= max(values) / bin_width < math.inf:
+        for v in values:
+            k = math.floor(v / bin_width)
+            # The quotient can round across an edge; the printed edges decide.
+            k += (v >= (k + 1) * bin_width) - (v < k * bin_width)
+            counts[k] = counts.get(k, 0) + 1
+    if not counts or max(counts) - min(counts) >= MAX_HISTOGRAM_BINS:
         raise GcproiError(f"bin width {bin_width} gives more than {MAX_HISTOGRAM_BINS} "
                           f"bins over the data range")
-    lo_k, hi_k = math.floor(lo), math.floor(hi)
-    counts: dict[int, int] = {}
-    for v in values:
-        k = math.floor(v / bin_width)
-        counts[k] = counts.get(k, 0) + 1
     return [HistogramBin(lo=k * bin_width, hi=(k + 1) * bin_width,
                          count=counts.get(k, 0))
-            for k in range(lo_k, hi_k + 1)]
+            for k in range(min(counts), max(counts) + 1)]
 
 
 def gcp_histogram(ds: SeasonDataset, bin_width: float = 0.01) -> list[HistogramBin]:
-    return histogram_bins(nonzero_gcp_distribution(ds), bin_width)
+    """Histogram of the positive GCP shares, one per active player-game."""
+    values: list[float] = []
+    for rep in season_reports(ds).values():
+        for side in rep.values():
+            values.extend(v for v in side.values() if v > 0.0)
+    return histogram_bins(values, bin_width)
 
 
 def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcp],

@@ -23,11 +23,10 @@ from gcproi import (
     breakeven_gcp,
     comparison,
     game_report,
+    gcp_histogram,
     gcp_upper_bound,
     irr,
     leaderboard_pvgcp,
-    leaderboard_roi,
-    nonzero_gcp_distribution,
     npv,
     omega,
     parse_games,
@@ -41,7 +40,7 @@ from gcproi import (
 )
 from gcproi.cli import main
 from gcproi.errors import AllZeroFlows, SchemaError
-from gcproi.reporting import STATUS_TOTAL_DEFAULT, roi_table
+from gcproi.reporting import STATUS_OK, STATUS_TOTAL_DEFAULT, roi_table
 from gcproi.synth import irr_oracle
 
 from conftest import BOS_EXPECTED, BOSPHI_GAME_ID, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
@@ -132,16 +131,19 @@ def test_criterion_4_full_season_reproduction():
         assert cmp.cumulative_a[-1] == pytest.approx(11.86, abs=0.01)
         assert cmp.cumulative_b[-1] == pytest.approx(11.83, abs=0.01)
 
-        boards = leaderboard_roi(ds, reports, salaries, value, min_games=25)
-        assert boards.qualifying == 423
-        assert "Tre Jones" in boards.top[0].player_name
-        assert boards.top[0].roi * 100.0 == pytest.approx(0.132, abs=0.001)
-        assert "Derrick Rose" in boards.bottom[0].player_name
-        assert boards.bottom[0].roi * 100.0 == pytest.approx(-0.080, abs=0.001)
+        # roi_table lists the ok rows first, best first: the top ROI board.
+        top = [r for r in roi_table(ds, reports, salaries, value, min_games=25)
+               if r.status == STATUS_OK]
+        bottom = sorted(top, key=lambda r: (r.roi, r.player_name, r.player_id))
+        assert len(top) == 423
+        assert "Tre Jones" in top[0].player_name
+        assert top[0].roi * 100.0 == pytest.approx(0.132, abs=0.001)
+        assert "Derrick Rose" in bottom[0].player_name
+        assert bottom[0].roi * 100.0 == pytest.approx(-0.080, abs=0.001)
 
-        values = nonzero_gcp_distribution(ds)
-        assert len(values) == 25_892
-        assert max(values) == pytest.approx(0.338, abs=0.0005)
+        assert sum(b.count for b in gcp_histogram(ds)) == 25_892
+        shares = [v for rep in reports.values() for side in rep.values() for v in side.values()]
+        assert max(shares) == pytest.approx(0.338, abs=0.0005)
 
 
 def test_criterion_5_property_suites():
@@ -281,13 +283,11 @@ def test_criterion_7_degenerate_handling():
                        make_line("b1", "B", "g-dead", MIN=1)])
         assert "g-dead" in str(exc.value)
 
-        # players under the games-played floor stay off the boards
-        boards = leaderboard_roi(ds, reports, salaries, value,
-                                 top_k=1000, bottom_k=1000, min_games=25)
+        # players under the games-played floor stay off the boards, which
+        # are the ok rows of roi_table (min_games defaults to 25)
         under = {p for p in ds.player_ids
                  if pvgcp(ds, reports, p).games_played < 25}
-        board_ids = ({r.player_id for r in boards.top}
-                     | {r.player_id for r in boards.bottom})
+        board_ids = {p for p, r in rows.items() if r.status == STATUS_OK}
         assert not under & board_ids
         points = roi_salary_scatter(ds, reports, salaries, value, min_games=25)
         assert not under & {p.player_id for p in points}

@@ -10,11 +10,10 @@ from gcproi import (
     SeasonDataset,
     active_fields,
     game_report,
+    gcp_histogram,
     gcp_upper_bound,
     irr,
-    nonzero_gcp_distribution,
     omega,
-    player_gcp,
     season_reports,
     team_totals,
 )
@@ -128,9 +127,9 @@ def test_golden_game_weights_are_exact(bosphi):
 
 
 def test_tatum_and_embiid_match_published_gcp(bosphi):
-    game = bosphi.games[0]
-    assert player_gcp(game, "BOS", "jayson-tatum") == pytest.approx(0.2064, abs=GOLDEN_TOL)
-    assert player_gcp(game, "PHI", "joel-embiid") == pytest.approx(0.2530, abs=GOLDEN_TOL)
+    report = game_report(bosphi.games[0])
+    assert report["BOS"]["jayson-tatum"] == pytest.approx(0.2064, abs=GOLDEN_TOL)
+    assert report["PHI"]["joel-embiid"] == pytest.approx(0.2530, abs=GOLDEN_TOL)
 
 
 def test_all_twenty_golden_gcps(bosphi_reports):
@@ -147,7 +146,7 @@ def test_sole_active_player_owns_the_whole_game():
     game = make_game("g1", date(2024, 1, 1), "A", "B",
                      [make_line("solo", "A", "g1", MIN=48, POSS=90, TCH=50),
                       make_line("p2", "B", "g1", MIN=1)])
-    assert player_gcp(game, "A", "solo") == 1.0
+    assert game_report(game)["A"]["solo"] == 1.0
 
 
 def test_two_single_player_teams_both_get_exactly_one():
@@ -172,10 +171,7 @@ def test_inactive_players_carry_no_entry():
                       make_line("b", "B", "g1", MIN=1)])
     report = game_report(game)
     assert "a2" not in report["A"]
-    for player in ("a2", "nobody"):
-        with raises_exactly(GcproiError, f"player '{player}' has no active line for team 'A' "
-                                         "in game 'g1'"):
-            player_gcp(game, "A", player)
+    assert "nobody" not in report["A"]
 
 
 def test_upper_bound_is_one_for_a_full_share_player():
@@ -236,21 +232,20 @@ def test_bound_rejects_a_player_without_an_active_line_for_the_team(player):
         gcp_upper_bound(game, "A", player)
 
 def test_golden_distribution_has_twenty_values(bosphi):
-    values = nonzero_gcp_distribution(bosphi)
-    assert len(values) == 20
-    assert all(v > 0.0 for v in values)
+    bins = gcp_histogram(bosphi)
+    assert sum(b.count for b in bins) == 20
+    assert bins[0].lo >= 0.0
 
 
 def test_empty_dataset_distribution_is_empty():
     ds = SeasonDataset.from_games([])
-    assert nonzero_gcp_distribution(ds) == []
+    assert gcp_histogram(ds) == []
 
 
 def test_distribution_count_equals_active_player_games():
     from gcproi.synth import SynthConfig, synth_season
     ds, _, book = synth_season(SynthConfig(seed=3, teams=4, games_per_team=8))
-    values = nonzero_gcp_distribution(ds)
-    assert len(values) == sum(book.appearances.values())
+    assert sum(b.count for b in gcp_histogram(ds)) == sum(book.appearances.values())
 
 
 def test_report_is_independent_of_roster_order(bosphi):

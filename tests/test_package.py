@@ -1,4 +1,6 @@
 import ast
+import importlib
+import json
 import types
 from pathlib import Path
 
@@ -14,9 +16,8 @@ PUBLIC_NAMES = [
     "PlayerGameLine", "RAW_STATS", "SalaryTable", "SeasonDataset",
     "SynthConfig", "active_fields", "breakeven_gcp", "cash_flows", "comparison",
     "derive_fields", "game_report", "gcp_histogram", "gcp_upper_bound", "histogram_bins",
-    "irr", "leaderboard_pvgcp", "leaderboard_roi",
-    "nonzero_gcp_distribution", "npv", "omega", "parse_games", "parse_salaries",
-    "player_gcp", "player_schedule", "pvgcp", "roi_salary_scatter", "roi_table",
+    "irr", "leaderboard_pvgcp", "npv", "omega", "parse_games", "parse_salaries",
+    "player_schedule", "pvgcp", "roi_salary_scatter", "roi_table",
     "salary_summary", "season_reports", "sgv", "synth_season", "team_totals",
     "underive_fields", "validate_dataset", "write_games_csv", "write_raw_games_csv",
     "write_salaries_csv",
@@ -27,7 +28,21 @@ def test_the_package_exports_only_what_callers_use():
     names = sorted(name for name, value in vars(gcproi).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 42
+    assert len(names) == 39
+
+
+def test_every_function_the_benchmark_traces_exists():
+    """A per-layer metric <command>.<module>.<function>.<stat> names a public
+    function of gcproi.<module>; deleting one would leave the metric
+    unmeasured. parse_games_raw is the benchmark's own span, not a function."""
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    traced = {tuple(m["name"].split(".")[1:3]) for m in bench["per_layer"]
+              if m["name"].count(".") == 3} - {("ingest", "parse_games_raw")}
+    assert ("gcp", "team_totals") in traced
+    for module, function in sorted(traced):
+        value = getattr(importlib.import_module(f"gcproi.{module}"), function, None)
+        assert isinstance(value, types.FunctionType), f"{module}.{function}"
+        assert not function.startswith("_")
 
 
 SOURCES = Path(gcproi.__file__).parent

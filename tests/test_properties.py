@@ -21,6 +21,7 @@ from gcproi import (
     cash_flows,
     game_report,
     gcp_upper_bound,
+    histogram_bins,
     irr,
     npv,
     pvgcp,
@@ -219,3 +220,16 @@ def test_scaling_any_field_is_invariant_on_synthetic_games():
         for team in g.teams:
             for player, share in base[team].items():
                 assert scaled[team][player] == pytest.approx(share, abs=1e-12)
+
+
+@given(st.integers(1, 500), st.lists(st.integers(-2_000, 2_000), min_size=1, max_size=20),
+       st.lists(st.floats(-2.0, 2.0), max_size=20))
+def test_every_value_falls_inside_its_printed_bin(denominator, numerators, others):
+    # Values k / d on a width of 1 / d sit on bin edges, where the quotient
+    # v / width can round to the wrong side.
+    width = 1 / denominator
+    values = [k / denominator for k in numerators] + others
+    bins = histogram_bins(values, width)
+    for b in bins:
+        assert b.count == sum(b.lo <= v < b.hi for v in values), (b, width)
+    assert sum(b.count for b in bins) == len(values)

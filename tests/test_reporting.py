@@ -13,7 +13,6 @@ from gcproi import (
     histogram_bins,
     irr,
     leaderboard_pvgcp,
-    leaderboard_roi,
     parse_salaries,
     pvgcp,
     roi_salary_scatter,
@@ -136,17 +135,15 @@ def test_a_player_with_only_inactive_lines_is_a_total_default():
 
 def test_roi_boards_filter_and_count(synth_world):
     ds, salaries, book, reports, value = synth_world
-    boards = leaderboard_roi(ds, reports, salaries, value, top_k=10,
-                             bottom_k=10, min_games=10)
     rows = roi_table(ds, reports, salaries, value, min_games=10)
     qualifying = [r for r in rows if r.status == STATUS_OK]
-    assert boards.qualifying == len(qualifying)
-    assert boards.total_defaults == sum(1 for r in rows if r.status == STATUS_TOTAL_DEFAULT)
-    assert boards.below_min_games == sum(1 for r in rows if r.status == STATUS_BELOW_MIN_GAMES)
-    assert boards.total_defaults >= 1  # the forced full-miss player
+    # the forced full-miss player
+    assert sum(1 for r in rows if r.status == STATUS_TOTAL_DEFAULT) >= 1
 
-    top_ids = [r.player_id for r in boards.top]
-    bottom_ids = [r.player_id for r in boards.bottom]
+    # The boards: the ok rows as roi_table lists them, and sorted worst first.
+    top_ids = [r.player_id for r in qualifying[:10]]
+    bottom_ids = [r.player_id for r in sorted(
+        qualifying, key=lambda r: (r.roi, r.player_name, r.player_id))[:10]]
     ranked = sorted(qualifying, key=lambda r: (-r.roi, r.player_name, r.player_id))
     assert top_ids == [r.player_id for r in ranked[:10]]
     assert bottom_ids == [r.player_id for r in ranked[::-1][:10]]
@@ -159,14 +156,12 @@ def test_roi_boards_filter_and_count(synth_world):
 
 def test_roi_boards_hold_the_ok_roi_rows_in_board_order(synth_world):
     ds, salaries, _, reports, value = synth_world
-    boards = leaderboard_roi(ds, reports, salaries, value, top_k=7, bottom_k=5,
-                             min_games=10)
-    ok = [r for r in roi_table(ds, reports, salaries, value, min_games=10)
-          if r.status == STATUS_OK]
-    assert boards.top == tuple(ok[:7])
-    assert boards.bottom == tuple(sorted(ok, key=lambda r: (r.roi, r.player_name,
-                                                             r.player_id))[:5])
-    assert all(type(r) is reporting.RoiRow for r in boards.top + boards.bottom)
+    rows = roi_table(ds, reports, salaries, value, min_games=10)
+    ok = [r for r in rows if r.status == STATUS_OK]
+    # The ok rows lead the table, best first: they are the top board.
+    assert rows[:len(ok)] == ok
+    assert ok == sorted(ok, key=lambda r: (-r.roi, r.player_name, r.player_id))
+    assert all(type(r) is reporting.RoiRow for r in ok)
 
 
 def test_a_player_without_a_rate_ranks_between_below_min_games_and_total_default(synth_world):
@@ -180,10 +175,7 @@ def test_a_player_without_a_rate_ranks_between_below_min_games_and_total_default
     rank = [STATUS_OK, STATUS_BELOW_MIN_GAMES, STATUS_NO_RATE, STATUS_TOTAL_DEFAULT]
     assert statuses == sorted(statuses, key=rank.index)
     assert all(r.roi is None for r in rows if r.status == STATUS_NO_RATE)
-    boards = leaderboard_roi(ds, reports, salaries, value, min_games=1)
-    assert boards.no_rate == statuses.count(STATUS_NO_RATE)
-    assert (boards.qualifying + boards.below_min_games + boards.no_rate
-            + boards.total_defaults) == len(rows)
+    assert sum(map(statuses.count, rank)) == len(rows)
 
 
 def test_below_min_games_player_is_absent_from_both_boards(synth_world):
@@ -191,10 +183,8 @@ def test_below_min_games_player_is_absent_from_both_boards(synth_world):
     # pick a player with at least one appearance, then set the bar above it
     counts = {p: pvgcp(ds, reports, p).games_played for p in sorted(ds.player_ids)}
     player, played = min(counts.items(), key=lambda kv: kv[1])
-    boards = leaderboard_roi(ds, reports, salaries, value, top_k=10_000,
-                             bottom_k=10_000, min_games=played + 1)
-    assert player not in {r.player_id for r in boards.top}
-    assert player not in {r.player_id for r in boards.bottom}
+    rows = roi_table(ds, reports, salaries, value, min_games=played + 1)
+    assert player not in {r.player_id for r in rows if r.status == STATUS_OK}
 
 
 def test_comparison_of_a_player_with_himself(synth_world):
@@ -254,6 +244,11 @@ def test_histogram_bins_cover_and_count():
         assert b.lo == pytest.approx(a.hi)
 
 
+def test_a_value_on_a_bin_edge_counts_in_the_bin_it_opens():
+    # 0.29 / 0.01 rounds to 28.999999999999996, below the edge 29 * 0.01 == 0.29.
+    assert histogram_bins([0.29], 0.01) == [(0.29, 0.3, 1)]
+
+
 def test_histogram_empty_and_bad_width():
     assert histogram_bins([], 0.01) == []
     with pytest.raises(ValueError):
@@ -273,14 +268,7 @@ def test_pvgcp_board_rejects_a_negative_size(bosphi, bosphi_reports, data_dir):
         leaderboard_pvgcp(bosphi, bosphi_reports, salaries, top_k=-3)
 
 
-@pytest.mark.parametrize("top_k, bottom_k", [(-3, -3), (-3, 5), (5, -3)])
-def test_roi_boards_reject_a_negative_size(top_k, bottom_k, synth_world):
-    ds, salaries, _, reports, value = synth_world
-    with pytest.raises(GcproiError, match="must not be negative"):
-        leaderboard_roi(ds, reports, salaries, value, top_k=top_k, bottom_k=bottom_k)
-
-@pytest.mark.parametrize("table", [roi_table, roi_salary_scatter, leaderboard_roi,
-                                   salary_summary])
+@pytest.mark.parametrize("table", [roi_table, roi_salary_scatter, salary_summary])
 def test_a_negative_min_games_is_rejected(table, synth_world):
     ds, salaries, _, reports, value = synth_world
     args = (ds, reports, salaries) + (() if table is salary_summary else (value,))
