@@ -43,7 +43,6 @@ from .reporting import (
     gcp_histogram,
     histogram_bins,
     leaderboard_pvgcp,
-    roi_salary_scatter,
     roi_table,
     salary_summary,
 )

@@ -42,12 +42,6 @@ EXIT_SCHEMA = 2
 EXIT_MISSING_SALARY = 3
 
 
-def _fmt(value: float, places: int, full_precision: bool) -> str:
-    if full_precision:
-        return repr(value)
-    return f"{value:.{places}f}"
-
-
 def _stdout():
     """sys.stdout; an OSError when there is none, as when fd 1 was closed at start."""
     if sys.stdout is None:
@@ -55,9 +49,19 @@ def _stdout():
     return sys.stdout
 
 
-def _emit(header: list[str], rows: list[list], args) -> None:
-    """Write rows as CSV or JSON to --out or stdout. All cells are already
-    strings except in JSON mode, where typed values pass through."""
+def _emit(header: list[str], rows: list[list], places: dict[str, int], args) -> None:
+    """Write rows as CSV or JSON to --out or stdout. A figure in a column named in
+    places is written to that many decimals, or as its repr under --full-precision,
+    and a missing one (None) as ""; any other cell is written as given."""
+    def shown(value, decimals: int | None):
+        if decimals is None:
+            return value
+        if value is None:
+            return ""
+        return repr(value) if args.full_precision else f"{value:.{decimals}f}"
+
+    column_places = [places.get(name) for name in header]
+    rows = [list(map(shown, row, column_places)) for row in rows]
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         chunks = [json.dumps(payload, indent=2) + "\n"]
@@ -111,13 +115,10 @@ def cmd_gcp(args) -> int:
 
     header = ["game_id", "team", "player_id", "player_name", "weight",
               "active_fields", "gcp"]
-    rows = []
-    for team, weight, active, shares in sides:
-        for player_id, share in shares.items():
-            rows.append([game.game_id, team, player_id,
-                         ds.player_name(player_id), repr(weight), str(len(active)),
-                         _fmt(share, 4, args.full_precision)])
-    _emit(header, rows, args)
+    rows = [[game.game_id, team, player_id, ds.player_name(player_id), repr(weight),
+             str(len(active)), share]
+            for team, weight, active, shares in sides for player_id, share in shares.items()]
+    _emit(header, rows, {"gcp": 4}, args)
     return EXIT_OK
 
 
@@ -128,7 +129,7 @@ def cmd_histogram(args) -> int:
     bins = reporting.gcp_histogram(ds, bin_width=args.bin_width)
     header = ["bin_lo", "bin_hi", "count"]
     rows = [[f"{b.lo:.10g}", f"{b.hi:.10g}", b.count] for b in bins]
-    _emit(header, rows, args)
+    _emit(header, rows, {}, args)
     return EXIT_OK
 
 
@@ -139,12 +140,9 @@ def cmd_roi(args) -> int:
                                min_games=args.min_games, abs_tol=args.tol)
     header = ["player_id", "player_name", "salary_usd", "gp", "pvgcp",
               "roi_pct", "status"]
-    out = []
-    for r in rows:
-        roi_pct = "" if r.roi is None else _fmt(r.roi * 100.0, 3, args.full_precision)
-        out.append([r.player_id, r.player_name, r.salary, r.gp,
-                    _fmt(r.pvgcp, 3, args.full_precision), roi_pct, r.status])
-    _emit(header, out, args)
+    out = [[r.player_id, r.player_name, r.salary, r.gp, r.pvgcp,
+            None if r.roi is None else r.roi * 100.0, r.status] for r in rows]
+    _emit(header, out, {"pvgcp": 3, "roi_pct": 3}, args)
     return EXIT_OK
 
 
@@ -153,13 +151,9 @@ def cmd_pvgcp_board(args) -> int:
     rows = reporting.leaderboard_pvgcp(ds, reports, salaries, top_k=args.top)
     header = ["rank", "player_id", "player_name", "salary_musd", "gp",
               "pvgcp", "gcp_per_game"]
-    out = []
-    for r in rows:
-        musd = "" if r.salary is None else _fmt(r.salary / 1e6, 3, args.full_precision)
-        out.append([r.rank, r.player_id, r.player_name, musd, r.gp,
-                    _fmt(r.pvgcp, 3, args.full_precision),
-                    _fmt(r.gcp_per_game, 3, args.full_precision)])
-    _emit(header, out, args)
+    out = [[r.rank, r.player_id, r.player_name, None if r.salary is None else r.salary / 1e6,
+            r.gp, r.pvgcp, r.gcp_per_game] for r in rows]
+    _emit(header, out, {"salary_musd": 3, "pvgcp": 3, "gcp_per_game": 3}, args)
     return EXIT_OK
 
 
@@ -169,28 +163,23 @@ def cmd_compare(args) -> int:
     cmp = reporting.comparison(ds, reports, args.player_a, args.player_b)
     header = ["period", "game_id_a", "gcp_a", "cumulative_a",
               "game_id_b", "gcp_b", "cumulative_b"]
-
-    def cells(games, gcps, cumulative) -> list[list[str]]:
-        return [[g, _fmt(v, 4, args.full_precision), _fmt(c, 3, args.full_precision)]
-                for g, v, c in zip(games, gcps, cumulative)]
-
-    pairs = itertools.zip_longest(cells(cmp.games_a, cmp.gcp_a, cmp.cumulative_a),
-                                  cells(cmp.games_b, cmp.gcp_b, cmp.cumulative_b),
-                                  fillvalue=["", "", ""])
+    pairs = itertools.zip_longest(zip(cmp.games_a, cmp.gcp_a, cmp.cumulative_a),
+                                  zip(cmp.games_b, cmp.gcp_b, cmp.cumulative_b),
+                                  fillvalue=("", None, None))
     rows = [[period, *a, *b] for period, (a, b) in enumerate(pairs, start=1)]
-    _emit(header, rows, args)
+    _emit(header, rows, {"gcp_a": 4, "cumulative_a": 3, "gcp_b": 4, "cumulative_b": 3}, args)
     return EXIT_OK
 
 
 def cmd_scatter(args) -> int:
     ds, salaries, reports = _season(args)
     value = _sgv_for(args, ds, salaries)
-    points = reporting.roi_salary_scatter(ds, reports, salaries, value,
-                                          min_games=args.min_games)
+    table = reporting.roi_table(ds, reports, salaries, value, min_games=args.min_games)
+    points = sorted((r for r in table if r.status == reporting.STATUS_OK),
+                    key=lambda r: (r.salary, r.player_id))
     header = ["player_id", "salary_usd", "roi_pct"]
-    rows = [[p.player_id, p.salary, _fmt(p.roi * 100.0, 3, args.full_precision)]
-            for p in points]
-    _emit(header, rows, args)
+    rows = [[p.player_id, p.salary, p.roi * 100.0] for p in points]
+    _emit(header, rows, {"roi_pct": 3}, args)
     return EXIT_OK
 
 
@@ -202,11 +191,8 @@ def cmd_breakeven(args) -> int:
     required = finance.breakeven_gcp(args.salary, args.n_games, value)
     per_game = args.salary / args.n_games  # breakeven_gcp rejects an n_games beyond floats
     header = ["salary_usd", "n_games", "sgv_usd", "per_game_cashflow_usd", "required_gcp"]
-    rows = [[args.salary, args.n_games,
-             _fmt(value, 2, args.full_precision),
-             _fmt(per_game, 2, args.full_precision),
-             _fmt(required, 4, args.full_precision)]]
-    _emit(header, rows, args)
+    rows = [[args.salary, args.n_games, value, per_game, required]]
+    _emit(header, rows, {"sgv_usd": 2, "per_game_cashflow_usd": 2, "required_gcp": 4}, args)
     return EXIT_OK
 
 
@@ -216,17 +202,11 @@ def cmd_summary(args) -> int:
     header = ["qualifying_players", "mean_salary_usd", "median_salary_usd",
               "p75_salary_usd", "mean_salary_musd", "median_salary_musd",
               "p75_salary_musd"]
-    if s.qualifying == 0:
-        rows = [[0, "", "", "", "", "", ""]]
-    else:
-        rows = [[s.qualifying,
-                 _fmt(s.mean, 2, args.full_precision),
-                 _fmt(s.median, 2, args.full_precision),
-                 _fmt(s.p75, 2, args.full_precision),
-                 _fmt(s.mean / 1e6, 3, args.full_precision),
-                 _fmt(s.median / 1e6, 3, args.full_precision),
-                 _fmt(s.p75 / 1e6, 3, args.full_precision)]]
-    _emit(header, rows, args)
+    usd = [s.mean, s.median, s.p75]  # each None when no player qualifies
+    rows = [[s.qualifying, *usd, *(None if v is None else v / 1e6 for v in usd)]]
+    places = {"mean_salary_usd": 2, "median_salary_usd": 2, "p75_salary_usd": 2,
+              "mean_salary_musd": 3, "median_salary_musd": 3, "p75_salary_musd": 3}
+    _emit(header, rows, places, args)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Leaderboards, comparisons, scatter and histogram data.
+"""Leaderboards, the ROI table, comparisons and histogram data.
 
 Everything here is assembled from per-game reports plus the salary table
 and is deterministic: ties are broken by metric, then player name, then
@@ -172,15 +172,6 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcp],
 
     # games_a, gcp_a, cumulative_a, then the same for player_b
     return ComparisonSeries(player_a, player_b, *one(player_a), *one(player_b))
-
-
-def roi_salary_scatter(ds: SeasonDataset, reports: dict[str, GameGcp],
-                       salaries: SalaryTable, value: float,
-                       min_games: int = DEFAULT_MIN_GAMES) -> list[RoiRow]:
-    """The ok rows of roi_table, one per qualifying player, by (salary, player_id)."""
-    rows = roi_table(ds, reports, salaries, value, min_games=min_games)
-    return sorted((r for r in rows if r.status == STATUS_OK),
-                  key=lambda r: (r.salary, r.player_id))
 
 
 def histogram_bins(values: list[float], bin_width: float = 0.01) -> list[HistogramBin]:

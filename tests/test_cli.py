@@ -226,6 +226,57 @@ BAD_INPUTS = {
                                    "--season-games", "9" * 340],
 }
 
+#: The stderr of each BAD_INPUTS case, with {tmp} and {games} standing for the
+#: paths that BAD_INPUTS gives them: the same text on CPython 3.10 to 3.13.
+BAD_INPUT_ERRORS = {
+    "bin-width-nan": "error: --bin-width must be a positive number, got nan\n",
+    "bin-width-negative": "error: --bin-width must be a positive number, got -0.5\n",
+    "bin-width-overflows":
+        "error: bin width 1e-320 gives more than 1000000 bins over the data range\n",
+    "bin-width-too-many-bins":
+        "error: bin width 1e-09 gives more than 1000000 bins over the data range\n",
+    "bin-width-zero": "error: --bin-width must be a positive number, got 0.0\n",
+    "breakeven-n-games-overflows": "error: n_games exceeds the float range\n",
+    "breakeven-required-gcp-overflows":
+        "error: break-even GCP exceeds the float range (salary 1e+308, n_games 1, SGV 1e-308)\n",
+    "breakeven-season-games-zero": "error: game count must be positive, got 0\n",
+    "breakeven-sgv-inf": "error: SGV override must be a positive finite number, got inf\n",
+    "breakeven-sgv-nan": "error: SGV override must be a positive finite number, got nan\n",
+    "breakeven-sgv-season-games-zero": "error: game count must be positive, got 0\n",
+    "breakeven-without-salaries-or-sgv":
+        "error: breakeven needs either --sgv or both --games and --salaries\n",
+    "directory": "error: cannot read {tmp}: Is a directory\n",
+    "games-not-utf8": "error: {tmp}/latin1.csv is not UTF-8 text\n",
+    "gcp-unknown-team": "error: team 'NYK' not in game '2023040401'\n",
+    "missing-file": "error: cannot read {tmp}/missing.csv: No such file or directory\n",
+    "out-directory": "error: cannot write {tmp}: Is a directory\n",
+    "out-missing-parent": "error: cannot write {tmp}/missing/x: No such file or directory\n",
+    "roi-min-games-negative": "error: min_games must not be negative, got -5\n",
+    "roi-season-games-zero": "error: game count must be positive, got 0\n",
+    "roi-sgv-override-season-games-zero": "error: game count must be positive, got 0\n",
+    "roi-sgv-rounds-to-zero":
+        "error: SGV rounds to 0.0: too many games for total salary 263710396\n",
+    "salaries-cell-over-field-limit":
+        "error: malformed CSV: field larger than field limit (131072) (line 2)\n",
+    "salaries-not-utf8": "error: {tmp}/latin1.csv is not UTF-8 text\n",
+    "salaries-nul-byte": "error: malformed CSV: line contains NUL (line 2)\n",
+    "scatter-min-games-negative": "error: min_games must not be negative, got -5\n",
+    "scatter-season-games-zero": "error: game count must be positive, got 0\n",
+    "scatter-sgv-override-season-games-negative": "error: game count must be positive, got -3\n",
+    "scatter-sgv-rounds-to-zero":
+        "error: SGV rounds to 0.0: too many games for total salary 263710396\n",
+    "sgv-override-nan": "error: SGV override must be a positive finite number, got nan\n",
+    "summary-min-games-negative": "error: min_games must not be negative, got -5\n",
+    "synth-games-csv-is-a-directory":
+        "error: cannot write {tmp}/taken/games.csv: Is a directory\n",
+    "synth-out-dir-is-a-file": "error: cannot write {games}: File exists\n",
+    "synth-out-dir-under-a-file": "error: cannot write {games}/sub: Not a directory\n",
+    "tol-nan": "error: abs_tol must be positive, got nan\n",
+    "tol-negative-no-player-solved": "error: abs_tol must be positive, got -1.0\n",
+    "tol-zero": "error: abs_tol must be positive, got 0.0\n",
+    "top-negative": "error: top_k must not be negative, got -3\n",
+}
+
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys):
@@ -241,8 +292,7 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys)
     if "--out" not in argv and argv[0] != "synth":
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == BAD_INPUT_ERRORS[case].format(**paths)
 
 
 #: A NUL put into one cell of a bosphi input: (file, 1-based line, column
@@ -404,6 +454,178 @@ def test_breakeven_can_derive_sgv_from_data(tmp_path, data_dir):
     from gcproi import parse_salaries
     total = parse_salaries(data_dir / "bosphi_salaries.csv").total
     assert float(row[2]) == pytest.approx(total / 2, abs=0.5)
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    """`synth --seed 3 --teams 4 --games 30`: 35 ok rows and one below_min_games
+    row. Beside it, games-short.csv lacks game G00001 (T00 against T03), so a
+    T00 player has 29 slots to a T01 player's 30, and salaries-short.csv lacks
+    T01P03."""
+    out_dir = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--seed", "3", "--teams", "4", "--games", "30",
+                 "--out-dir", str(out_dir)]) == 0
+    games = (out_dir / "games.csv").read_bytes().splitlines(keepends=True)
+    (out_dir / "games-short.csv").write_bytes(
+        b"".join(ln for ln in games if not ln.startswith(b"G00001,")))
+    salaries = (out_dir / "salaries.csv").read_bytes().splitlines(keepends=True)
+    (out_dir / "salaries-short.csv").write_bytes(
+        b"".join(ln for ln in salaries if not ln.startswith(b"T01P03,")))
+    return out_dir
+
+
+#: Every table subcommand on small_pair, whose directory is {dir}.
+TABLES = {
+    "roi": ["roi", "--games", "{dir}/games.csv", "--salaries", "{dir}/salaries.csv"],
+    "roi-sgv-5e-324": ["roi", "--games", "{dir}/games.csv", "--salaries", "{dir}/salaries.csv",
+                       "--sgv-override", "5e-324"],
+    "pvgcp-board": ["pvgcp-board", "--games", "{dir}/games.csv",
+                    "--salaries", "{dir}/salaries.csv"],
+    "pvgcp-board-missing-salary": ["pvgcp-board", "--games", "{dir}/games.csv",
+                                   "--salaries", "{dir}/salaries-short.csv"],
+    "compare": ["compare", "--games", "{dir}/games-short.csv",
+                "--player-a", "T00P00", "--player-b", "T01P00"],
+    "scatter": ["scatter", "--games", "{dir}/games.csv", "--salaries", "{dir}/salaries.csv"],
+    "summary": ["summary", "--games", "{dir}/games.csv", "--salaries", "{dir}/salaries.csv"],
+    "summary-min-games-100000": ["summary", "--games", "{dir}/games.csv",
+                                 "--salaries", "{dir}/salaries.csv", "--min-games", "100000"],
+    "breakeven": ["breakeven", "--games", "{dir}/games.csv", "--salaries", "{dir}/salaries.csv",
+                  "--salary", "10000000", "--n-games", "20"],
+    "breakeven-sgv": ["breakeven", "--salary", "10000000", "--n-games", "20",
+                      "--sgv", "12345.678"],
+    "histogram": ["histogram", "--games", "{dir}/games.csv"],
+    "gcp": ["gcp", "--games", "{dir}/games.csv", "--game-id", "G00001"],
+}
+TABLE_FORMS = {"csv": [], "full": ["--full-precision"], "json": ["--format", "json"],
+               "json-full": ["--format", "json", "--full-precision"]}
+
+#: sha256 of the stdout of each TABLES case, by TABLE_FORMS form.
+TABLE_DIGESTS = {
+    "roi/csv":
+        "bc4a80e8f62d87324adf4bf09a9d9b9a959c5593572bbec2657b227b22e21f4b",
+    "roi/full":
+        "868b886b65c32bcc26209dafe5f3227ed99893893e2e230fd2776e2e6459f9da",
+    "roi/json":
+        "f1e745a38098967ca3107f984d28650c4a5999d53eb8ddb96e87d16e1b84caec",
+    "roi/json-full":
+        "ce9e82cc6af5aa24498f2d91c60d9a0447b7a31ac301d6420d4304e5f282bb1e",
+    "roi-sgv-5e-324/csv":
+        "8873e8e06112497137f70c186683db62e0a31ac0c14f413337c00b76e5f74a3b",
+    "roi-sgv-5e-324/full":
+        "0e0b25181ed42405fef8e556fc0f065b34d8266688b7b6c42d2a2b98ecf6412d",
+    "roi-sgv-5e-324/json":
+        "a91ebfc44984d99e70a100366bcabb2d71d6f3b65d21aec719c2af9ae07b7260",
+    "roi-sgv-5e-324/json-full":
+        "910856e02c0d003de26289668a7ce948c83884e0f9c52b1c4b291358128ae167",
+    "pvgcp-board/csv":
+        "f4f1307aa77ba0b1bbf6ad0c910f316dd390a3193b0add282faca3cfda626eff",
+    "pvgcp-board/full":
+        "f77c73d6f353c60b4a9f0fb4899b5c4e85b2550793859c3f0686728e08b47fb4",
+    "pvgcp-board/json":
+        "c205940bdbbbce94479fad67760d5930b0e5ab2f1901bc3618fb581e30f22253",
+    "pvgcp-board/json-full":
+        "95d7d03912b1d69c4027aa61d958004c256d7385728005eb2255be1ea3057949",
+    "pvgcp-board-missing-salary/csv":
+        "9305b94f5410be5516ef346a2228cb35c5cccc82fc6faf73df9cf2300413caa4",
+    "pvgcp-board-missing-salary/full":
+        "012462ef47b6a5af789369e42e3ed8f2bb861d4ef9a9c8dd613fd8e0c8009d92",
+    "pvgcp-board-missing-salary/json":
+        "24e50941148fa464cc95e4ee22ce40c43e1aa1ca1ac27995f132502a83dcd94b",
+    "pvgcp-board-missing-salary/json-full":
+        "1b6508b115e2ecab90c1353a8a903e7ebdfc8750e7d7637a677fc8e1eda18640",
+    "compare/csv":
+        "c313f385948bea589ae5264a93d91b3eafbd031e85f278099c18799e1575ae71",
+    "compare/full":
+        "51626d0c3ef8d26eb06c64ccd116510d1199035dcd2a1185e7adc42c39f3b91a",
+    "compare/json":
+        "a928f787fac465bbe7cce3282ce6faf71a4732dae6684354a82226b1d1ab4d25",
+    "compare/json-full":
+        "05a58b891ca31d6fee77620d58273cffd4a056c327c8e5eef7509a08856be73f",
+    "scatter/csv":
+        "54afba22038023ad11d07dc43ca17722bb05f084eec02e22b4aed49678448056",
+    "scatter/full":
+        "44ba256d6114c20519d76e733a67bb958f7b817d5fd584268a392f0d5ac74858",
+    "scatter/json":
+        "b6a65fa663f9c88f8c9fbe4738ed75591af44afb7c9124e67139811a2074241b",
+    "scatter/json-full":
+        "8b16d25a48d7240c8d233d5f584a74fb82c4cb88e0a9c8154c1916b0a4bb825e",
+    "summary/csv":
+        "adb1730be9865c32ef52756c15a2e88feab2f1ddfd86cd65b269b6df635de357",
+    "summary/full":
+        "5525682bc07558d7e0fe36efa9a5f4926a901006ee40a5217aadb353167ef55e",
+    "summary/json":
+        "0beab381331645f361e4c1b3b26d526bd0bbfb58f54714e269d25163b264e8c0",
+    "summary/json-full":
+        "62759929b6cc707c9458ce5bf633ef700bf2afea1b30a04b03161d593bee7cbf",
+    "summary-min-games-100000/csv":
+        "70d588b1c6fcc6eb2f8f84e1149723e311b728f01ea23e7baf4fa76b5210d5e8",
+    "summary-min-games-100000/full":
+        "70d588b1c6fcc6eb2f8f84e1149723e311b728f01ea23e7baf4fa76b5210d5e8",
+    "summary-min-games-100000/json":
+        "015449b14cb204b9a06c91d69d24160882ee55a105076bccb6d3dbaaf8df7caa",
+    "summary-min-games-100000/json-full":
+        "015449b14cb204b9a06c91d69d24160882ee55a105076bccb6d3dbaaf8df7caa",
+    "breakeven/csv":
+        "2c054491431970e48a6e710568be3b107fae35232456734e045167dae100c4f9",
+    "breakeven/full":
+        "a2fc3aeafef6d1ed7d931062cf217ca4ecd5a194c964a7f57350970bb97baa91",
+    "breakeven/json":
+        "63e076826d577a0d8e54a24eb9f7e11f441ddefe2a76ac551f2b052556c2c667",
+    "breakeven/json-full":
+        "301c64c163df1211be9bffedbcab9c6d78c8769b3c6d9e404cccc06f8c291b13",
+    "breakeven-sgv/csv":
+        "c8a159b76956b5dd58324976d66fe9a8c1b569cf8bd80aeda977a48896b68cc8",
+    "breakeven-sgv/full":
+        "8ff2571697d809eb687bcb247e960785a2ecc8b8e2a7c0f6a3c4a2170939f90e",
+    "breakeven-sgv/json":
+        "7428ae10ca4ef811e3753b228430d65920e3f22dc6c4599d92401a9366ac738b",
+    "breakeven-sgv/json-full":
+        "33d06fb0a5197b70180e175d617e7d05dcc10d3bb48c8dde0d46bb523138389d",
+    "histogram/csv":
+        "f438ca8c864cda1c9552f07d59134e8bb0afe650556d0411a9e9f537923ee699",
+    "histogram/full":
+        "f438ca8c864cda1c9552f07d59134e8bb0afe650556d0411a9e9f537923ee699",
+    "histogram/json":
+        "c1efebe538c63c5183d4f0991131d1fe4c56cda745d10d1945782fbf5706bb4c",
+    "histogram/json-full":
+        "c1efebe538c63c5183d4f0991131d1fe4c56cda745d10d1945782fbf5706bb4c",
+    "gcp/csv":
+        "80c0854ba57486ab68651c741aa729e551f40a8167f14f7d988b665a7c33f00e",
+    "gcp/full":
+        "efff6ccc734f03ca5ef1129b5bb2257fb9f6c91bbae327d9d61ce70ce6de2032",
+    "gcp/json":
+        "5d57f104f80128e26f4d6422baec01bbd04dfb3c3949d1f0c925caf21aaf60da",
+    "gcp/json-full":
+        "5d57f104f80128e26f4d6422baec01bbd04dfb3c3949d1f0c925caf21aaf60da",
+}
+
+
+def table_stdout(case: str, form: str, pair: Path, capsysbinary) -> bytes:
+    argv = [arg.format(dir=pair) for arg in TABLES[case]] + TABLE_FORMS[form]
+    assert main(argv) == 0
+    out, err = capsysbinary.readouterr()
+    assert err == b""
+    return out
+
+
+@pytest.mark.parametrize("form", TABLE_FORMS)
+@pytest.mark.parametrize("case", TABLES)
+def test_every_table_gives_the_recorded_bytes(case, form, small_pair, capsysbinary):
+    out = table_stdout(case, form, small_pair, capsysbinary)
+    assert hashlib.sha256(out).hexdigest() == TABLE_DIGESTS[f"{case}/{form}"]
+
+
+def test_the_recorded_tables_hold_their_empty_cells(small_pair, capsysbinary):
+    def rows(case):
+        return csv_rows(table_stdout(case, "csv", small_pair, capsysbinary))
+
+    statuses = [r[6] for r in rows("roi")[1:]]
+    assert (statuses.count("ok"), statuses.count("below_min_games")) == (35, 1)
+    assert {(r[5], r[6]) for r in rows("roi-sgv-5e-324")[1:]} == {("", "total_default")}
+    board = rows("pvgcp-board-missing-salary")[1:]
+    assert [r[1] for r in board if r[3] == ""] == ["T01P03"]
+    assert rows("compare")[-1][1:4] == ["", "", ""]
+    assert rows("summary-min-games-100000")[1:] == [["0", "", "", "", "", "", ""]]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import csv
 import math
 import statistics
 from datetime import date
@@ -15,14 +16,16 @@ from gcproi import (
     leaderboard_pvgcp,
     parse_salaries,
     pvgcp,
-    roi_salary_scatter,
     roi_table,
     salary_summary,
     season_reports,
     sgv,
     synth_season,
+    write_games_csv,
+    write_salaries_csv,
 )
 from gcproi import reporting
+from gcproi.cli import main
 from gcproi.errors import GcproiError, MissingSalary
 from gcproi.reporting import (
     STATUS_BELOW_MIN_GAMES,
@@ -215,20 +218,40 @@ def test_comparison_rejects_unknown_players(synth_world):
         comparison(ds, reports, "T00P00", "ghost")
 
 
-def test_scatter_counts_match_an_independent_filter(synth_world):
-    ds, salaries, _, reports, value = synth_world
-    points = roi_salary_scatter(ds, reports, salaries, value, min_games=10)
+@pytest.fixture(scope="module")
+def synth_world_files(synth_world, tmp_path_factory):
+    ds, salaries, _, _, _ = synth_world
+    out_dir = tmp_path_factory.mktemp("synth_world")
+    write_games_csv(ds, out_dir / "games.csv")
+    write_salaries_csv(salaries, out_dir / "salaries.csv")
+    return out_dir
+
+
+def scatter_points(files, min_games: int, tmp_path) -> list[list[str]]:
+    """The rows `gcproi scatter` writes for the files' season, below its header."""
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", "--games", str(files / "games.csv"),
+                 "--salaries", str(files / "salaries.csv"),
+                 "--min-games", str(min_games), "--out", str(out)]) == 0
+    header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+    assert header == ["player_id", "salary_usd", "roi_pct"]
+    return rows
+
+
+def test_scatter_counts_match_an_independent_filter(synth_world, synth_world_files, tmp_path):
+    ds, _, _, reports, _ = synth_world
+    points = scatter_points(synth_world_files, 10, tmp_path)
     qualifying = {p for p in ds.player_ids
                   if pvgcp(ds, reports, p).games_played >= 10}
-    assert {p.player_id for p in points} == qualifying
+    assert {p[0] for p in points} == qualifying
     assert len(points) == len(qualifying)
     # salary-ascending output
-    assert [p.salary for p in points] == sorted(p.salary for p in points)
+    salaries = [int(p[1]) for p in points]
+    assert salaries == sorted(salaries)
 
 
-def test_scatter_can_be_empty(synth_world):
-    ds, salaries, _, reports, value = synth_world
-    assert roi_salary_scatter(ds, reports, salaries, value, min_games=10_000) == []
+def test_scatter_can_be_empty(synth_world_files, tmp_path):
+    assert scatter_points(synth_world_files, 10_000, tmp_path) == []
 
 
 def test_histogram_bins_cover_and_count():
@@ -268,7 +291,7 @@ def test_pvgcp_board_rejects_a_negative_size(bosphi, bosphi_reports, data_dir):
         leaderboard_pvgcp(bosphi, bosphi_reports, salaries, top_k=-3)
 
 
-@pytest.mark.parametrize("table", [roi_table, roi_salary_scatter, salary_summary])
+@pytest.mark.parametrize("table", [roi_table, salary_summary])
 def test_a_negative_min_games_is_rejected(table, synth_world):
     ds, salaries, _, reports, value = synth_world
     args = (ds, reports, salaries) + (() if table is salary_summary else (value,))
