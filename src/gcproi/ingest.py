@@ -59,6 +59,7 @@ SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
 
 _positive = partial(map, (0.0).__lt__)
 _player_id = attrgetter("player_id")
+_season_order = attrgetter("date", "game_id")
 
 
 def _read_only(self, name: str, *value) -> None:
@@ -66,6 +67,10 @@ def _read_only(self, name: str, *value) -> None:
 
 
 _construct = classmethod(lambda cls, fields: cls(*fields))  # _make, _replace: checked too
+
+
+def _reduce(self):  # a read-only map pickles as a dict copy; unpickling builds again
+    return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in self)
 
 
 class _LineFields(NamedTuple):
@@ -187,22 +192,23 @@ class _SeasonFields(NamedTuple):
 
 
 class SeasonDataset(_SeasonFields):
-    """Games ordered by (date, game_id), plus a read-only copy of the
-    player-name lookup. Building one rejects games out of that order and a
-    repeated game id, and maps each game id to its game and each team to its
+    """The games given, ordered by (date, game_id), and a read-only copy of
+    the player-name lookup (empty when left out). Building one rejects a
+    repeated game id and maps each game id to its game and each team to its
     games (team_games, read-only); the player index is built on first use.
-    Equality ignores them, and unpickling builds and checks them again."""
+    Equality ignores them; unpickling, _make and _replace order and index again."""
 
     __setattr__ = __delattr__ = _read_only
+    __reduce__ = _reduce
     _make = _construct
 
-    def __new__(cls, games: tuple[GameRecord, ...], player_names: dict[str, str]) -> SeasonDataset:
-        self = super().__new__(cls, games, MappingProxyType(dict(player_names)))
+    def __new__(cls, games: Iterable[GameRecord],
+                player_names: Mapping[str, str] = MappingProxyType({})) -> SeasonDataset:
+        self = super().__new__(cls, tuple(sorted(games, key=_season_order)),
+                               MappingProxyType(dict(player_names)))
         by_id: dict[str, GameRecord] = {}
         team_games: dict[str, list[GameRecord]] = {}
-        for prev, g in zip((None, *games), games):
-            if prev is not None and (g.date, g.game_id) < (prev.date, prev.game_id):
-                raise SchemaError(f"game {g.game_id!r} is out of (date, game_id) order")
+        for g in self.games:
             if g.game_id in by_id:
                 raise SchemaError(f"game id {g.game_id!r} is repeated")
             by_id[g.game_id] = g
@@ -211,15 +217,6 @@ class SeasonDataset(_SeasonFields):
         self.__dict__.update(_games_by_id=by_id, team_games=MappingProxyType(
             {t: tuple(gs) for t, gs in team_games.items()}))
         return self
-
-    def __reduce__(self):
-        return type(self), (self.games, dict(self.player_names))
-
-    @classmethod
-    def from_games(cls, games: Iterable[GameRecord],
-                   player_names: dict[str, str] | None = None) -> "SeasonDataset":
-        ordered = tuple(sorted(games, key=lambda g: (g.date, g.game_id)))
-        return cls(games=ordered, player_names=player_names or {})
 
     @cached_property
     def _runs(self) -> dict[str, tuple[tuple[str, int, int], ...]]:
@@ -284,22 +281,21 @@ def _check_salary(player_id: str, salary: int, line: int | None = None) -> None:
 
 
 class SalaryTable(_SalaryFields):
-    """Annual salary in integer dollars per player, and names ({} when left
-    out), each held as a read-only copy of the mapping given. Building one
-    checks each entry as parse_salaries checks a row (_check_salary)."""
+    """Annual salary in integer dollars per player, and names (empty when
+    left out), each held as a read-only copy of the mapping given. Building
+    one checks each entry as parse_salaries checks a row (_check_salary)."""
 
     __slots__ = ()
+    __reduce__ = _reduce
     _make = _construct
 
-    def __new__(cls, entries: dict[str, int], names: dict[str, str] | None = None) -> SalaryTable:
+    def __new__(cls, entries: Mapping[str, int],
+                names: Mapping[str, str] = MappingProxyType({})) -> SalaryTable:
         self = super().__new__(cls, MappingProxyType(dict(entries)),
-                               MappingProxyType(dict(names or {})))
+                               MappingProxyType(dict(names)))
         for player_id, salary in self.entries.items():
             _check_salary(player_id, salary)
         return self
-
-    def __reduce__(self):
-        return type(self), (dict(self.entries), dict(self.names))
 
     @property
     def total(self) -> int:
@@ -469,7 +465,7 @@ def parse_games(path: str | Path, fmt: str = "derived",
         except SchemaError as exc:  # a team without an active line: no row checks that
             raise SchemaError(str(exc), first_line) from None
 
-    return SeasonDataset.from_games(games, player_names)
+    return SeasonDataset(games, player_names)
 
 
 def parse_salaries(path: str | Path) -> SalaryTable:

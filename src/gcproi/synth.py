@@ -13,12 +13,13 @@ import math
 import random
 from datetime import date as Date
 from datetime import timedelta
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import GcproiError
 from .fields import FIELD_ORDER, FRACTIONAL_FIELDS, FieldId
 from .finance import CashFlowSeries, npv
-from .ingest import GameRecord, PlayerGameLine, SalaryTable, SeasonDataset
+from .ingest import GameRecord, PlayerGameLine, SalaryTable, SeasonDataset, _reduce
 
 #: Oracle grid: scan (-0.999, 10] in steps of 1e-3 for the sign change.
 ORACLE_GRID_LO = -0.999
@@ -39,7 +40,11 @@ START_DATE = Date(2024, 1, 1)
 _COUNT_VALUES = tuple(map(float, range(COUNT_MAX + 1)))
 
 
-class _SynthFields(NamedTuple):
+class SynthConfig(NamedTuple):
+    """Knobs for synthetic-season generation. Identical config and seed
+    reproduce the identical dataset. A map knob left out is an empty
+    read-only map."""
+
     seed: int = 0
     teams: int = 4
     games_per_team: int = 6
@@ -47,22 +52,11 @@ class _SynthFields(NamedTuple):
     roster_max: int = 10
     miss_prob: float = 0.1
     #: Fields a team never records, e.g. {"T00": (FieldId.CHGD,)}.
-    zero_fields: dict[str, tuple[FieldId, ...]] | None = None
+    zero_fields: Mapping[str, tuple[FieldId, ...]] = MappingProxyType({})
     #: Per-player miss probability overrides, e.g. {"T00P00": 1.0}.
-    miss_prob_overrides: dict[str, float] | None = None
+    miss_prob_overrides: Mapping[str, float] = MappingProxyType({})
     realistic: bool = False
-
-
-class SynthConfig(_SynthFields):
-    """Knobs for synthetic-season generation. Identical config and seed
-    reproduce the identical dataset. A dict knob left out gets a new {}."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SynthConfig:
-        cfg = super().__new__(cls, *args, **kwargs)
-        return cfg._replace(**{knob: {} for knob in ("zero_fields", "miss_prob_overrides")
-                               if getattr(cfg, knob) is None})
+    __reduce__ = _reduce
 
     def validate(self) -> None:
         if self.teams < 2 or self.teams % 2 != 0:
@@ -208,7 +202,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     salaries = SalaryTable(
         entries={p: rng.randint(SALARY_MIN, SALARY_MAX) for p in players},
         names=names)
-    ds = SeasonDataset.from_games(games, names)
+    ds = SeasonDataset(games, names)
     book = SynthBookkeeping(
         rosters=rosters,
         schedule={t: tuple(v) for t, v in schedule.items()},

@@ -97,4 +97,4 @@ def build_two_team_season(n_games: int, players_a, players_b,
                                        PF=(i + j) % 3))
         games.append(make_game(gid, date(2024, 1, 1) + timedelta(days=i),
                                "A", "B", lines))
-    return SeasonDataset.from_games(games)
+    return SeasonDataset(games)

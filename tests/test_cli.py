@@ -782,7 +782,7 @@ def test_names_with_commas_stay_one_csv_cell(tmp_path):
     from datetime import date
     from gcproi import SeasonDataset, write_games_csv
     from conftest import make_game, make_line
-    ds = SeasonDataset.from_games(
+    ds = SeasonDataset(
         [make_game("g1", date(2024, 1, 1), "A", "B",
                    [make_line("jr", "A", "g1", MIN=10, POSS=20),
                     make_line("b1", "B", "g1", MIN=10, POSS=20)])],

@@ -3,7 +3,7 @@ import random
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gcproi import (
@@ -18,6 +18,7 @@ from gcproi import (
     season_reports,
     sgv,
 )
+from gcproi import finance
 from gcproi.errors import AllZeroFlows, ConvergenceError, GcproiError
 from gcproi.synth import irr_oracle
 
@@ -92,7 +93,7 @@ def test_flow_is_sgv_times_share():
     # identical lines so each of the ten holds exactly a 10% share
     lines = [make_line(f"a{i}", "A", "g001", MIN=10, POSS=20, TCH=5)
              for i in range(10)] + [make_line("b1", "B", "g001", MIN=1)]
-    ten = SeasonDataset.from_games(
+    ten = SeasonDataset(
         [make_game("g001", date(2024, 1, 1), "A", "B", lines)])
     cf = cash_flows(ten, season_reports(ten), "a0", value, salary=1_000_000)
     assert cf.flows[0] == pytest.approx(181_816.2, rel=1e-12)
@@ -138,7 +139,7 @@ def _trade_dataset():
             cd.append(make_line("bad", "C", f"cd{i}", MIN=5))
         games.append(make_game(f"ab{i}", day, "A", "B", ab))
         games.append(make_game(f"cd{i}", day, "C", "D", cd))
-    return SeasonDataset.from_games(games)
+    return SeasonDataset(games)
 
 
 def test_traded_player_schedule_concatenates_his_stints():
@@ -191,7 +192,7 @@ def traded_seasons(draw):
                 if team is not None:
                     lines.append(make_line(f"p{p}", team, gid, MIN=draw(st.sampled_from((0, 5)))))
             games.append(make_game(gid, date(2024, 1, 1) + timedelta(days=day), t1, t2, lines))
-    return SeasonDataset.from_games(games)
+    return SeasonDataset(games)
 
 
 @given(traded_seasons())
@@ -213,7 +214,7 @@ def test_trade_windows_span_missed_games_inside_a_stint():
                 make_line("d-perm", "D", "cd0", MIN=10, POSS=20),
                 make_line("tp", "C", "cd0", MIN=5, POSS=10)]
     games.append(make_game("cd0", date(2024, 3, 4), "C", "D", cd_lines))
-    ds = SeasonDataset.from_games(games)
+    ds = SeasonDataset(games)
 
     slots = player_schedule(ds, "tp")
     assert [g.game_id for g, _ in slots] == ["ab0", "ab1", "ab2", "cd0"]
@@ -228,7 +229,7 @@ def test_pvgcp_of_a_single_quarter_share_game():
     # four identical teammates: each holds exactly a 0.25 share of the game
     lines = [make_line(f"a{i}", "A", "g1", MIN=10, POSS=20) for i in range(4)]
     lines.append(make_line("b1", "B", "g1", MIN=1))
-    ds = SeasonDataset.from_games([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
+    ds = SeasonDataset([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
     reports = season_reports(ds)
     m = pvgcp(ds, reports, "a1")
     assert m.value == 0.25
@@ -402,6 +403,38 @@ def test_solver_repeats_the_solve_when_its_rate_misses_the_tolerance():
     assert abs(result.rate - irr_oracle(s)) <= 1e-9
     lo, hi = result.bracket
     assert lo < result.rate < hi
+
+
+#: The last rate above -1 that the lower bracket reaches by halving 1 + rate.
+LAST_RATE = -1.0 + 2**-53
+
+
+@example(scale=1.0, where=0.5)  # 1 dollar back against 2**53 - 3 dollars
+@given(st.floats(1e-3, 1e250), st.floats(0.01, 0.99))
+def test_irr_keeps_the_npv_result_when_the_per_term_solve_cannot_bracket(scale, where):
+    # One flow, and an investment between the flow's two discounted values at
+    # LAST_RATE: npv's exact 2**53 and the per-term exp(-log1p(LAST_RATE)),
+    # 2**53 - 6. npv is non-negative there first and settles there, short of
+    # the tolerance; the per-term value is still negative there, so its solve
+    # halves the bracket onto -1 and raises, and irr keeps npv's result.
+    exact, per_term = scale * 2.0**53, scale * math.exp(-math.log1p(LAST_RATE))
+    cf0 = per_term + where * (exact - per_term)
+    assume(per_term + 1e-6 < cf0 < exact - 1e-6)
+    s = series(cf0, [scale])
+    with raises_exactly(ConvergenceError, "root is indistinguishable from rate -1"):
+        finance._solve(lambda rate: finance._npv_per_term(rate, s), 1e-6)
+    result = irr(s)
+    assert result == finance._solve(lambda rate: npv(rate, s), 1e-6)
+    assert result.rate == LAST_RATE
+    assert result.residual == exact - cf0 > 1e-6
+
+
+def test_a_refinement_that_cannot_reach_the_root_gives_up_after_400_steps():
+    # The sign changes at the subnormal rate 1e-310: 200 bisections cannot
+    # narrow the bracket to the spacing of doubles there, and no value is
+    # within the tolerance.
+    with raises_exactly(ConvergenceError, "rate refinement did not converge in 400 steps"):
+        finance._solve(lambda rate: -1.0 if rate > 1e-310 else 1.0, 1e-6)
 
 # --- break-even ----------------------------------------------------------
 

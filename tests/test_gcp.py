@@ -238,7 +238,7 @@ def test_golden_distribution_has_twenty_values(bosphi):
 
 
 def test_empty_dataset_distribution_is_empty():
-    ds = SeasonDataset.from_games([])
+    ds = SeasonDataset([])
     assert gcp_histogram(ds) == []
 
 

@@ -549,7 +549,7 @@ def written_cells(rows) -> list[list[str]]:
     one line per row, in a game where each team has one more, active, line."""
     lines = [PlayerGameLine(f"p{i}", "A", "g1", tuple(row)) for i, row in enumerate(rows)]
     lines += [make_line("z", "A", "g1", MIN=1), make_line("q", "B", "g1", MIN=1)]
-    ds = SeasonDataset.from_games([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
+    ds = SeasonDataset([make_game("g1", date(2024, 1, 1), "A", "B", lines)])
     buf = io.StringIO()
     write_games_csv(ds, buf)
     return [row[6:] for row in csv.reader(io.StringIO(buf.getvalue()))][1:len(rows) + 1]
@@ -641,7 +641,7 @@ def awkward_season(bosphi, texts) -> SeasonDataset:
         lines.sort(key=lambda ln: (ln.team_id != team_ids[home], ln.player_id))
         records.append(make_game(game_id, game.date + timedelta(days=k),
                                  team_ids[home], team_ids[away], lines))
-    return SeasonDataset.from_games(records, names)
+    return SeasonDataset(records, names)
 
 
 def whole_rows(ds, header, stats) -> str:
@@ -980,7 +980,7 @@ def season_parts(draw) -> list[tuple]:
 @given(parts=season_parts())
 def test_a_season_of_checked_records_writes_a_file_that_parses_back_equal(parts):
     try:
-        ds = SeasonDataset.from_games(
+        ds = SeasonDataset(
             [GameRecord(game_id, day, *teams, tuple(PlayerGameLine(*ln) for ln in lines))
              for game_id, day, teams, lines in parts],
             {ln[0]: f"Name {ln[0]}" for *_, lines in parts for ln in lines})
@@ -1000,8 +1000,8 @@ def test_a_season_of_checked_records_writes_a_file_that_parses_back_equal(parts)
 
 def test_the_raw_writer_names_a_source_stat_whose_sum_overflows():
     line = make_line("p1", "A", "g1", APM=1e308, AST2=1e308, PAST=1e308)
-    ds = SeasonDataset.from_games([make_game("g1", DAY, "A", "B",
-                                             [line, make_line("q1", "B", "g1", MIN=1)])])
+    ds = SeasonDataset([make_game("g1", DAY, "A", "B",
+                                  [line, make_line("q1", "B", "g1", MIN=1)])])
     write_games_csv(ds, io.StringIO())  # every value is finite
     with pytest.raises(GcproiError) as exc:
         write_raw_games_csv(ds, io.StringIO())
@@ -1081,7 +1081,7 @@ def test_validate_finds_exactly_the_injected_violations():
     g1 = game("g1", date(2024, 1, 1), "A", "B")
     g2 = game("g2", date(2024, 1, 2), "A", "C")
     g3 = game("g3", date(2024, 1, 3), "B", "C")
-    assert not validate_dataset(SeasonDataset.from_games([g1, g2, g3]))
+    assert not validate_dataset(SeasonDataset([g1, g2, g3]))
 
     injected = []
     # 1. a negative value cannot be built, but a team total that overflows can
@@ -1113,7 +1113,7 @@ def test_validate_strict_season_flags_team_over_82():
             make_line("p2", "B", gid, MIN=1.0),
         ]))
     # distinct dates not required for the count check
-    ds = SeasonDataset.from_games(games)
+    ds = SeasonDataset(games)
     assert not validate_dataset(ds)
     report = validate_dataset(ds, strict_season=True)
     kinds = [v.kind for v in report]
@@ -1127,7 +1127,7 @@ def test_validate_reports_each_team_whose_total_overflows():
             PlayerGameLine("b1", "B", "g1", (bad,) + (1.0,) * 36)
     big = [make_line(p, "A", "g1", MIN=1e308) for p in ("a1", "a2")]
     also = [make_line(p, "B", "g1", POSS=1e308) for p in ("b1", "b2")]
-    ds = SeasonDataset.from_games([make_game("g1", DAY, "A", "B", big + also)])
+    ds = SeasonDataset([make_game("g1", DAY, "A", "B", big + also)])
     report = validate_dataset(ds)
     assert [(v.kind, v.team_id, v.game_id) for v in report] == [
         ("TotalOverflow", "A", "g1"), ("TotalOverflow", "B", "g1")]
@@ -1195,20 +1195,34 @@ def test_a_season_that_breaks_an_invariant_cannot_be_built():
     g2 = make_game("g2", DAY, "A", "B", [make_line(ln.player_id, ln.team_id, "g2", MIN=1)
                                         for ln in PAIR])
     g1_later = make_game("g1", date(2024, 1, 2), "A", "B", PAIR)
-    with pytest.raises(SchemaError, match="order"):
-        SeasonDataset(games=(g2, g1), player_names={})
-    with pytest.raises(SchemaError, match="order"):
-        SeasonDataset(games=(g1_later, g2), player_names={})
+    # Games out of (date, game_id) order are put in it.
+    assert SeasonDataset(games=(g2, g1), player_names={}).games == (g1, g2)
+    assert SeasonDataset(games=(g1_later, g2), player_names={}).games == (g2, g1_later)
     with pytest.raises(SchemaError, match="repeated"):
         SeasonDataset(games=(g1, g1), player_names={})
     with pytest.raises(SchemaError, match="repeated"):
-        SeasonDataset.from_games([g1_later, g2, g1])
+        SeasonDataset([g1_later, g2, g1])
 
-    ds = SeasonDataset.from_games([g2, g1])
+    ds = SeasonDataset([g2, g1])
     assert ds.games == (g1, g2)
     assert ds.get_game("g2") is g2
     assert ds.team_games["A"] == (g1, g2)
     assert ds.team_games.get("C", ()) == ()
+
+
+def test_a_season_orders_the_games_of_any_iterable_and_so_does_each_copy():
+    ds, _, _ = synth_season(SynthConfig(seed=5, teams=4, games_per_team=3))
+    backwards = ds.games[::-1]
+    assert len(set(g.date for g in ds.games)) == 3 and backwards != ds.games
+    for given in (backwards, list(backwards), (g for g in backwards)):
+        season = SeasonDataset(given, ds.player_names)
+        assert season.games == ds.games and season.team_games == ds.team_games
+    for copy in (pickle.loads(pickle.dumps(ds)), ds._replace(games=reversed(ds.games))):
+        assert copy == ds and copy.team_games == ds.team_games
+    bare = SeasonDataset(backwards)
+    assert bare.games == ds.games and bare.player_names == {}
+    with pytest.raises(TypeError):
+        bare.player_names["T00P00"] = "Ann"
 
 
 # --- records -----------------------------------------------------------------
@@ -1224,8 +1238,8 @@ def _consecutive_games():
     (PAIR[0], "values"),
     (make_game("g1", DAY, "A", "B", PAIR), "game_id"),
     (make_game("g1", DAY, "A", "B", PAIR), "lines"),
-    (SeasonDataset.from_games([make_game("g1", DAY, "A", "B", PAIR)]), "games"),
-    (SeasonDataset.from_games([make_game("g1", DAY, "A", "B", PAIR)]), "team_games"),
+    (SeasonDataset([make_game("g1", DAY, "A", "B", PAIR)]), "games"),
+    (SeasonDataset([make_game("g1", DAY, "A", "B", PAIR)]), "team_games"),
 ], ids=["line-values", "game-id", "game-lines", "season-games", "season-team-games"])
 def test_a_record_field_cannot_be_assigned(record, field):
     before = getattr(record, field)
@@ -1287,7 +1301,7 @@ def test_replacing_a_game_field_checks_and_indexes_like_building_one():
     moved = g1._replace(date=date(2024, 2, 1))
     assert moved.date == date(2024, 2, 1)
     assert moved.roster("A") == g1.roster("A") == (PAIR[0],)
-    ds = SeasonDataset.from_games([g1])
+    ds = SeasonDataset([g1])
     with pytest.raises(SchemaError, match="repeated"):
         ds._replace(games=(g1, g1))
 
@@ -1317,7 +1331,7 @@ def test_name_and_salary_maps_are_read_only_copies(bosphi, data_dir):
 
     entries, names = {"a": 1}, {"a": "Ann"}
     table = SalaryTable(entries, names)
-    ds = SeasonDataset.from_games(bosphi.games, names)
+    ds = SeasonDataset(bosphi.games, names)
     entries["a"], names["a"] = 2, "Bo"
     assert (table.total, table.name("a"), ds.player_name("a")) == (1, "Ann", "Ann")
     assert table._replace(entries={"a": 3}).total == 3
@@ -1338,13 +1352,14 @@ def test_a_pickled_season_or_salary_table_is_equal_and_read_only(record, bosphi,
 def test_synth_config_default_dicts_are_its_own():
     a, b = SynthConfig(), SynthConfig()
     assert a == b
+    given = {"T00P00": 1.0}
     for knob in ("zero_fields", "miss_prob_overrides"):
         assert getattr(a, knob) == {}
-        assert getattr(a, knob) is not getattr(b, knob)
-    a.miss_prob_overrides["T00P00"] = 1.0
-    assert b.miss_prob_overrides == {} and SynthConfig().miss_prob_overrides == {}
-    given = {"T00P00": 1.0}
-    assert SynthConfig(miss_prob_overrides=given).miss_prob_overrides is given
+        with pytest.raises(TypeError):
+            getattr(a, knob)["T00P00"] = 1.0
+        assert getattr(a, knob) == getattr(b, knob) == {}
+        assert getattr(SynthConfig(**{knob: given}), knob) is given
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_validate_reports_each_bad_cell_in_field_order_then_empty_teams():

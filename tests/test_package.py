@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import statistics
 import types
 from pathlib import Path
 
@@ -23,6 +24,8 @@ PUBLIC_NAMES = [
     "write_salaries_csv",
 ]
 
+REPO = Path(__file__).parents[1]
+
 
 def test_the_package_exports_only_what_callers_use():
     names = sorted(name for name, value in vars(gcproi).items()
@@ -35,7 +38,7 @@ def test_every_function_the_benchmark_traces_exists():
     """A per-layer metric <command>.<module>.<function>.<stat> names a public
     function of gcproi.<module>; deleting one would leave the metric
     unmeasured. parse_games_raw is the benchmark's own span, not a function."""
-    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     traced = {tuple(m["name"].split(".")[1:3]) for m in bench["per_layer"]
               if m["name"].count(".") == 3} - {("ingest", "parse_games_raw")}
     assert ("gcp", "team_totals") in traced
@@ -43,6 +46,31 @@ def test_every_function_the_benchmark_traces_exists():
         value = getattr(importlib.import_module(f"gcproi.{module}"), function, None)
         assert isinstance(value, types.FunctionType), f"{module}.{function}"
         assert not function.startswith("_")
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_each_bench_record_holds_correct_runs_and_their_medians(path):
+    """BENCH_<n>.json, n being its "pr" field, holds per workload the result
+    lines of three or more alternating parent and change runs of
+    benchmarks/run.py, each correct with none failed and with every
+    end-to-end metric, and the median of each metric over each side's lines."""
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    end_to_end = [m["name"] for m in bench["end_to_end"]]
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert path.name == f"BENCH_{record['pr']}.json"
+    assert len(record["parent"]) == 40 and record["python"] and record["cpus"] >= 1
+    assert sorted(record["workloads"]) == sorted(w["name"] for w in bench["workloads"])
+    for sides in record["workloads"].values():
+        assert sorted(sides) == ["change", "parent"]
+        for side in sides.values():
+            runs = side["runs"]
+            assert len(runs) >= 3
+            for run in runs:
+                assert run["correct"] is True and run["failed"] == 0
+                assert set(end_to_end) <= run["metrics"].keys()
+            assert side["median"] == {
+                name: statistics.median(run["metrics"][name]["value"] for run in runs)
+                for name in end_to_end}
 
 
 SOURCES = Path(gcproi.__file__).parent

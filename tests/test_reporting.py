@@ -122,7 +122,7 @@ def test_a_player_with_only_inactive_lines_is_a_total_default():
                         make_line("a2", "A", f"g{i}"),  # all-zero line
                         make_line("b", "B", f"g{i}", MIN=8, POSS=20)])
              for i in (1, 2)]
-    ds = SeasonDataset.from_games(games)
+    ds = SeasonDataset(games)
     reports = season_reports(ds)
     salaries = SalaryTable(entries={"a1": 1_000, "a2": 2_000, "b": 3_000})
     value = sgv(salaries.total, len(ds.games))
@@ -304,7 +304,7 @@ def test_a_negative_min_games_is_rejected(table, synth_world):
 @pytest.mark.parametrize("abs_tol", [-1.0, 0.0, math.nan])
 def test_roi_table_rejects_a_tolerance_that_is_not_positive(abs_tol):
     # No player reaches irr, which checks the tolerance of each solve.
-    empty = SeasonDataset.from_games([])
+    empty = SeasonDataset([])
     with raises_exactly(GcproiError, f"abs_tol must be positive, got {abs_tol}"):
         roi_table(empty, {}, SalaryTable(entries={}), 1.0, abs_tol=abs_tol)
 
@@ -348,7 +348,7 @@ def test_a_one_player_pool_has_that_salary_as_every_figure():
              make_game("g2", date(2024, 1, 2), "A", "B",
                        [make_line("a1", "A", "g2", MIN=10, POSS=20),
                         make_line("b2", "B", "g2", MIN=8, POSS=20)])]
-    ds = SeasonDataset.from_games(games)
+    ds = SeasonDataset(games)
     salaries = SalaryTable({"a1": 5_000, "a2": 1, "b1": 2, "b2": 3})
     s = salary_summary(ds, season_reports(ds), salaries, min_games=2)
     assert (s.qualifying, s.mean, s.median, s.p75) == (1, 5_000.0, 5_000.0, 5_000.0)
