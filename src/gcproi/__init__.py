@@ -21,7 +21,6 @@ from .finance import (
 from .gcp import (
     active_fields,
     game_report,
-    gcp_upper_bound,
     omega,
     season_reports,
     team_totals,

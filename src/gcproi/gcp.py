@@ -71,24 +71,6 @@ def game_report(game: GameRecord) -> GameGcp:
     return {team_id: _side(game, team_id) for team_id in game.teams}
 
 
-def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
-    """Largest GCP the player could have recorded given their minutes and
-    possessions: 1 - weight * (missing minutes share + missing possessions
-    share). Requires positive team totals for both."""
-    totals = team_totals(game, team_id)
-    w = omega(active_fields(totals))
-    ln = next((ln for ln in game.roster(team_id) if ln.player_id == player_id), None)
-    if ln is None:
-        raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "
-                          f"in game {game.game_id!r}")
-    min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
-    if min_t <= 0.0 or poss_t <= 0.0:
-        raise GcproiError(
-            f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
-    min_p, poss_p = ln.values[FieldId.MIN], ln.values[FieldId.POSS]
-    return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)
-
-
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcp]:
     """Game reports for every game, keyed by game id, in dataset order."""
     return {g.game_id: game_report(g) for g in ds.games}

@@ -12,37 +12,42 @@ Input formats (UTF-8 CSV, no NUL byte; errors name the 1-based line a row starts
   positive integer dollars, in any form ``int()`` accepts, at most 2**53
   (the largest integer a float holds exactly).
 
-A row whose 37 stats are all zero is a player who sat the game out: it stays
-in the game's lines, and in a write-back, but GameRecord keeps it out of the
-rosters, so it carries no GCP. Parsing is single-pass, each parser reading
-rows straight from the csv reader that _csv_reader opens. The resulting
-SeasonDataset and SalaryTable hold no reference cycles, are immutable (their
-name and salary maps are read-only copies) and are safe to share across
-threads. Each record rejects what its parser rejects, so a writer never
+A row whose 37 stats are all zero is a player who sat the game out: it stays in
+the game's lines, and in a write-back, but GameRecord keeps it out of the
+rosters, so it carries no GCP. Each parser reads rows straight from a csv
+reader; parse_games reads a large file's halves in two processes at once, and
+on any failure again in one (_parse_split). Datasets and salary tables hold no
+reference cycles, are immutable (name and salary maps are read-only copies) and
+thread-safe. Each record rejects what its parser rejects, so a writer never
 emits it: a PlayerGameLine a negative, NaN or infinite stat, a GameRecord an
 empty id (by the parser's _check_ids) and a team without an active line, a
-SalaryTable a bad entry (by the parser's _check_salary). Output has one
-path: every CSV row, here and in the CLI, is text from _row_text, which
-quotes a cell holding a CR or an LF, and every file or stream is written by
-_write. The games writers quote id cells once per game side (game, date,
-team, opponent) and once per player (id, name), and join stat texts unquoted.
+SalaryTable a bad entry (by the parser's _check_salary). Output has one path:
+every CSV row, here and in the CLI, is text from _row_text, which quotes a cell
+holding a CR or an LF, and every file or stream is written by _write. The games
+writers quote id cells once per game side (game, date, team, opponent) and once
+per player (id, name), and join stat texts unquoted.
 
 One lookup, _StatValue, parses and checks every stat cell. A text that is
 integral or short (at most 5 characters, as "37.8" or "0.25") is parsed once
-per file and its lines share one float. A longer fractional text, such as a
-full-precision repr, is parsed wherever it appears and never kept, so a
-file of such texts costs no memo entry per cell. The lines of a file share
-one string per game, team and player id.
+per file, or per half of a split one, and equal such texts share one float
+there. A longer fractional text, such as a full-precision repr, is parsed
+wherever it appears and never kept, so such texts cost no memo entry. The
+lines of a file share one string per game, team and player id.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import marshal
 import math
-from contextlib import contextmanager
+import os
+import signal
+import threading
+from contextlib import contextmanager, suppress
 from datetime import date as Date
 from functools import cached_property, partial
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
@@ -55,7 +60,8 @@ ID_COLUMNS = ("game_id", "date", "team", "opponent", "player_id", "player_name")
 GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + tuple(f.name for f in FIELD_ORDER)
 RAW_GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + RAW_STATS
 SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
-
+_GAMES_HEADERS = {"derived": GAMES_HEADER, "raw": RAW_GAMES_HEADER}
+_SPLIT_BYTES = 1 << 19  # median split/one-process time: 1.04 at 275 KiB, 0.96 at 416, 0.92 at 556
 
 _positive = partial(map, (0.0).__lt__)
 _player_id = attrgetter("player_id")
@@ -344,21 +350,20 @@ def _without_nul(lines: Iterable[str]) -> Iterator[str]:
 
 
 @contextmanager
-def _csv_reader(path: str | Path, expected_header: tuple[str, ...]):
-    """Open path as CSV, check its header row and yield the reader, placed at
-    the first data row. A NUL byte, or a csv.Error, UnicodeDecodeError or
-    OSError raised while the block reads, becomes a SchemaError."""
+def _csv_reader(path: str | Path, expected_header: tuple[str, ...], text=None):
+    """Open path as CSV (or read text, an open stream of it), check its header row and
+    yield the reader, placed at the first data row. A NUL byte, or a csv.Error,
+    UnicodeDecodeError or OSError raised while the block reads, becomes a SchemaError."""
     try:
         # utf-8-sig tolerates the BOM spreadsheet exports tend to prepend
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with text or open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(_without_nul(fh))
             try:
                 header = next(reader)
             except StopIteration:
                 raise SchemaError("empty file, expected a header row", 1) from None
             if tuple(header) != expected_header:
-                raise SchemaError(
-                    f"bad header; expected {','.join(expected_header)!r}", 1)
+                raise SchemaError(f"bad header; expected {','.join(expected_header)!r}", 1)
             yield reader
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise SchemaError(f"malformed CSV: {exc}", reader.line_num) from None
@@ -376,96 +381,151 @@ def parse_games(path: str | Path, fmt: str = "derived",
     source-stat schema and applies the adjustment formulas per row
     (clamp_negative flooring negative adjustments at zero when set).
     """
-    if fmt not in ("derived", "raw"):
+    if fmt not in _GAMES_HEADERS:
         raise ValueError(f"unknown games format {fmt!r}")
-    header = GAMES_HEADER if fmt == "derived" else RAW_GAMES_HEADER
+    return _parse_split(path, fmt, clamp_negative) or _parse_sequential(path, fmt, clamp_negative)
+
+
+def _parse_sequential(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonDataset:
+    """parse_games in this process alone."""
+    with _csv_reader(path, _GAMES_HEADERS[fmt]) as reader:
+        return _season(_checked_rows(reader, fmt, clamp_negative))
+
+
+def _checked_rows(reader, fmt: str, clamp_negative: bool) -> Iterator[tuple]:
+    """Each non-blank games row of the reader, checked on its own, as (line,
+    game_id, date text, team, opponent, player_id, player_name, values)."""
+    header = _GAMES_HEADERS[fmt]
     stat_columns = header[len(ID_COLUMNS):]
     width = len(header)
+    dates: set[str] = set()  # the date texts read so far, each a valid date
+    value = _StatValue().__getitem__
 
-    # game_id -> [game_id, date text, date, team1, team2, first line,
-    # team1's lines, team2's lines, player ids]
+    # Each record is numbered by the physical line it starts on.
+    start = reader.line_num + 1
+    for row in reader:
+        line_no, start = start, reader.line_num + 1
+        if not row:
+            continue
+        if len(row) != width:
+            raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
+        game_id, date_text, team, opponent, player_id, player_name = row[:6]
+        _check_ids((game_id, team, opponent, player_id), line_no)
+        if team == opponent:
+            raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
+        if date_text not in dates:
+            try:  # YYYY-MM-DD only, the one form 3.10's fromisoformat reads
+                if Date.fromisoformat(date_text).isoformat() != date_text:
+                    raise ValueError(date_text)
+            except ValueError:
+                raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
+            dates.add(date_text)
+
+        del row[:6]  # row now holds the stat cells, with no copy
+        try:
+            values = tuple(map(value, row))
+        except ValueError:  # rescan cell by cell to name the first bad cell's column
+            for text, column in zip(row, stat_columns):
+                try:
+                    value(text)
+                except ValueError as exc:
+                    raise SchemaError(str(exc), line_no, column) from None
+        if fmt == "raw":
+            try:
+                values = derive_fields(values, clamp_negative)
+            except NegativeDerivedField as exc:
+                raise NegativeDerivedField(exc.field, exc.value, line_no) from None
+        yield line_no, game_id, date_text, team, opponent, player_id, player_name, values
+
+
+def _season(rows: Iterable[tuple]) -> SeasonDataset:
+    """The SeasonDataset of _checked_rows' rows, each checked against those before it."""
+    # game_id -> [game_id, date text, team1, team2, first line, each team's lines, player ids]
     pending: dict[str, list] = {}
     player_names: dict[str, str] = {}
     shared: dict[str, str] = {}  # one str object per team and player id
-    value = _StatValue().__getitem__
+    for line_no, game_id, date_text, team, opponent, player_id, player_name, values in rows:
+        known = player_names.setdefault(player_id, player_name)
+        if known != player_name:
+            raise SchemaError(f"player {player_id!r} has conflicting names {known!r} and "
+                              f"{player_name!r}", line_no, "player_name")
 
-    with _csv_reader(path, header) as reader:
-        # Each record is numbered by the physical line it starts on.
-        start = reader.line_num + 1
-        for row in reader:
-            line_no, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != width:
-                raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
-            game_id, date_text, team, opponent, player_id, player_name = row[:6]
-            _check_ids((game_id, team, opponent, player_id), line_no)
-            if team == opponent:
-                raise SchemaError(f"team and opponent are both {team!r}", line_no, "opponent")
-            game = pending.get(game_id)
-            if game is None or date_text != game[1]:
-                try:  # YYYY-MM-DD only, the one form 3.10's fromisoformat reads
-                    game_date = Date.fromisoformat(date_text)
-                    if game_date.isoformat() != date_text:
-                        raise ValueError(date_text)
-                except ValueError:
-                    raise SchemaError(f"bad ISO date: {date_text!r}", line_no, "date") from None
-
-            del row[:6]  # row now holds the stat cells, with no copy
-            try:
-                values = tuple(map(value, row))
-            except ValueError:  # rescan cell by cell to name the first bad cell's column
-                for text, column in zip(row, stat_columns):
-                    try:
-                        value(text)
-                    except ValueError as exc:
-                        raise SchemaError(str(exc), line_no, column) from None
-            if fmt == "raw":
-                try:
-                    values = derive_fields(values, clamp_negative)
-                except NegativeDerivedField as exc:
-                    raise NegativeDerivedField(exc.field, exc.value, line_no) from None
-
-            known = player_names.setdefault(player_id, player_name)
-            if known != player_name:
-                raise SchemaError(
-                    f"player {player_id!r} has conflicting names {known!r} and {player_name!r}",
-                    line_no, "player_name")
-
-            team = shared.setdefault(team, team)
-            player_id = shared.setdefault(player_id, player_id)
-            if game is None:
-                game = pending[game_id] = [game_id, date_text, game_date, team,
-                                           shared.setdefault(opponent, opponent), line_no,
-                                           [], [], set()]
-            else:
-                if date_text != game[1]:
-                    raise SchemaError(
-                        f"game {game_id!r} has conflicting dates {game[2]} and {game_date}",
-                        line_no, "date")
-                if not (team == game[3] and opponent == game[4]
-                        or team == game[4] and opponent == game[3]):
-                    raise SchemaError(
-                        f"game {game_id!r} has conflicting team pairs", line_no, "team")
-                game_id = game[0]
-            players = game[8]
-            if player_id in players:
-                raise SchemaError(f"duplicate line for player {player_id!r} in game "
-                                  f"{game_id!r}", line_no)
-            players.add(player_id)
-            game[6 if team == game[3] else 7].append(  # PlayerGameLine(...), at C speed
-                tuple.__new__(PlayerGameLine, (player_id, team, game_id, values)))
+        team = shared.setdefault(team, team)
+        player_id = shared.setdefault(player_id, player_id)
+        game = pending.get(game_id)
+        if game is None:
+            game = pending[game_id] = [game_id, date_text, team,
+                                       shared.setdefault(opponent, opponent), line_no,
+                                       [], [], set()]
+        elif date_text != game[1]:
+            raise SchemaError(f"game {game_id!r} has conflicting dates {game[1]} and {date_text}",
+                              line_no, "date")
+        elif not (team == game[2] and opponent == game[3]
+                  or team == game[3] and opponent == game[2]):
+            raise SchemaError(f"game {game_id!r} has conflicting team pairs", line_no, "team")
+        game_id = game[0]
+        players = game[7]
+        if player_id in players:
+            raise SchemaError(f"duplicate line for player {player_id!r} in game "
+                              f"{game_id!r}", line_no)
+        players.add(player_id)
+        game[5 if team == game[2] else 6].append(  # PlayerGameLine(...), at C speed
+            tuple.__new__(PlayerGameLine, (player_id, team, game_id, values)))
 
     games = []
-    for game_id, _, game_date, t1, t2, first_line, lines1, lines2, _ in pending.values():
+    for game_id, date_text, t1, t2, first_line, lines1, lines2, _ in pending.values():
         lines1.sort(key=_player_id)
         lines2.sort(key=_player_id)
         try:
-            games.append(GameRecord(game_id, game_date, t1, t2, (*lines1, *lines2)))
+            games.append(GameRecord(game_id, Date.fromisoformat(date_text), t1, t2,
+                                    (*lines1, *lines2)))
         except SchemaError as exc:  # a team without an active line: no row checks that
             raise SchemaError(str(exc), first_line) from None
-
     return SeasonDataset(games, player_names)
+
+
+def _parse_split(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonDataset | None:
+    """parse_games in two processes, or None on any error, conflict or lost child. A forked child
+    checks the rows after the cut (the first LF at or after the middle of a regular file without a
+    quote before it) and sends them by marshal, for _season to group after this process's own."""
+    pid, ended = 0, False
+    try:
+        if not (os.path.isfile(path) and os.path.getsize(path) >= _SPLIT_BYTES
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+                and threading.active_count() == 1):  # a host with sched_getaffinity has os.fork
+            return None
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as pipe, open(write_end, "wb", 0) as out, open(path, "rb") as fh:
+            head = fh.read(os.fstat(fh.fileno()).st_size // 2) + fh.readline()
+            if b'"' in head:  # a quote could hide the cut's LF inside a cell
+                return None
+            pid = os.fork()
+            if pid == 0:  # the child reads on from the cut; no output, no exit handlers
+                try:
+                    tail = csv.reader(_without_nul(io.TextIOWrapper(fh, "utf-8", newline="")))
+                    rows = _checked_rows(tail, fmt, clamp_negative)  # sent in parts, loaded apart
+                    out.write(marshal.dumps([marshal.dumps(part) for part in iter(
+                        lambda: list(islice(rows, 1024)), [])]))
+                finally:
+                    os._exit(0)
+            out.close()  # so that the child's exit ends what pipe reads
+
+            def sent():  # the child's rows, read when reached; the pipe's end means the child ended
+                nonlocal ended
+                data, ended = pipe.read(), True
+                for part in marshal.loads(data):
+                    yield from marshal.loads(part)
+            text = io.TextIOWrapper(io.BytesIO(head), "utf-8-sig", newline="")
+            with _csv_reader(path, _GAMES_HEADERS[fmt], text) as reader:
+                return _season(chain(_checked_rows(reader, fmt, clamp_negative), sent()))
+    except (OSError, GcproiError, ValueError, EOFError):  # EOFError: the child sent nothing
+        return None
+    finally:
+        if pid:  # kill a child not read to its end unless it has exited, then reap it
+            with suppress(ChildProcessError, ProcessLookupError):  # reaped if SIGCHLD is ignored
+                if not ended and not os.waitpid(pid, os.WNOHANG)[0]:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def parse_salaries(path: str | Path) -> SalaryTable:

@@ -1,10 +1,23 @@
+import os
 from contextlib import contextmanager
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
-from gcproi import FieldId, GameRecord, PlayerGameLine, SeasonDataset, parse_games, season_reports
+from gcproi import (
+    FieldId,
+    GameRecord,
+    PlayerGameLine,
+    SeasonDataset,
+    active_fields,
+    omega,
+    parse_games,
+    season_reports,
+    team_totals,
+)
+from gcproi import ingest
+from gcproi.errors import GcproiError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -44,6 +57,26 @@ def raises_exactly(error: type, message: str):
     with pytest.raises(error) as exc:
         yield exc
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Make parse_games split every regular file it may, whatever its size and
+    the host's CPUs. Returns the list of child pids that os.fork has given this
+    process since, so a test can tell that a child really parsed a half."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
 
 
 @pytest.fixture(scope="session")
@@ -98,3 +131,21 @@ def build_two_team_season(n_games: int, players_a, players_b,
         games.append(make_game(gid, date(2024, 1, 1) + timedelta(days=i),
                                "A", "B", lines))
     return SeasonDataset(games)
+
+
+def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
+    """Largest GCP the player could have recorded given their minutes and
+    possessions: 1 - weight * (missing minutes share + missing possessions
+    share). Requires positive team totals for both."""
+    totals = team_totals(game, team_id)
+    w = omega(active_fields(totals))
+    ln = next((ln for ln in game.roster(team_id) if ln.player_id == player_id), None)
+    if ln is None:
+        raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "
+                          f"in game {game.game_id!r}")
+    min_t, poss_t = totals[FieldId.MIN], totals[FieldId.POSS]
+    if min_t <= 0.0 or poss_t <= 0.0:
+        raise GcproiError(
+            f"team {team_id!r} has zero MIN or POSS total in game {game.game_id!r}")
+    min_p, poss_p = ln.values[FieldId.MIN], ln.values[FieldId.POSS]
+    return 1.0 - w * ((min_t - min_p) / min_t + (poss_t - poss_p) / poss_t)

@@ -24,7 +24,6 @@ from gcproi import (
     comparison,
     game_report,
     gcp_histogram,
-    gcp_upper_bound,
     irr,
     leaderboard_pvgcp,
     npv,
@@ -42,7 +41,15 @@ from gcproi.errors import AllZeroFlows, SchemaError
 from gcproi.reporting import STATUS_OK, STATUS_TOTAL_DEFAULT, roi_table
 from gcproi.synth import irr_oracle
 
-from conftest import BOS_EXPECTED, BOSPHI_GAME_ID, GOLDEN_TOL, PHI_EXPECTED, make_game, make_line
+from conftest import (
+    BOS_EXPECTED,
+    BOSPHI_GAME_ID,
+    GOLDEN_TOL,
+    PHI_EXPECTED,
+    gcp_upper_bound,
+    make_game,
+    make_line,
+)
 
 DATA = Path(__file__).parent / "data"
 

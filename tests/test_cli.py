@@ -280,6 +280,19 @@ BAD_INPUT_ERRORS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys):
+    _check_bad_input(case, tmp_path, data_dir, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_gives_the_same_error_when_the_games_parse_splits(case, tmp_path, data_dir,
+                                                                    capsys, forced_split):
+    _check_bad_input(case, tmp_path, data_dir, capsys)
+    # Only a regular file is split: the games files of the cases that fail on them.
+    forks = {"games-not-utf8": 1, "directory": 0, "missing-file": 0}
+    assert len(forced_split) == forks.get(case, len(forced_split))
+
+
+def _check_bad_input(case, tmp_path, data_dir, capsys):
     (tmp_path / "latin1.csv").write_bytes("game_id,joué\n".encode("latin-1"))
     (tmp_path / "taken" / "games.csv").mkdir(parents=True)
     (tmp_path / "huge.csv").write_text(
@@ -293,6 +306,28 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys)
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 2
     assert capsys.readouterr().err == BAD_INPUT_ERRORS[case].format(**paths)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_games_input_gives_the_bytes_of_the_file(tmp_path, data_dir, capsysbinary,
+                                                        forced_split):
+    """parse_games never opens a FIFO to split it, so its bytes are read once."""
+    argv = ["gcp", "--game-id", "2023040401", "--games"]
+    assert main(argv + [str(data_dir / "bosphi_games.csv")]) == 0
+    want = capsysbinary.readouterr()
+    assert len(forced_split) == 1
+    fifo = tmp_path / "games.fifo"
+    os.mkfifo(fifo)
+    copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+    writer = subprocess.Popen([sys.executable, "-c", copy, data_dir / "bosphi_games.csv", fifo])
+    try:
+        code = main(argv + [str(fifo)])
+    finally:
+        writer.kill()  # it has ended once main has read the FIFO to its end
+        writer.wait()
+    assert code == 0
+    assert capsysbinary.readouterr() == want
+    assert len(forced_split) == 1
 
 
 #: A NUL put into one cell of a bosphi input: (file, 1-based line, column

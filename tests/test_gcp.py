@@ -11,7 +11,6 @@ from gcproi import (
     active_fields,
     game_report,
     gcp_histogram,
-    gcp_upper_bound,
     irr,
     omega,
     season_reports,
@@ -23,6 +22,7 @@ from conftest import (
     BOS_EXPECTED,
     GOLDEN_TOL,
     PHI_EXPECTED,
+    gcp_upper_bound,
     make_game,
     make_line,
     raises_exactly,

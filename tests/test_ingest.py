@@ -1,10 +1,14 @@
+import atexit
 import csv
 import io
 import itertools
 import math
+import os
 import pickle
+import signal
 import sys
 import tempfile
+import time
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -1449,3 +1453,242 @@ def test_a_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, parse, head
     with pytest.raises(SchemaError, match="field limit") as exc:
         parse(path)
     assert exc.value.line == 2
+
+
+# --- parse_games in two processes --------------------------------------------
+#
+# With the forced_split fixture parse_games forks a child for any regular file
+# without a quote before the cut, here the first LF at or after the middle of
+# the file. In _two_games' file that is the end of line 21: game 2023040401
+# (lines 2-21) goes to this process and game 2023040602 (lines 22-41) to the
+# child. Each case must give what the sequential parse gives: an equal dataset
+# with the same name order, value bits and one string per id, or an error of
+# the same type, text, line and column.
+
+def _head_lines(path) -> int:
+    """The lines before the cut that a split parse of path makes."""
+    data = path.read_bytes()
+    return data[:data.index(b"\n", len(data) // 2) + 1].count(b"\n")
+
+
+def _outcome(parse, path, fmt, clamp_negative):
+    try:
+        return parse(path, fmt, clamp_negative)
+    except SchemaError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def _assert_split_parity(path, forks, forked=True, fmt="derived", clamp_negative=False):
+    """parse_games, forced to split, gives what the sequential parse gives."""
+    sequential = _outcome(ingest._parse_sequential, path, fmt, clamp_negative)
+    split = _outcome(parse_games, path, fmt, clamp_negative)
+    assert len(forks) == forked
+    if not isinstance(sequential, SeasonDataset):
+        assert split == sequential
+        return
+    assert isinstance(split, SeasonDataset) and split == sequential
+    assert list(split.player_names.items()) == list(sequential.player_names.items())
+    bits = [[v.hex() for g in ds.games for ln in g.lines for v in ln.values]
+            for ds in (split, sequential)]
+    assert bits[0] == bits[1]
+    shared: dict[str, str] = {}
+    assert all(shared.setdefault(i, i) is i
+               for g in split.games for ln in g.lines for i in (ln.player_id, ln.team_id))
+    return split
+
+
+@pytest.mark.parametrize("line_no, cells, expected", ERROR_PARITY.values(), ids=ERROR_PARITY)
+def test_a_split_parse_gives_the_recorded_error_of_each_corrupted_cell(
+        tmp_path, data_dir, forced_split, line_no, cells, expected):
+    path = _two_games(tmp_path / "games.csv", data_dir, {line_no: cells})
+    assert _head_lines(path) == 21
+    _assert_split_parity(path, forced_split)
+
+
+def _straddling_games(path, data_dir, cells_by_line):
+    """_two_games' file with game 2's first row moved before game 1's last,
+    so that each game has rows on both sides of the cut, and the cells
+    {column: text} of cells_by_line {line: cells} then replaced."""
+    lines = _two_games(path, data_dir).read_text(encoding="utf-8").splitlines()
+    lines[20], lines[21] = lines[21], lines[20]
+    for line_no, cells in cells_by_line.items():
+        row = lines[line_no - 1].split(",")
+        for column, text in cells.items():
+            row[GAMES_HEADER.index(column)] = text
+        lines[line_no - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+#: Rows of one game or player on both sides of the cut: the cells changed on
+#: a line of _straddling_games' file (line 21 is game 2's first row, line 22
+#: game 1's last, paul-reed of PHI), or of _two_games' where noted.
+STRADDLING = {
+    "games-straddle-the-cut": {},
+    "conflicting-date": {22: {"date": "2023-04-05"}},
+    "conflicting-team-pair": {22: {"opponent": "NYK"}},
+    "team-and-opponent-swapped": {22: {"team": "BOS", "opponent": "PHI"}},
+    "duplicate-player": {22: {"player_id": "joel-embiid", "player_name": "Joel Embiid"}},
+    "name-conflict": {23: {"player_name": "Someone Else"}},
+    "name-conflict-of-two-games": {"two-games": True, 41: {"player_name": "Someone Else"}},
+    "team-without-an-active-line": {"two-games": True, **{
+        n: {f.name: "0" for f in FieldId} for n in range(32, 42)}},
+}
+
+
+@pytest.mark.parametrize("cells_by_line", STRADDLING.values(), ids=STRADDLING)
+def test_rows_on_both_sides_of_the_cut_give_the_sequential_result(
+        tmp_path, data_dir, forced_split, cells_by_line):
+    cells_by_line = dict(cells_by_line)
+    if cells_by_line.pop("two-games", False):
+        path = _two_games(tmp_path / "games.csv", data_dir, cells_by_line)
+    else:
+        path = _straddling_games(tmp_path / "games.csv", data_dir, cells_by_line)
+        assert _head_lines(path) == 21
+    assert all(line_no > _head_lines(path) for line_no in cells_by_line)
+    _assert_split_parity(path, forced_split)
+
+
+def _replace_last(data: bytes, old: bytes, new: bytes) -> bytes:
+    head, _, tail = data.rpartition(old)
+    return head + new + tail
+
+
+#: Byte edits of _two_games' file, and whether the split runs (a quote before
+#: the cut makes parse_games decline it).
+BYTE_EDITS = {
+    "crlf": (lambda d: d.replace(b"\n", b"\r\n"), True),
+    "leading-bom": (lambda d: b"\xef\xbb\xbf" + d, True),
+    "bom-after-the-cut": (lambda d: d.replace(b"\n2023040602,", b"\n\xef\xbb\xbf2023040602,", 1),
+                          True),
+    "quote-before-the-cut": (lambda d: d.replace(b"Jayson Tatum", b'"Jayson Tatum"', 1), False),
+    "quoted-comma-after-the-cut": (lambda d: _replace_last(d, b"Paul Reed", b'"Reed, Paul"'),
+                                   True),
+    "nul-after-the-cut": (lambda d: _replace_last(d, b"Paul Reed", b"Paul\x00Reed"), True),
+    "bad-utf8-after-the-cut": (lambda d: _replace_last(d, b"Paul Reed", b"Paul\xffReed"), True),
+    "quoted-lf-run-across-the-cut": (  # longer than the rest of the file
+        lambda d: d.replace(b"Paul Reed", b'"Paul' + b"\n" * 8000 + b'Reed"', 1), False),
+    "blank-lines": (lambda d: d.replace(b"\n", b"\n\n"), True),
+    "no-final-newline": (lambda d: d[:-1], True),
+}
+
+
+@pytest.mark.parametrize("edit, forked", BYTE_EDITS.values(), ids=BYTE_EDITS)
+def test_a_split_parse_of_edited_bytes_gives_the_sequential_result(
+        tmp_path, data_dir, forced_split, edit, forked):
+    path = _two_games(tmp_path / "games.csv", data_dir)
+    path.write_bytes(edit(path.read_bytes()))
+    _assert_split_parity(path, forced_split, forked)
+
+
+def test_a_cell_over_the_field_limit_after_the_cut_gives_the_sequential_error(
+        tmp_path, data_dir, forced_split):
+    path = _two_games(tmp_path / "games.csv", data_dir)
+    path.write_bytes(_replace_last(path.read_bytes(), b"Paul Reed", b"x" * 2000))
+    limit = csv.field_size_limit(1000)
+    try:
+        assert _head_lines(path) < 41
+        _assert_split_parity(path, forced_split)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("clamp_negative", [False, True], ids=["strict", "clamped"])
+@pytest.mark.parametrize("negative", [False, True], ids=["consistent", "negative-after-cut"])
+def test_a_split_parse_of_source_stats_gives_the_sequential_result(
+        tmp_path, data_dir, forced_split, clamp_negative, negative):
+    path = tmp_path / "raw.csv"
+    write_raw_games_csv(parse_games(_two_games(tmp_path / "games.csv", data_dir)), path)
+    del forced_split[:]
+    if negative:  # FGM above FGA on the last line: FG2X goes negative
+        row = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
+        row[RAW_GAMES_HEADER.index("FGM")] = "99"
+        lines = path.read_text(encoding="utf-8").splitlines()[:-1] + [",".join(row)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_split_parity(path, forced_split, fmt="raw", clamp_negative=clamp_negative)
+
+
+def test_a_season_parses_to_the_same_dataset_in_two_processes(tmp_path, forced_split):
+    ds, _, _ = synth_season(SynthConfig(seed=5, teams=4, games_per_team=12))
+    path = tmp_path / "season.csv"
+    write_games_csv(ds, path)
+    assert _assert_split_parity(path, forced_split) == ds
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _kills(monkeypatch):
+    """The (pid, signal) of every os.kill from now on; each is still sent."""
+    kills, kill = [], os.kill
+
+    def recorded(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", recorded)
+    return kills
+
+
+@pytest.mark.parametrize("line_no", [None, 3, 30],
+                         ids=["parses", "error-before-the-cut", "error-after-the-cut"])
+def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_handler(
+        tmp_path, data_dir, forced_split, capfd, monkeypatch, line_no):
+    path = _two_games(tmp_path / "games.csv", data_dir, line_no and {line_no: {"FG3O": "x"}})
+    kills = _kills(monkeypatch)
+    handler = partial(os.write, 1, b"an exit handler ran\n")
+    atexit.register(handler)
+    try:
+        if line_no is None:
+            assert parse_games(path).games
+        else:
+            with pytest.raises(SchemaError, match=f"line {line_no}"):
+                parse_games(path)
+    finally:
+        atexit.unregister(handler)
+    assert len(forced_split) == 1
+    _no_child_left()
+    assert capfd.readouterr() == ("", "")
+    if line_no != 3:  # this process read the pipe to its end, so the child had exited
+        assert kills == []
+
+
+def test_an_interrupt_in_this_process_kills_and_reaps_the_child(
+        tmp_path, data_dir, forced_split, monkeypatch):
+    path = _two_games(tmp_path / "games.csv", data_dir)
+    parent = os.getpid()
+    checked_rows = ingest._checked_rows
+
+    def interrupted(reader, fmt, clamp_negative):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child would outlive the test unless it is killed
+        return checked_rows(reader, fmt, clamp_negative)
+
+    monkeypatch.setattr(ingest, "_checked_rows", interrupted)
+    kills = _kills(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        parse_games(path)
+    assert time.monotonic() - start < 30
+    assert kills == [(forced_split[0], signal.SIGKILL)]
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
+def test_a_split_parse_works_when_the_caller_ignores_sigchld(
+        tmp_path, data_dir, forced_split, monkeypatch):
+    # The kernel then reaps the child itself, so it may be gone before os.waitpid
+    # and its pid free for another process: a parse read to its end kills nothing.
+    path = _two_games(tmp_path / "games.csv", data_dir)
+    kills = _kills(monkeypatch)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert parse_games(path) == ingest._parse_sequential(path, "derived", False)
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert len(forced_split) == 1
+    assert kills == []
+    _no_child_left()

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "CashFlowSeries", "FIELD_ORDER", "FieldId", "GameRecord", "GcproiError",
     "PlayerGameLine", "RAW_STATS", "SalaryTable", "SeasonDataset",
     "SynthConfig", "active_fields", "breakeven_gcp", "cash_flows", "comparison",
-    "derive_fields", "game_report", "gcp_histogram", "gcp_upper_bound", "histogram_bins",
+    "derive_fields", "game_report", "gcp_histogram", "histogram_bins",
     "irr", "leaderboard_pvgcp", "npv", "omega", "parse_games", "parse_salaries",
     "player_schedule", "pvgcp", "roi_table",
     "salary_summary", "season_reports", "sgv", "synth_season", "team_totals",
@@ -31,7 +31,7 @@ def test_the_package_exports_only_what_callers_use():
     names = sorted(name for name, value in vars(gcproi).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 38
+    assert len(names) == 37
 
 
 def test_every_function_the_benchmark_traces_exists():

@@ -20,7 +20,6 @@ from gcproi import (
     active_fields,
     cash_flows,
     game_report,
-    gcp_upper_bound,
     histogram_bins,
     irr,
     npv,
@@ -32,7 +31,7 @@ from gcproi import (
 )
 from gcproi.synth import ORACLE_GRID_HI, ORACLE_GRID_LO, irr_oracle
 
-from conftest import make_game, make_line
+from conftest import gcp_upper_bound, make_game, make_line
 
 
 def series(cf0, flows):
