@@ -1,9 +1,9 @@
 """Dollar conversion, cash-flow assembly, and the rate-of-return solver.
 
 The single game value (SGV) prices one team-game slot: total league player
-compensation divided by twice the number of games. Multiplying a player's
-per-game contribution shares by the SGV yields their realized cash flows;
-missed games contribute exact zeros (they are defaults). With the salary as
+compensation divided by twice the number of games. A player's ledger (pvgcp)
+is their GCP in each game slot, a missed game an exact zero (a default); the
+ledger times the SGV is their realized cash flows. With the salary as
 the time-zero investment, the contractual return is the unique per-game
 rate at which the discounted flows repay the salary.
 
@@ -62,12 +62,14 @@ class CashFlowSeries(NamedTuple):
 
 
 class PvGcp(NamedTuple):
-    """Plain running sum of a player's GCPs over their schedule (present
-    value at a 0% rate); missed games add 0."""
+    """A player's ledger: shares[i] is their GCP in game games[i] of their
+    schedule, 0.0 if missed; value is the sum (present value at a 0% rate)."""
 
     player_id: str
     value: float
     games_played: int
+    games: tuple[str, ...]
+    shares: tuple[float, ...]
 
 
 class RoiResult(NamedTuple):
@@ -98,40 +100,28 @@ def player_schedule(ds: SeasonDataset, player_id: str) -> tuple[tuple[GameRecord
                  for g in ds.team_games[team][first:last + 1])
 
 
-#: A player's schedule slots and their GCP in each slot.
-Scheduled = tuple[tuple[tuple[GameRecord, str], ...], tuple[float, ...]]
-
-
-def scheduled_shares(ds: SeasonDataset, reports: dict[str, GameGcp],
-                     player_id: str) -> Scheduled:
-    """The player's schedule (see player_schedule) and their GCP in each
-    (game, team) slot; 0.0 where the player did not play."""
+def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcp], player_id: str) -> PvGcp:
+    """The player's ledger over their schedule (see player_schedule): their
+    GCP in each (game, team) slot, 0.0 where they did not play, and its sum."""
     slots = player_schedule(ds, player_id)
-    return slots, tuple(reports[g.game_id][team].get(player_id, 0.0)
-                        for g, team in slots)
+    shares = tuple(reports[g.game_id][team].get(player_id, 0.0) for g, team in slots)
+    return PvGcp(player_id=player_id, value=math.fsum(shares),
+                 games_played=sum(1 for s in shares if s > 0.0),
+                 games=tuple(g.game_id for g, _ in slots), shares=shares)
 
 
 def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcp], player_id: str,
-               value: float, salary: float,
-               scheduled: Scheduled | None = None) -> CashFlowSeries:
+               value: float, salary: float, ledger: PvGcp | None = None) -> CashFlowSeries:
     """Realized cash-flow series for one player: value (the SGV, in
     dollars) times GCP per scheduled game, zero where the player did not
-    appear. scheduled, when given, is the player's scheduled_shares, so that
-    callers needing it too compute it once."""
+    appear. ledger, when given, is the player's pvgcp, so that callers
+    needing it too read the player's schedule once."""
     if salary <= 0:
         raise GcproiError(f"salary must be positive, got {salary}")
-    slots, shares = scheduled or scheduled_shares(ds, reports, player_id)
-    flows = tuple(value * share for share in shares)
+    ledger = ledger or pvgcp(ds, reports, player_id)
+    flows = tuple(value * share for share in ledger.shares)
     return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
-                          schedule=tuple(g.game_id for g, _ in slots))
-
-
-def pvgcp(ds: SeasonDataset, reports: dict[str, GameGcp], player_id: str,
-          scheduled: Scheduled | None = None) -> PvGcp:
-    """Sum the player's GCPs over their schedule; scheduled as in cash_flows."""
-    _, shares = scheduled or scheduled_shares(ds, reports, player_id)
-    return PvGcp(player_id=player_id, value=math.fsum(shares),
-                 games_played=sum(1 for s in shares if s > 0.0))
+                          schedule=ledger.games)
 
 
 def npv(rate: float, series: CashFlowSeries) -> float:

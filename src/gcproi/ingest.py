@@ -501,11 +501,11 @@ def _parse_split(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonData
                 return None
             pid = os.fork()
             if pid == 0:  # the child reads on from the cut; no output, no exit handlers
-                try:
-                    tail = csv.reader(_without_nul(io.TextIOWrapper(fh, "utf-8", newline="")))
-                    rows = _checked_rows(tail, fmt, clamp_negative)  # sent in parts, loaded apart
-                    out.write(marshal.dumps([marshal.dumps(part) for part in iter(
-                        lambda: list(islice(rows, 1024)), [])]))
+                try:  # with closes the wrapper: freed open, it would warn on stderr under -X dev
+                    with io.TextIOWrapper(fh, "utf-8", newline="") as tail:
+                        rows = _checked_rows(csv.reader(_without_nul(tail)), fmt, clamp_negative)
+                        out.write(marshal.dumps([marshal.dumps(part) for part in iter(
+                            lambda: list(islice(rows, 1024)), [])]))  # sent in parts, loaded apart
                 finally:
                     os._exit(0)
             out.close()  # so that the child's exit ends what pipe reads

@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple
 
 from .errors import AllZeroFlows, ConvergenceError, GcproiError, MissingSalary
-from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp, scheduled_shares
+from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
 from .gcp import GameGcp, season_reports
@@ -138,9 +138,8 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
             rows.append(RoiRow(player_id, name, salary, 0, 0.0, None,
                                STATUS_TOTAL_DEFAULT))
             continue
-        scheduled = scheduled_shares(ds, reports, player_id)
-        m = pvgcp(ds, reports, player_id, scheduled)
-        series = cash_flows(ds, reports, player_id, value, salary, scheduled)
+        m = pvgcp(ds, reports, player_id)
+        series = cash_flows(ds, reports, player_id, value, salary, m)
         try:
             rate = irr(series, abs_tol=abs_tol).rate
         except AllZeroFlows:
@@ -164,11 +163,10 @@ def comparison(ds: SeasonDataset, reports: dict[str, GameGcp],
                player_a: str, player_b: str) -> ComparisonSeries:
     """Game-by-game GCP series for two players, with running sums."""
     def one(player_id: str):
-        slots, shares = scheduled_shares(ds, reports, player_id)
-        games = tuple(g.game_id for g, _ in slots)
+        m = pvgcp(ds, reports, player_id)
         # Compensated prefix sums so the last entry matches pvgcp exactly.
-        cumulative = tuple(math.fsum(shares[:i + 1]) for i in range(len(shares)))
-        return games, shares, cumulative
+        cumulative = tuple(math.fsum(m.shares[:i + 1]) for i in range(len(m.shares)))
+        return m.games, m.shares, cumulative
 
     # games_a, gcp_a, cumulative_a, then the same for player_b
     return ComparisonSeries(player_a, player_b, *one(player_a), *one(player_b))

@@ -15,6 +15,7 @@ from gcproi import (
     irr,
     leaderboard_pvgcp,
     parse_salaries,
+    player_schedule,
     pvgcp,
     roi_table,
     salary_summary,
@@ -24,7 +25,7 @@ from gcproi import (
     write_games_csv,
     write_salaries_csv,
 )
-from gcproi import reporting
+from gcproi import finance, reporting
 from gcproi.cli import main
 from gcproi.errors import GcproiError, MissingSalary
 from gcproi.reporting import (
@@ -216,6 +217,37 @@ def test_comparison_rejects_unknown_players(synth_world):
     ds, _, _, reports, _ = synth_world
     with raises_exactly(GcproiError, "player 'ghost' never appears in the dataset"):
         comparison(ds, reports, "T00P00", "ghost")
+
+
+def test_a_players_ledger_gives_their_pvgcp_cash_flows_and_comparison(synth_world):
+    ds, salaries, _, reports, value = synth_world
+    for p in sorted(ds.player_ids):
+        m = pvgcp(ds, reports, p)
+        assert m.games == tuple(g.game_id for g, _ in player_schedule(ds, p))
+        assert len(m.shares) == len(m.games)
+        assert m.value == math.fsum(m.shares)
+        assert m.games_played == sum(s > 0.0 for s in m.shares)
+        salary = salaries.entries[p]
+        assert (cash_flows(ds, reports, p, value, salary)
+                == cash_flows(ds, reports, p, value, salary, m))
+        cmp = comparison(ds, reports, p, "T00P00")
+        assert (cmp.games_a, cmp.gcp_a) == (m.games, m.shares)
+
+
+def test_roi_table_reads_each_players_schedule_once(synth_world, monkeypatch):
+    ds, salaries, _, reports, value = synth_world
+    calls = []
+    schedule = finance.player_schedule
+
+    def counted(ds, player_id):
+        calls.append(player_id)
+        return schedule(ds, player_id)
+
+    monkeypatch.setattr(finance, "player_schedule", counted)
+    rows = roi_table(ds, reports, salaries, value)
+    salaried = ds.player_ids & set(salaries.entries)
+    assert len(salaried) < len(rows)  # a salaried player who never played reads none
+    assert sorted(calls) == sorted(salaried)
 
 
 @pytest.fixture(scope="module")
