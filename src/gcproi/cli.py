@@ -65,9 +65,9 @@ def _emit(header: list[str], rows: list[list], places: dict[str, int], args) -> 
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         chunks = [json.dumps(payload, indent=2) + "\n"]
-    else:  # each row cut from _row_text's CR LF to LF, as the file writers do
+    else:
         row_text = _row_text()
-        chunks = (row_text(row)[:-2] + "\n" for row in (header, *rows))
+        chunks = (row_text(row) + "\n" for row in (header, *rows))
     _write(args.out or _stdout(), chunks)
 
 

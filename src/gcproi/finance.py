@@ -115,10 +115,12 @@ def cash_flows(ds: SeasonDataset, reports: dict[str, GameGcp], player_id: str,
     """Realized cash-flow series for one player: value (the SGV, in
     dollars) times GCP per scheduled game, zero where the player did not
     appear. ledger, when given, is the player's pvgcp, so that callers
-    needing it too read the player's schedule once."""
+    needing it too read the player's schedule once; another player's is an error."""
     if salary <= 0:
         raise GcproiError(f"salary must be positive, got {salary}")
     ledger = ledger or pvgcp(ds, reports, player_id)
+    if ledger.player_id != player_id:
+        raise GcproiError(f"ledger of player {ledger.player_id!r} given for {player_id!r}")
     flows = tuple(value * share for share in ledger.shares)
     return CashFlowSeries(player_id=player_id, cf0=float(salary), flows=flows,
                           schedule=ledger.games)

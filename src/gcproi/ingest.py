@@ -14,16 +14,16 @@ Input formats (UTF-8 CSV, no NUL byte; errors name the 1-based line a row starts
 
 A row whose 37 stats are all zero is a player who sat the game out: it stays in
 the game's lines, and in a write-back, but GameRecord keeps it out of the
-rosters, so it carries no GCP. Each parser reads rows straight from a csv
-reader; parse_games reads a large file's halves in two processes at once, and
-on any failure again in one (_parse_split). Datasets and salary tables hold no
-reference cycles, are immutable (name and salary maps are read-only copies) and
-thread-safe. Each record rejects what its parser rejects, so a writer never
-emits it: a PlayerGameLine a negative, NaN or infinite stat, a GameRecord an
-empty id (by the parser's _check_ids) and a team without an active line, a
-SalaryTable a bad entry (by the parser's _check_salary). Output has one path:
-every CSV row, here and in the CLI, is text from _row_text, which quotes a cell
-holding a CR or an LF, and every file or stream is written by _write. The games
+rosters, so it carries no GCP. Each parser reads its rows, numbered and
+width-checked, from _records; parse_games reads a large file's halves in two
+processes at once, and on any failure again in one (_parse_split). Datasets and
+salary tables hold no reference cycles, are immutable (name and salary maps are
+read-only copies) and thread-safe. Each record rejects what its parser rejects,
+so a writer never emits it: a PlayerGameLine a negative, NaN or infinite stat, a
+GameRecord an empty id (by the parser's _check_ids) and a team without an active
+line, a SalaryTable a bad entry (by the parser's _check_salary). Output has one
+path: every CSV row, here and in the CLI, is _row_text's text, unterminated and
+quoting a cell with a CR or an LF; _write writes every file or stream. The games
 writers quote id cells once per game side (game, date, team, opponent) and once
 per player (id, name), and join stat texts unquoted.
 
@@ -373,6 +373,18 @@ def _csv_reader(path: str | Path, expected_header: tuple[str, ...], text=None):
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _records(reader, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each non-blank row of the reader, line being the 1-based
+    physical line the record starts on; a row of another width is a SchemaError."""
+    start = reader.line_num + 1
+    for row in reader:
+        line_no, start = start, reader.line_num + 1
+        if row:
+            if len(row) != width:
+                raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
+            yield line_no, row
+
+
 def parse_games(path: str | Path, fmt: str = "derived",
                 clamp_negative: bool = False) -> SeasonDataset:
     """Parse a games CSV into a SeasonDataset.
@@ -397,18 +409,10 @@ def _checked_rows(reader, fmt: str, clamp_negative: bool) -> Iterator[tuple]:
     game_id, date text, team, opponent, player_id, player_name, values)."""
     header = _GAMES_HEADERS[fmt]
     stat_columns = header[len(ID_COLUMNS):]
-    width = len(header)
     dates: set[str] = set()  # the date texts read so far, each a valid date
     value = _StatValue().__getitem__
 
-    # Each record is numbered by the physical line it starts on.
-    start = reader.line_num + 1
-    for row in reader:
-        line_no, start = start, reader.line_num + 1
-        if not row:
-            continue
-        if len(row) != width:
-            raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
+    for line_no, row in _records(reader, len(header)):
         game_id, date_text, team, opponent, player_id, player_name = row[:6]
         _check_ids((game_id, team, opponent, player_id), line_no)
         if team == opponent:
@@ -533,15 +537,8 @@ def parse_salaries(path: str | Path) -> SalaryTable:
     entries: dict[str, int] = {}
     names: dict[str, str] = {}
     lines_seen: dict[str, int] = {}
-    width = len(SALARIES_HEADER)
     with _csv_reader(path, SALARIES_HEADER) as reader:
-        start = reader.line_num + 1
-        for row in reader:
-            line_no, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != width:
-                raise SchemaError(f"expected {width} columns, got {len(row)}", line_no)
+        for line_no, row in _records(reader, len(SALARIES_HEADER)):
             player_id, player_name, salary_text = row
             if player_id in entries:  # never "": _check_salary keeps it out
                 raise SchemaError(
@@ -575,12 +572,12 @@ class _StatText(dict):
 
 
 def _row_text():
-    """A csv writerow that returns the row's text, ending in CR LF. Callers
-    cut that to LF: csv quotes its line terminator's characters, so
-    a cell holding a CR or an LF is quoted on every Python and the text
-    parses back."""
+    """A function giving a row's csv text with no line terminator. csv quotes
+    the characters of its terminator, CR LF here, so a cell holding a CR or
+    an LF is quoted on every Python and the text parses back."""
     # writerow returns what its target's write returns: here, the row text.
-    return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    return lambda row: writerow(row)[:-2]
 
 
 def _write(target: str | Path | io.TextIOBase, chunks: Iterable[str]) -> None:
@@ -607,20 +604,20 @@ def _game_lines(ds: SeasonDataset, header: tuple[str, ...], stats) -> Iterator[s
     cells, so the side's and the player's parts, each quoted once, join to
     the text of the whole row."""
     row_text = _row_text()
-    yield row_text(header)[:-2] + "\n"
+    yield row_text(header) + "\n"
     cell = _StatText().__getitem__
     name = ds.player_name
     players: dict[str, str] = {}  # player id -> its id and name cells
     for g in ds.games:
         day = g.date.isoformat()
         for team, opp in ((g.team1, g.team2), (g.team2, g.team1)):
-            side = row_text((g.game_id, day, team, opp))[:-2]
+            side = row_text((g.game_id, day, team, opp))
             for ln in g.lines:
                 if ln.team_id == team:
                     player = players.get(ln.player_id)
                     if player is None:
                         player = players[ln.player_id] = row_text(
-                            (ln.player_id, name(ln.player_id)))[:-2]
+                            (ln.player_id, name(ln.player_id)))
                     row = stats(ln)
                     try:
                         text = ",".join(map(cell, row))
@@ -648,11 +645,10 @@ def write_raw_games_csv(ds: SeasonDataset, path: str | Path | io.TextIOBase) -> 
 
 
 def write_salaries_csv(table: SalaryTable, path: str | Path | io.TextIOBase) -> None:
-    """Write the table in the salaries schema, rows by player id, each cut
-    from _row_text's CR LF to LF."""
+    """Write the table in the salaries schema, rows by player id."""
     row_text = _row_text()
     rows = ([p, table.name(p), str(table.entries[p])] for p in sorted(table.entries))
-    _write(path, (row_text(row)[:-2] + "\n" for row in (SALARIES_HEADER, *rows)))
+    _write(path, (row_text(row) + "\n" for row in (SALARIES_HEADER, *rows)))
 
 
 def validate_dataset(ds: SeasonDataset, strict_season: bool = False) -> tuple[Violation, ...]:

@@ -79,11 +79,6 @@ class SalarySummary(NamedTuple):
     p75: float | None
 
 
-def _player_metrics(ds: SeasonDataset, reports: dict[str, GameGcp]):
-    """pvgcp result per dataset player, sorted by player id."""
-    return {p: pvgcp(ds, reports, p) for p in sorted(ds.player_ids)}
-
-
 def check_salaries(ds: SeasonDataset, salaries: SalaryTable) -> None:
     """Raise MissingSalary listing every dataset player without a salary."""
     missing = sorted(ds.player_ids - set(salaries.entries))
@@ -97,8 +92,7 @@ def leaderboard_pvgcp(ds: SeasonDataset, reports: dict[str, GameGcp],
     and may be absent for some players."""
     if top_k < 0:
         raise GcproiError(f"top_k must not be negative, got {top_k}")
-    metrics = _player_metrics(ds, reports)
-    order = sorted(metrics.values(),
+    order = sorted((pvgcp(ds, reports, p) for p in ds.player_ids),
                    key=lambda m: (-m.value, ds.player_name(m.player_id), m.player_id))
     return [LeaderboardRow(rank=rank, player_id=m.player_id,
                            player_name=ds.player_name(m.player_id),
@@ -131,8 +125,7 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
         raise GcproiError(f"abs_tol must be positive, got {abs_tol}")
     dataset_players = ds.player_ids
     rows = []
-    for player_id in sorted(salaries.entries):
-        salary = salaries.entries[player_id]
+    for player_id, salary in salaries.entries.items():
         name = salaries.name(player_id)
         if player_id not in dataset_players:
             rows.append(RoiRow(player_id, name, salary, 0, 0.0, None,
@@ -216,9 +209,8 @@ def salary_summary(ds: SeasonDataset, reports: dict[str, GameGcp],
         raise GcproiError(f"min_games must not be negative, got {min_games}")
     import statistics  # with fractions and decimal, only this function needs it
     check_salaries(ds, salaries)
-    metrics = _player_metrics(ds, reports)
-    pool = sorted(salaries.entries[p] for p, m in metrics.items()
-                  if m.games_played >= min_games)
+    pool = sorted(salaries.entries[p] for p in ds.player_ids
+                  if pvgcp(ds, reports, p).games_played >= min_games)
     if not pool:
         return SalarySummary(qualifying=0, mean=None, median=None, p75=None)
     mean = math.fsum(pool) / len(pool)

@@ -353,6 +353,14 @@ def test_cash_flows_reject_a_salary_that_is_not_positive(salary):
         cash_flows(ds, season_reports(ds), "solo", 100.0, salary=salary)
 
 
+def test_cash_flows_reject_another_players_ledger(bosphi, bosphi_reports):
+    embiid = pvgcp(bosphi, bosphi_reports, "joel-embiid")
+    with raises_exactly(GcproiError, "ledger of player 'joel-embiid' given for 'jayson-tatum'"):
+        cash_flows(bosphi, bosphi_reports, "jayson-tatum", 1000.0, 5, embiid)
+    assert cash_flows(bosphi, bosphi_reports, "joel-embiid", 1000.0, 5, embiid) == \
+        cash_flows(bosphi, bosphi_reports, "joel-embiid", 1000.0, 5)
+
+
 def test_non_positive_tolerance_rejected():
     for bad in (0.0, -1e-6, math.nan):
         with raises_exactly(GcproiError, f"abs_tol must be positive, got {bad}"):

@@ -804,12 +804,19 @@ def test_located_value_errors_are_schema_errors_with_their_messages():
 
 
 def test_rows_after_a_multi_line_cell_report_the_line_they_start_on(tmp_path):
+    # header on line 1, the two-line name on lines 2-3 and the bad row on line 4
     path = tmp_path / "s.csv"
-    path.write_text('player_id,player_name,salary_usd\np1,"Two\nLines",5\np2,P Two,x\n',
-                    encoding="utf-8")
-    with pytest.raises(SchemaError) as exc:
-        parse_salaries(path)
-    assert (exc.value.line, exc.value.column) == (4, "salary_usd")
+    for bad_row, message, column in [
+        ("p2,P Two,x", "salary must be integer dollars, got 'x' (line 4, column salary_usd)",
+         "salary_usd"),
+        ("p2,P Two", "expected 3 columns, got 2 (line 4)", None),
+        ("p2,P Two,7,8", "expected 3 columns, got 4 (line 4)", None),
+    ]:
+        path.write_text(f'player_id,player_name,salary_usd\np1,"Two\nLines",5\n{bad_row}\n',
+                        encoding="utf-8")
+        with raises_exactly(SchemaError, message) as exc:
+            parse_salaries(path)
+        assert (exc.value.line, exc.value.column) == (4, column)
 
 
 def test_a_blank_salaries_line_is_skipped_and_still_counted(tmp_path):

@@ -250,6 +250,18 @@ def test_roi_table_reads_each_players_schedule_once(synth_world, monkeypatch):
     assert sorted(calls) == sorted(salaried)
 
 
+def test_the_boards_do_not_depend_on_the_salary_tables_order(synth_world):
+    ds, salaries, _, reports, value = synth_world
+    backwards = SalaryTable(dict(reversed(salaries.entries.items())),
+                            dict(reversed(salaries.names.items())))
+    assert backwards == salaries
+    assert list(backwards.entries) != list(salaries.entries)
+    assert roi_table(ds, reports, backwards, value) == roi_table(ds, reports, salaries, value)
+    assert (leaderboard_pvgcp(ds, reports, backwards, top_k=len(ds.player_ids))
+            == leaderboard_pvgcp(ds, reports, salaries, top_k=len(ds.player_ids)))
+    assert salary_summary(ds, reports, backwards) == salary_summary(ds, reports, salaries)
+
+
 @pytest.fixture(scope="module")
 def synth_world_files(synth_world, tmp_path_factory):
     ds, salaries, _, _, _ = synth_world
