@@ -19,9 +19,7 @@ from .finance import (
     sgv,
 )
 from .gcp import (
-    active_fields,
     game_report,
-    omega,
     season_reports,
     team_totals,
 )

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import finance, gcp, reporting, synth
 from .errors import GcproiError, MissingSalary
+from .fields import FIELD_ORDER
 from .ingest import (
     SalaryTable,
     SeasonDataset,
@@ -68,7 +69,7 @@ def _emit(header: list[str], rows: list[list], places: dict[str, int], args) -> 
     else:
         row_text = _row_text()
         chunks = (row_text(row) + "\n" for row in (header, *rows))
-    _write(args.out or _stdout(), chunks)
+    _write(_stdout() if args.out is None else args.out, chunks)
 
 
 def _season(args) -> tuple[SeasonDataset, SalaryTable, dict[str, gcp.GameGcp]]:
@@ -91,10 +92,10 @@ def cmd_gcp(args) -> int:
     ds = parse_games(args.games)
     game = ds.get_game(args.game_id)
     report = gcp.game_report(game)  # first, so that a total overflow is the error shown
-    sides = []  # (team, weight, active fields, shares) per printed team
-    for team in [args.team] if args.team else report:
-        active = gcp.active_fields(gcp.team_totals(game, team))
-        sides.append((team, gcp.omega(active), active, report[team]))
+    sides = []  # (team, weight, active field names, shares) per printed team
+    for team in report if args.team is None else [args.team]:
+        active = [f.name for f, t in zip(FIELD_ORDER, gcp.team_totals(game, team)) if t > 0.0]
+        sides.append((team, 1.0 / len(active), active, report[team]))
 
     if args.format == "json":
         payload = {
@@ -104,13 +105,13 @@ def cmd_gcp(args) -> int:
                     "team": team,
                     "weight": weight,
                     "active_field_count": len(active),
-                    "active_fields": sorted(f.name for f in active),
+                    "active_fields": sorted(active),
                     "players": shares,
                 }
                 for team, weight, active, shares in sides
             ],
         }
-        _write(args.out or _stdout(), [json.dumps(payload, indent=2) + "\n"])
+        _write(_stdout() if args.out is None else args.out, [json.dumps(payload, indent=2) + "\n"])
         return EXIT_OK
 
     header = ["game_id", "team", "player_id", "player_name", "weight",
@@ -184,7 +185,7 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_breakeven(args) -> int:
-    if args.sgv_override is None and not (args.games and args.salaries):
+    if args.sgv_override is None and (args.games is None or args.salaries is None):
         raise GcproiError("breakeven needs either --sgv or both --games and --salaries")
     value = (_sgv_for(args) if args.sgv_override is not None
              else _sgv_for(args, parse_games(args.games), parse_salaries(args.salaries)))
@@ -212,12 +213,12 @@ def cmd_summary(args) -> int:
 
 def cmd_validate(args) -> int:
     ds = parse_games(args.games)
-    if args.salaries:
+    if args.salaries is not None:
         reporting.check_salaries(ds, parse_salaries(args.salaries))
     violations = validate_dataset(ds, strict_season=args.strict_season)
     lines = [f"{v.kind}: {v.message}" for v in violations]
     lines.append(f"{len(violations)} violation(s)")
-    _write(args.out or _stdout(), ["\n".join(lines) + "\n"])
+    _write(_stdout() if args.out is None else args.out, ["\n".join(lines) + "\n"])
     return EXIT_VALIDATION if violations else EXIT_OK
 
 
@@ -352,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         # A missing stdout holds nothing to flush.
         if exc.filename is None and sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
+        where = "stdout" if exc.filename is None else exc.filename
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_SCHEMA
     finally:
         if collecting:

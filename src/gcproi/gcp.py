@@ -5,10 +5,10 @@ share of each stat field their team registered:
 
     gcp = (1 / |active fields|) * sum over active fields of (player value / team total)
 
-where a field is active when the team total is positive. Shares of fields
-the team never recorded are simply not part of the average, so the weight
-is dynamic per team per game. By construction the GCPs of a team's active
-players sum to exactly 1 for every game.
+where a field is active when the team total is positive; each team of a
+GameRecord has an active line, so at least one active field. The weight is
+thus dynamic per team per game, and by construction the GCPs of a team's
+active players sum to exactly 1 for every game.
 
 All functions here are pure; per-game reports may be computed in parallel.
 Sums use compensated accumulation (math.fsum) so the sum-to-unity identity
@@ -21,7 +21,7 @@ import math
 import operator
 
 from .errors import GcproiError
-from .fields import FIELD_ORDER, FieldId, StatRow
+from .fields import StatRow
 from .ingest import GameRecord, SeasonDataset
 
 
@@ -36,19 +36,6 @@ def team_totals(game: GameRecord, team_id: str) -> StatRow:
     return game.totals(team_id)
 
 
-def active_fields(totals: StatRow) -> frozenset[FieldId]:
-    """Fields with a positive team total; never empty for a team of a
-    GameRecord, which has an active line."""
-    return frozenset(f for f, v in zip(FIELD_ORDER, totals) if v > 0.0)
-
-
-def omega(active: frozenset[FieldId]) -> float:
-    """The categorical weight, 1 over the number of active fields."""
-    if not active:
-        raise GcproiError("no stat field has a positive team total")
-    return 1.0 / len(active)
-
-
 def _side(game: GameRecord, team_id: str) -> dict[str, float]:
     """One team's side of the game report: player id -> GCP.
 
@@ -57,7 +44,7 @@ def _side(game: GameRecord, team_id: str) -> dict[str, float]:
     fsum is correctly rounded, so that term changes nothing.
     """
     totals = team_totals(game, team_id)
-    w = omega(active_fields(totals))
+    w = 1.0 / sum(t > 0.0 for t in totals)
     divisors = tuple(t if t > 0.0 else math.inf for t in totals)
     return {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
             for ln in game.roster(team_id)}

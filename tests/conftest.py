@@ -10,8 +10,6 @@ from gcproi import (
     GameRecord,
     PlayerGameLine,
     SeasonDataset,
-    active_fields,
-    omega,
     parse_games,
     season_reports,
     team_totals,
@@ -133,12 +131,17 @@ def build_two_team_season(n_games: int, players_a, players_b,
     return SeasonDataset(games)
 
 
+def active_set(game: GameRecord, team_id: str) -> frozenset[FieldId]:
+    """The team's active fields in the game: those with a positive team total."""
+    return frozenset(f for f, t in zip(FieldId, team_totals(game, team_id)) if t > 0.0)
+
+
 def gcp_upper_bound(game: GameRecord, team_id: str, player_id: str) -> float:
     """Largest GCP the player could have recorded given their minutes and
     possessions: 1 - weight * (missing minutes share + missing possessions
     share). Requires positive team totals for both."""
     totals = team_totals(game, team_id)
-    w = omega(active_fields(totals))
+    w = 1.0 / sum(t > 0.0 for t in totals)  # 1 over the number of active fields
     ln = next((ln for ln in game.roster(team_id) if ln.player_id == player_id), None)
     if ln is None:
         raise GcproiError(f"player {player_id!r} has no active line for team {team_id!r} "

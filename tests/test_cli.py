@@ -76,7 +76,8 @@ GCP_BOSPHI = {
 @pytest.mark.parametrize("form, team", GCP_BOSPHI, ids=["csv", "csv-PHI", "json", "json-PHI"])
 def test_gcp_on_the_golden_game_gives_the_recorded_bytes(form, team, tmp_path, data_dir):
     rc, body = run(["gcp", "--games", str(data_dir / "bosphi_games.csv"),
-                    "--game-id", "2023040401", "--format", form, "--team", team], tmp_path)
+                    "--game-id", "2023040401", "--format", form,
+                    *(["--team", team] if team else [])], tmp_path)
     assert rc == 0
     assert hashlib.sha256(body).hexdigest() == GCP_BOSPHI[form, team]
 
@@ -164,6 +165,11 @@ BAD_INPUTS = {
     "missing-file": ["histogram", "--games", "{tmp}/missing.csv"],
     "gcp-unknown-team": ["gcp", "--games", "{games}", "--game-id", "2023040401",
                          "--team", "NYK"],
+    "gcp-team-empty": ["gcp", "--games", "{games}", "--game-id", "2023040401", "--team", ""],
+    "validate-salaries-empty": ["validate", "--games", "{games}", "--salaries", ""],
+    "out-empty": ["histogram", "--games", "{games}", "--out", ""],
+    "breakeven-games-empty": ["breakeven", "--salary", "1000", "--n-games", "10",
+                              "--games", "", "--salaries", "{salaries}"],
     "directory": ["histogram", "--games", "{tmp}"],
     "games-not-utf8": ["histogram", "--games", "{tmp}/latin1.csv"],
     "salaries-not-utf8": ["roi", "--games", "{games}", "--salaries", "{tmp}/latin1.csv"],
@@ -245,11 +251,14 @@ BAD_INPUT_ERRORS = {
     "breakeven-sgv-season-games-zero": "error: game count must be positive, got 0\n",
     "breakeven-without-salaries-or-sgv":
         "error: breakeven needs either --sgv or both --games and --salaries\n",
+    "breakeven-games-empty": "error: cannot read : No such file or directory\n",
     "directory": "error: cannot read {tmp}: Is a directory\n",
     "games-not-utf8": "error: {tmp}/latin1.csv is not UTF-8 text\n",
     "gcp-unknown-team": "error: team 'NYK' not in game '2023040401'\n",
+    "gcp-team-empty": "error: team '' not in game '2023040401'\n",
     "missing-file": "error: cannot read {tmp}/missing.csv: No such file or directory\n",
     "out-directory": "error: cannot write {tmp}: Is a directory\n",
+    "out-empty": "error: cannot write : No such file or directory\n",
     "out-missing-parent": "error: cannot write {tmp}/missing/x: No such file or directory\n",
     "roi-min-games-negative": "error: min_games must not be negative, got -5\n",
     "roi-season-games-zero": "error: game count must be positive, got 0\n",
@@ -275,6 +284,7 @@ BAD_INPUT_ERRORS = {
     "tol-negative-no-player-solved": "error: abs_tol must be positive, got -1.0\n",
     "tol-zero": "error: abs_tol must be positive, got 0.0\n",
     "top-negative": "error: top_k must not be negative, got -3\n",
+    "validate-salaries-empty": "error: cannot read : No such file or directory\n",
 }
 
 
@@ -288,7 +298,8 @@ def test_bad_input_gives_the_same_error_when_the_games_parse_splits(case, tmp_pa
                                                                     capsys, forced_split):
     _check_bad_input(case, tmp_path, data_dir, capsys)
     # Only a regular file is split: the games files of the cases that fail on them.
-    forks = {"games-not-utf8": 1, "directory": 0, "missing-file": 0}
+    forks = {"games-not-utf8": 1, "directory": 0, "missing-file": 0,
+             "breakeven-games-empty": 0}
     assert len(forced_split) == forks.get(case, len(forced_split))
 
 

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import random
 from datetime import date
@@ -8,20 +10,21 @@ from gcproi import (
     CashFlowSeries,
     FieldId,
     SeasonDataset,
-    active_fields,
     game_report,
     gcp_histogram,
     irr,
-    omega,
     season_reports,
     team_totals,
+    write_games_csv,
 )
+from gcproi.cli import main
 from gcproi.errors import GcproiError, SchemaError
 
 from conftest import (
     BOS_EXPECTED,
     GOLDEN_TOL,
     PHI_EXPECTED,
+    active_set,
     gcp_upper_bound,
     make_game,
     make_line,
@@ -76,26 +79,21 @@ def test_unknown_team_rejected(bosphi):
 
 def test_bos_sits_out_two_fields_phi_one(bosphi):
     game = bosphi.games[0]
-    bos_active = active_fields(team_totals(game, "BOS"))
+    bos_active = active_set(game, "BOS")
     assert len(bos_active) == 35
     assert set(FieldId) - bos_active == {FieldId.CHGD, FieldId.DLBR}
-    phi_active = active_fields(team_totals(game, "PHI"))
+    phi_active = active_set(game, "PHI")
     assert len(phi_active) == 36
     assert set(FieldId) - phi_active == {FieldId.OBOX}
 
 
 def test_all_zero_totals_raise_with_game_context():
     # A team whose totals are all zero has no active line, and the game
-    # rejects it when built, so active_fields never meets one.
+    # rejects it when built, so a report never weighs an empty active set.
     with pytest.raises(SchemaError) as exc:
         make_game("g9", date(2024, 1, 1), "A", "B",
                   [make_line("p1", "A", "g9"), make_line("p2", "B", "g9", MIN=1)])
     assert str(exc.value) == "game 'g9' has no active player for team 'A'"
-    # Only totals a caller builds can be all zero, and omega rejects their empty set.
-    zeros = (0.0,) * 37
-    assert active_fields(zeros) == frozenset()
-    with raises_exactly(GcproiError, "no stat field has a positive team total"):
-        omega(active_fields(zeros))
 
 
 def test_active_count_drops_by_the_number_of_zeroed_fields():
@@ -106,24 +104,33 @@ def test_active_count_drops_by_the_number_of_zeroed_fields():
         game = make_game("g1", date(2024, 1, 1), "A", "B",
                          [make_line("p1", "A", "g1", **stats),
                           make_line("p2", "B", "g1", MIN=1)])
-        assert len(active_fields(team_totals(game, "A"))) == 37 - k
+        assert len(active_set(game, "A")) == 37 - k
 
 
-@pytest.mark.parametrize("n, expected", [(35, 1 / 35), (36, 1 / 36), (37, 1 / 37)])
-def test_weight_is_reciprocal_of_active_count(n, expected):
-    fields = frozenset(list(FieldId)[:n])
-    assert omega(fields) == expected
-
-
-def test_weight_of_empty_set_is_an_error():
-    with raises_exactly(GcproiError, "no stat field has a positive team total"):
-        omega(frozenset())
+@pytest.mark.parametrize("n, expected", [(n, 1 / n) for n in (37, 36, 35, 32, 17, 1)])
+def test_weight_is_reciprocal_of_active_count(n, expected, tmp_path, capsys):
+    # gcp prints team A's weight and active fields when 37 - n of its fields are zero.
+    left = sorted(random.Random(n).sample(list(FieldId), n))
+    game = make_game("g1", date(2024, 1, 1), "A", "B",
+                     [make_line("p1", "A", "g1", **{f.name: 3 for f in left}),
+                      make_line("p2", "B", "g1", MIN=1)])
+    path = tmp_path / "games.csv"
+    write_games_csv(SeasonDataset([game]), path)
+    argv = ["gcp", "--games", str(path), "--game-id", "g1", "--team", "A"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["weight"], r["active_fields"]) for r in rows] == [(repr(expected), str(n))]
+    assert main(argv + ["--format", "json"]) == 0
+    (side,) = json.loads(capsys.readouterr().out)["teams"]
+    assert side["weight"] == expected
+    assert side["active_field_count"] == n
+    assert side["active_fields"] == sorted(f.name for f in left)
 
 
 def test_golden_game_weights_are_exact(bosphi):
     game = bosphi.get_game("2023040401")
-    assert omega(active_fields(team_totals(game, "BOS"))) == 1 / 35
-    assert omega(active_fields(team_totals(game, "PHI"))) == 1 / 36
+    assert 1.0 / len(active_set(game, "BOS")) == 1 / 35
+    assert 1.0 / len(active_set(game, "PHI")) == 1 / 36
 
 
 def test_tatum_and_embiid_match_published_gcp(bosphi):
@@ -256,8 +263,7 @@ def test_report_is_independent_of_roster_order(bosphi):
     b = game_report(shuffled)
     for team in game.teams:
         assert a[team] == b[team]
-        assert (omega(active_fields(team_totals(game, team)))
-                == omega(active_fields(team_totals(shuffled, team))))
+        assert active_set(game, team) == active_set(shuffled, team)
 
 
 def test_scaling_one_field_leaves_gcp_unchanged(bosphi):
@@ -289,8 +295,7 @@ def test_dropping_a_zero_total_field_changes_nothing(bosphi):
         lines.append(make_line(ln.player_id, ln.team_id, ln.game_id, **stats))
     dropped = make_game(game.game_id, game.date, game.team1, game.team2, lines)
     assert game_report(dropped)["BOS"] == base
-    assert (omega(active_fields(team_totals(dropped, "BOS")))
-            == omega(active_fields(team_totals(game, "BOS"))))
+    assert active_set(dropped, "BOS") == active_set(game, "BOS")
 
 
 def test_season_reports_cover_every_game(bosphi):

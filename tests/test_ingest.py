@@ -264,6 +264,11 @@ ERROR_PARITY = {
     "second-row-stat-nan": (23, {"FG3O": "nan"}, (
         "SchemaError", "stat must be finite and non-negative, got 'nan' (line 23, column FG3O)",
         23, "FG3O")),
+    # Line 22 is the first row after the split parse's cut: its child fails
+    # before it has sent a row, and the parse must still give this error.
+    "first-row-after-the-cut-stat-nan": (22, {"FG3O": "nan"}, (
+        "SchemaError", "stat must be finite and non-negative, got 'nan' (line 22, column FG3O)",
+        22, "FG3O")),
     "second-row-stat-negative": (33, {"FG3O": "-1"}, (
         "SchemaError", "stat must be finite and non-negative, got '-1' (line 33, column FG3O)",
         33, "FG3O")),
@@ -1640,8 +1645,9 @@ def _kills(monkeypatch):
     return kills
 
 
-@pytest.mark.parametrize("line_no", [None, 3, 30],
-                         ids=["parses", "error-before-the-cut", "error-after-the-cut"])
+@pytest.mark.parametrize("line_no", [None, 3, 22, 30],
+                         ids=["parses", "error-before-the-cut",
+                              "error-on-the-first-row-after-the-cut", "error-after-the-cut"])
 def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_handler(
         tmp_path, data_dir, forced_split, capfd, monkeypatch, line_no):
     path = _two_games(tmp_path / "games.csv", data_dir, line_no and {line_no: {"FG3O": "x"}})

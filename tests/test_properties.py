@@ -17,7 +17,6 @@ from gcproi import (
     CashFlowSeries,
     FieldId,
     SynthConfig,
-    active_fields,
     cash_flows,
     game_report,
     histogram_bins,
@@ -27,11 +26,10 @@ from gcproi import (
     season_reports,
     sgv,
     synth_season,
-    team_totals,
 )
 from gcproi.synth import ORACLE_GRID_HI, ORACLE_GRID_LO, irr_oracle
 
-from conftest import gcp_upper_bound, make_game, make_line
+from conftest import active_set, gcp_upper_bound, make_game, make_line
 
 
 def series(cf0, flows):
@@ -89,7 +87,7 @@ def test_roster_permutation_never_changes_shares(game, rnd):
 def test_shares_respect_the_minutes_possessions_bound(game):
     report = game_report(game)
     for team, side in report.items():
-        active = active_fields(team_totals(game, team))
+        active = active_set(game, team)
         for player, share in side.items():
             if FieldId.MIN in active and FieldId.POSS in active:
                 bound = gcp_upper_bound(game, team, player)

@@ -14,14 +14,11 @@ from gcproi import (
     CashFlowSeries,
     FieldId,
     SynthConfig,
-    active_fields,
     cash_flows,
     irr,
-    omega,
     season_reports,
     sgv,
     synth_season,
-    team_totals,
     validate_dataset,
     write_games_csv,
 )
@@ -29,7 +26,7 @@ from gcproi.errors import AllZeroFlows, GcproiError
 from gcproi.fields import FIELD_ORDER, FRACTIONAL_FIELDS
 from gcproi.synth import COUNT_MAX, MINUTES_MAX, SALARY_MAX, SALARY_MIN, irr_oracle
 
-from conftest import raises_exactly
+from conftest import active_set, raises_exactly
 
 
 def dataset_bytes(ds) -> bytes:
@@ -88,12 +85,12 @@ def test_planted_zero_field_shrinks_the_active_set():
     assert book.zero_fields["T02"] == (FieldId.CHGD,)
     reports = season_reports(ds)
     for g in ds.team_games["T02"]:
-        active = active_fields(team_totals(g, "T02"))
-        assert omega(active) == 1 / 36
+        active = active_set(g, "T02")
+        assert len(active) == 36
         assert FieldId.CHGD not in active
         assert math.fsum(reports[g.game_id]["T02"].values()) == pytest.approx(1.0, abs=1e-12)
     for g in ds.team_games["T01"]:
-        assert omega(active_fields(team_totals(g, "T01"))) == 1 / 37
+        assert len(active_set(g, "T01")) == 37
 
 
 def test_silenced_field_draws_are_golden():
