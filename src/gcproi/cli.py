@@ -228,10 +228,9 @@ def cmd_synth(args) -> int:
                             roster_min=args.roster_min, roster_max=args.roster_max,
                             miss_prob=args.miss_prob, realistic=args.realistic)
     ds, salaries, _ = synth.synth_season(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_games_csv(ds, out_dir / "games.csv")
-    write_salaries_csv(salaries, out_dir / "salaries.csv")
+    os.makedirs(args.out_dir, exist_ok=True)  # an empty name fails, where Path's would be "."
+    write_games_csv(ds, Path(args.out_dir, "games.csv"))
+    write_salaries_csv(salaries, Path(args.out_dir, "salaries.csv"))
     return EXIT_OK
 
 

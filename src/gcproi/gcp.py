@@ -10,7 +10,7 @@ GameRecord has an active line, so at least one active field. The weight is
 thus dynamic per team per game, and by construction the GCPs of a team's
 active players sum to exactly 1 for every game.
 
-All functions here are pure; per-game reports may be computed in parallel.
+All functions here are pure; season_reports computes half its games in a forked child.
 Sums use compensated accumulation (math.fsum) so the sum-to-unity identity
 holds to 1e-12 even for large rosters.
 """
@@ -22,7 +22,7 @@ import operator
 
 from .errors import GcproiError
 from .fields import StatRow
-from .ingest import GameRecord, SeasonDataset
+from .ingest import GameRecord, SeasonDataset, _fanout
 
 
 #: One game's report: team id -> player id -> GCP, for active players only.
@@ -60,4 +60,4 @@ def game_report(game: GameRecord) -> GameGcp:
 
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcp]:
     """Game reports for every game, keyed by game id, in dataset order."""
-    return {g.game_id: game_report(g) for g in ds.games}
+    return dict(zip([g.game_id for g in ds.games], _fanout(game_report, ds.games)))

@@ -51,7 +51,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import GcproiError, NegativeDerivedField, SchemaError
 from .fields import FIELD_ORDER, RAW_STATS, StatRow, derive_fields, underive_fields
@@ -62,6 +62,7 @@ RAW_GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + RAW_STATS
 SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
 _GAMES_HEADERS = {"derived": GAMES_HEADER, "raw": RAW_GAMES_HEADER}
 _SPLIT_BYTES = 1 << 19  # median split/one-process time: 1.04 at 275 KiB, 0.96 at 416, 0.92 at 556
+_FANOUT_ITEMS = 96  # median fanned/one-process season_reports time: 1.06 at 75 games, 0.95 at 90
 
 _positive = partial(map, (0.0).__lt__)
 _player_id = attrgetter("player_id")
@@ -488,48 +489,87 @@ def _season(rows: Iterable[tuple]) -> SeasonDataset:
     return SeasonDataset(games, player_names)
 
 
-def _parse_split(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonDataset | None:
-    """parse_games in two processes, or None on any error, conflict or lost child. A forked child
-    checks the rows after the cut (the first LF at or after the middle of a regular file without a
-    quote before it) and sends them by marshal, for _season to group after this process's own."""
+def _spare_cpu() -> bool:  # a second CPU, and no other thread for a fork to copy
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)  # a host with sched_getaffinity has os.fork
+
+
+@contextmanager
+def _child(work: Callable[[], Iterable]):
+    """Fork a child that marshals each list work() gives, then writes each as an 8-byte length
+    and its bytes, and a length of 0 as the end mark; yield their items, each list read when
+    reached (EOFError: no end mark). A child not read to its end is killed if alive, and reaped."""
     pid, ended = 0, False
+    read_end, write_end = os.pipe()
     try:
-        if not (os.path.isfile(path) and os.path.getsize(path) >= _SPLIT_BYTES
-                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-                and threading.active_count() == 1):  # a host with sched_getaffinity has os.fork
-            return None
-        read_end, write_end = os.pipe()
-        with open(read_end, "rb") as pipe, open(write_end, "wb", 0) as out, open(path, "rb") as fh:
-            head = fh.read(os.fstat(fh.fileno()).st_size // 2) + fh.readline()
-            if b'"' in head:  # a quote could hide the cut's LF inside a cell
-                return None
+        with open(read_end, "rb") as pipe, open(write_end, "wb") as out:
             pid = os.fork()
-            if pid == 0:  # the child reads on from the cut; no output, no exit handlers
-                try:  # with closes the wrapper: freed open, it would warn on stderr under -X dev
-                    with io.TextIOWrapper(fh, "utf-8", newline="") as tail:
-                        rows = _checked_rows(csv.reader(_without_nul(tail)), fmt, clamp_negative)
-                        out.write(marshal.dumps([marshal.dumps(part) for part in iter(
-                            lambda: list(islice(rows, 1024)), [])]))  # sent in parts, loaded apart
+            if pid == 0:  # no output, no exit handlers
+                try:
+                    for data in [marshal.dumps(part) for part in work()] + [b""]:
+                        out.write(len(data).to_bytes(8, "little") + data)
+                    out.flush()
                 finally:
                     os._exit(0)
             out.close()  # so that the child's exit ends what pipe reads
 
-            def sent():  # the child's rows, read when reached; the pipe's end means the child ended
+            def read(size: int) -> bytes:
                 nonlocal ended
-                data, ended = pipe.read(), True
-                for part in marshal.loads(data):
-                    yield from marshal.loads(part)
-            text = io.TextIOWrapper(io.BytesIO(head), "utf-8-sig", newline="")
-            with _csv_reader(path, _GAMES_HEADERS[fmt], text) as reader:
-                return _season(chain(_checked_rows(reader, fmt, clamp_negative), sent()))
-    except (OSError, GcproiError, ValueError, EOFError):  # EOFError: the child sent nothing
-        return None
+                data = pipe.read(size)
+                if len(data) < size:  # the pipe's end: the child has exited
+                    ended = True
+                    raise EOFError("the child sent no end mark")
+                return data
+
+            def parts() -> Iterator:
+                nonlocal ended
+                while size := int.from_bytes(read(8), "little"):
+                    yield from marshal.loads(read(size))
+                ended = True
+            yield parts()
     finally:
         if pid:  # kill a child not read to its end unless it has exited, then reap it
             with suppress(ChildProcessError, ProcessLookupError):  # reaped if SIGCHLD is ignored
                 if not ended and not os.waitpid(pid, os.WNOHANG)[0]:
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _fanout(compute: Callable, items: Sequence) -> list:
+    """[compute(x) for x in items], the second half's results, which marshal must send, from a
+    forked child when there are more than _FANOUT_ITEMS items and _spare_cpu allows. A half the
+    child did not send is computed here, so the first error in item order is raised here."""
+    cut = len(items) // 2
+    if len(items) > _FANOUT_ITEMS and _spare_cpu():
+        with suppress(OSError), _child(lambda: [list(map(compute, items[cut:]))]) as sent:
+            head = list(map(compute, items[:cut]))
+            with suppress(OSError, ValueError, EOFError):  # the child failed
+                return head + list(sent)
+            return head + list(map(compute, items[cut:]))
+    return list(map(compute, items))
+
+
+def _parse_split(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonDataset | None:
+    """parse_games in two processes, or None on any error, conflict or lost child. A forked child
+    checks the rows after the cut (the first LF at or after the middle of a regular file without a
+    quote before it) and sends them in parts, for _season to group after this process's own."""
+    try:
+        if not (os.path.isfile(path) and os.path.getsize(path) >= _SPLIT_BYTES and _spare_cpu()):
+            return None
+        with open(path, "rb") as fh:
+            head = io.BytesIO(fh.read(os.fstat(fh.fileno()).st_size // 2) + fh.readline())
+            if b'"' in head.getvalue():  # a quote could hide the cut's LF inside a cell
+                return None
+            def tail() -> Iterator[list]:  # in the child: with closes the wrapper, which would
+                with io.TextIOWrapper(fh, "utf-8", newline="") as text:  # warn under -X dev
+                    rows = _checked_rows(csv.reader(_without_nul(text)), fmt, clamp_negative)
+                    yield from iter(lambda: list(islice(rows, 1024)), [])
+            text = io.TextIOWrapper(head, "utf-8-sig", newline="")
+            with _child(tail) as sent, _csv_reader(path, _GAMES_HEADERS[fmt], text) as reader:
+                return _season(chain(_checked_rows(reader, fmt, clamp_negative),
+                                     iter(text.close, None), sent))  # then frees head's bytes
+    except (OSError, GcproiError, ValueError, EOFError):  # EOFError: the child failed
+        return None
 
 
 def parse_salaries(path: str | Path) -> SalaryTable:

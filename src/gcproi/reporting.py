@@ -15,7 +15,7 @@ from .finance import DEFAULT_NPV_TOL, cash_flows, irr, pvgcp
 # benchmarks/test_benchmark.py checks that tracing restores this binding.
 from .finance import player_schedule  # noqa: F401
 from .gcp import GameGcp, season_reports
-from .ingest import SalaryTable, SeasonDataset
+from .ingest import SalaryTable, SeasonDataset, _fanout
 
 STATUS_OK = "ok"
 STATUS_TOTAL_DEFAULT = "total_default"
@@ -123,14 +123,11 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
     check_salaries(ds, salaries)
     if not abs_tol > 0.0:  # NaN too; irr checks it only for a player it solves
         raise GcproiError(f"abs_tol must be positive, got {abs_tol}")
-    dataset_players = ds.player_ids
-    rows = []
-    for player_id, salary in salaries.entries.items():
-        name = salaries.name(player_id)
-        if player_id not in dataset_players:
-            rows.append(RoiRow(player_id, name, salary, 0, 0.0, None,
-                               STATUS_TOTAL_DEFAULT))
-            continue
+
+    def row(entry: tuple[str, int]) -> tuple:  # a RoiRow as a plain tuple, which marshal sends
+        player_id, salary = entry
+        if not ds.player_runs(player_id):  # no active line
+            return player_id, salaries.name(player_id), salary, 0, 0.0, None, STATUS_TOTAL_DEFAULT
         m = pvgcp(ds, reports, player_id)
         series = cash_flows(ds, reports, player_id, value, salary, m)
         try:
@@ -141,8 +138,8 @@ def roi_table(ds: SeasonDataset, reports: dict[str, GameGcp],
             rate, status = None, STATUS_NO_RATE
         else:
             status = STATUS_OK if m.games_played >= min_games else STATUS_BELOW_MIN_GAMES
-        rows.append(RoiRow(player_id, ds.player_name(player_id), salary,
-                           m.games_played, m.value, rate, status))
+        return player_id, ds.player_name(player_id), salary, m.games_played, m.value, rate, status
+    rows = list(map(RoiRow._make, _fanout(row, list(salaries.entries.items()))))
 
     status_rank = {STATUS_OK: 0, STATUS_BELOW_MIN_GAMES: 1, STATUS_NO_RATE: 2,
                    STATUS_TOTAL_DEFAULT: 3}

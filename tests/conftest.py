@@ -1,4 +1,5 @@
 import os
+import traceback
 from contextlib import contextmanager
 from datetime import date, timedelta
 from pathlib import Path
@@ -57,6 +58,24 @@ def raises_exactly(error: type, message: str):
     assert (type(exc.value), str(exc.value)) == (error, message)
 
 
+def no_child_left():
+    """Assert that this process has no child left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def recorded_kills(monkeypatch):
+    """The (pid, signal) of every os.kill from now on; each is still sent."""
+    kills, kill = [], os.kill
+
+    def recorded(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", recorded)
+    return kills
+
+
 @pytest.fixture
 def forced_split(monkeypatch):
     """Make parse_games split every regular file it may, whatever its size and
@@ -72,6 +91,28 @@ def forced_split(monkeypatch):
         return pid
 
     monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.fixture
+def forced_fanout(monkeypatch):
+    """Make season_reports and roi_table fork a child for any non-empty list of
+    games or salary entries, whatever its length and the host's CPUs. Returns
+    the (stage, pid) of each child os.fork has given them since, stage being
+    "season_reports" or "roi_table"; the children of a split parse are not listed."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        names = {frame.f_code.co_name for frame, _ in traceback.walk_stack(None)} if pid else ()
+        if "_fanout" in names:
+            forks.append(("season_reports" if "season_reports" in names else "roi_table", pid))
+        return pid
+
+    monkeypatch.setattr(ingest, "_FANOUT_ITEMS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks

@@ -191,6 +191,7 @@ BAD_INPUTS = {
     "synth-out-dir-is-a-file": ["synth", "--out-dir", "{games}"],
     "synth-out-dir-under-a-file": ["synth", "--out-dir", "{games}/sub"],
     "synth-games-csv-is-a-directory": ["synth", "--out-dir", "{tmp}/taken"],
+    "synth-out-dir-empty": ["synth", "--out-dir", ""],
     "tol-nan": ["roi", "--games", "{games}", "--salaries", "{salaries}", "--tol", "nan"],
     "tol-zero": ["roi", "--games", "{games}", "--salaries", "{salaries}", "--tol", "0"],
     "tol-negative-no-player-solved": ["roi", "--games", "{games}", "--salaries", "{salaries}",
@@ -279,6 +280,7 @@ BAD_INPUT_ERRORS = {
     "synth-games-csv-is-a-directory":
         "error: cannot write {tmp}/taken/games.csv: Is a directory\n",
     "synth-out-dir-is-a-file": "error: cannot write {games}: File exists\n",
+    "synth-out-dir-empty": "error: cannot write : No such file or directory\n",
     "synth-out-dir-under-a-file": "error: cannot write {games}/sub: Not a directory\n",
     "tol-nan": "error: abs_tol must be positive, got nan\n",
     "tol-negative-no-player-solved": "error: abs_tol must be positive, got -1.0\n",

@@ -1,9 +1,10 @@
 """Seeded mutations of the golden games and salaries pair, run through every
 subcommand that reads input, in CSV and in JSON.
 
-Each case runs cli.main twice: with the parse in this process alone, and
-with parse_games forced to split the games file between two processes. Both runs must give
-the same exit code and the same stdout and stderr bytes. The exit code must
+Each case runs cli.main twice: all in this process, and with parse_games forced
+to split the games file between two processes and season_reports and roi_table
+forced to compute half their games or salary entries in a forked child. Both runs
+must give the same exit code and the same stdout and stderr bytes. The exit code must
 be 0, 1 (validate, which then writes no error), 2 or 3; a 2 or a 3 writes
 exactly one stderr line, starting with "error: ", and a 0 writes output that
 reads back as CSV or JSON. The seed of each test comes from its name.
@@ -80,7 +81,7 @@ def _run(argv, capsysbinary):
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, request, tmp_path,
                                                                  monkeypatch, capsysbinary,
-                                                                 forced_split):
+                                                                 forced_split, forced_fanout):
     rng = random.Random(zlib.crc32(request.node.name.encode()))
     games_text = (DATA_DIR / "bosphi_games.csv").read_text(encoding="utf-8")
     salaries_text = (DATA_DIR / "bosphi_salaries.csv").read_text(encoding="utf-8")
@@ -97,6 +98,7 @@ def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, requ
                             encoding="utf-8", newline="")
         with monkeypatch.context() as m:
             m.setattr(ingest, "_SPLIT_BYTES", math.inf)
+            m.setattr(ingest, "_FANOUT_ITEMS", math.inf)
             alone = _run(argv, capsysbinary)
         split = _run(argv, capsysbinary)
         assert split == alone, games.read_bytes()
@@ -115,4 +117,7 @@ def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, requ
             assert code in (2, 3)
             assert err.startswith(b"error: ") and err.endswith(b"\n") and err.count(b"\n") == 1
     assert set(codes) - {2}, "every case failed; the mutations reach no command"
-    assert forced_split, "no case was parsed in two processes"
+    fanned = [pid for _, pid in forced_fanout]
+    assert set(forced_split) - set(fanned), "no case was parsed in two processes"
+    if sub not in ("gcp", "validate", "breakeven"):  # the others read every game's report
+        assert "season_reports" in dict(forced_fanout), "no case made its reports in two processes"

@@ -41,7 +41,8 @@ from gcproi.ingest import (
 )
 from gcproi.synth import SynthConfig, synth_season
 
-from conftest import DATA_DIR, make_game, make_line, raises_exactly
+from conftest import (DATA_DIR, make_game, make_line, no_child_left, raises_exactly,
+                      recorded_kills)
 
 
 def test_golden_game_parses_to_one_record_with_ten_a_side(bosphi):
@@ -1628,30 +1629,13 @@ def test_a_season_parses_to_the_same_dataset_in_two_processes(tmp_path, forced_s
     assert _assert_split_parity(path, forced_split) == ds
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _kills(monkeypatch):
-    """The (pid, signal) of every os.kill from now on; each is still sent."""
-    kills, kill = [], os.kill
-
-    def recorded(pid, sig):
-        kills.append((pid, sig))
-        kill(pid, sig)
-
-    monkeypatch.setattr(os, "kill", recorded)
-    return kills
-
-
 @pytest.mark.parametrize("line_no", [None, 3, 22, 30],
                          ids=["parses", "error-before-the-cut",
                               "error-on-the-first-row-after-the-cut", "error-after-the-cut"])
 def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_handler(
         tmp_path, data_dir, forced_split, capfd, monkeypatch, line_no):
     path = _two_games(tmp_path / "games.csv", data_dir, line_no and {line_no: {"FG3O": "x"}})
-    kills = _kills(monkeypatch)
+    kills = recorded_kills(monkeypatch)
     handler = partial(os.write, 1, b"an exit handler ran\n")
     atexit.register(handler)
     # As under python -W error: a file object freed unclosed, in either process,
@@ -1668,7 +1652,7 @@ def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_han
     finally:
         atexit.unregister(handler)
     assert len(forced_split) == 1
-    _no_child_left()
+    no_child_left()
     assert capfd.readouterr() == ("", "")
     if line_no != 3:  # this process read the pipe to its end, so the child had exited
         assert kills == []
@@ -1687,13 +1671,13 @@ def test_an_interrupt_in_this_process_kills_and_reaps_the_child(
         return checked_rows(reader, fmt, clamp_negative)
 
     monkeypatch.setattr(ingest, "_checked_rows", interrupted)
-    kills = _kills(monkeypatch)
+    kills = recorded_kills(monkeypatch)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         parse_games(path)
     assert time.monotonic() - start < 30
     assert kills == [(forced_split[0], signal.SIGKILL)]
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
@@ -1702,7 +1686,7 @@ def test_a_split_parse_works_when_the_caller_ignores_sigchld(
     # The kernel then reaps the child itself, so it may be gone before os.waitpid
     # and its pid free for another process: a parse read to its end kills nothing.
     path = _two_games(tmp_path / "games.csv", data_dir)
-    kills = _kills(monkeypatch)
+    kills = recorded_kills(monkeypatch)
     handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         assert parse_games(path) == ingest._parse_sequential(path, "derived", False)
@@ -1710,4 +1694,4 @@ def test_a_split_parse_works_when_the_caller_ignores_sigchld(
         signal.signal(signal.SIGCHLD, handler)
     assert len(forced_split) == 1
     assert kills == []
-    _no_child_left()
+    no_child_left()
