@@ -16,7 +16,7 @@ A row whose 37 stats are all zero is a player who sat the game out: it stays in
 the game's lines, and in a write-back, but GameRecord keeps it out of the
 rosters, so it carries no GCP. Each parser reads its rows, numbered and
 width-checked, from _records; parse_games reads a large file's halves in two
-processes at once, and on any failure again in one (_parse_split). Datasets and
+processes at once (see _child), and on any failure again in one. Datasets and
 salary tables hold no reference cycles, are immutable (name and salary maps are
 read-only copies) and thread-safe. Each record rejects what its parser rejects,
 so a writer never emits it: a PlayerGameLine a negative, NaN or infinite stat, a
@@ -92,9 +92,9 @@ class PlayerGameLine(_LineFields):
     is negative, NaN or infinite, as parse_games rejects its cell, naming the
     first such field; -0.0 is a zero. It rejects values that are not
     iterable, or a value that is not a number, as a SchemaError too, and
-    keeps the values as a tuple, so a caller's list cannot change them.
-    parse_games and synth_season, whose values are checked already, build
-    lines with tuple.__new__."""
+    keeps the values as a tuple of floats, so a caller's list cannot change
+    them. parse_games and synth_season, whose values are checked already,
+    build lines with tuple.__new__."""
 
     __slots__ = ()
     _make = _construct
@@ -115,7 +115,7 @@ class PlayerGameLine(_LineFields):
                 fault = f"is not a number: {v!r}"
             raise SchemaError(f"stat {f.name} of player {player_id!r} in game {game_id!r} "
                               f"{fault}")
-        return super().__new__(cls, player_id, team_id, game_id, values)
+        return super().__new__(cls, player_id, team_id, game_id, tuple(map(float, values)))
 
 
 def _check_ids(ids: Iterable[str], line: int | None = None) -> None:
@@ -134,24 +134,24 @@ class _GameFields(NamedTuple):
 
 
 class GameRecord(_GameFields):
-    """One game: two distinct team ids and the player lines of both teams.
-    Building one rejects a line of another game or team, a second line of
-    one player, a row without the 37 fields, and a team without an active
-    line (one with a positive value), and splits the active lines into the
-    two rosters, each in lines order. Equality ignores the rosters."""
+    """One game: two distinct team ids and the player lines of both teams,
+    kept as a tuple. Building one rejects a line of another game or team, a
+    second line of one player, a row without the 37 fields, and a team
+    without an active line (one with a positive value), and splits the
+    active lines into the two rosters, each in lines order. Equality ignores the rosters."""
 
     __setattr__ = __delattr__ = _read_only
     _make = _construct
 
     def __new__(cls, game_id: str, date: Date, team1: str, team2: str,
                 lines: tuple[PlayerGameLine, ...]) -> GameRecord:
-        self = super().__new__(cls, game_id, date, team1, team2, lines)
+        self = super().__new__(cls, game_id, date, team1, team2, tuple(lines))
         if team1 == team2:
             raise SchemaError(f"game {game_id!r} lists team {team1!r} twice")
         width = len(FIELD_ORDER)
         rosters: dict[str, list[PlayerGameLine]] = {team1: [], team2: []}
         players: set[str] = set()
-        for ln in lines:
+        for ln in self.lines:
             roster = rosters.get(ln.team_id)
             if roster is None or ln.game_id != game_id:
                 raise SchemaError(f"line of player {ln.player_id!r} ({ln.team_id!r}, game "
@@ -393,14 +393,27 @@ def parse_games(path: str | Path, fmt: str = "derived",
     fmt "derived" reads the canonical 37-column schema; fmt "raw" reads the
     source-stat schema and applies the adjustment formulas per row
     (clamp_negative flooring negative adjustments at zero when set).
+
+    A regular file of _SPLIT_BYTES or more is parsed in two processes when _spare_cpu allows and
+    no quote precedes the cut, the first LF from its middle on: a forked child checks the rows
+    after it, for _season to group after this process's. Any failure parses it again in one process.
     """
     if fmt not in _GAMES_HEADERS:
         raise ValueError(f"unknown games format {fmt!r}")
-    return _parse_split(path, fmt, clamp_negative) or _parse_sequential(path, fmt, clamp_negative)
-
-
-def _parse_sequential(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonDataset:
-    """parse_games in this process alone."""
+    with suppress(OSError, GcproiError, ValueError, EOFError):  # EOFError: the child failed
+        if os.path.isfile(path) and os.path.getsize(path) >= _SPLIT_BYTES and _spare_cpu():
+            with open(path, "rb") as fh:
+                head = io.BytesIO(fh.read(os.fstat(fh.fileno()).st_size // 2) + fh.readline())
+                if b'"' not in head.getvalue():  # a quote could hide the cut's LF inside a cell
+                    def tail() -> Iterator[tuple]:  # in the child: with closes the wrapper,
+                        with io.TextIOWrapper(fh, "utf-8", newline="") as text:  # lest -X dev warn
+                            yield from _checked_rows(csv.reader(_without_nul(text)), fmt,
+                                                     clamp_negative)
+                    text = io.TextIOWrapper(head, "utf-8-sig", newline="")
+                    with (_child(tail) as sent,
+                          _csv_reader(path, _GAMES_HEADERS[fmt], text) as reader):
+                        return _season(chain(_checked_rows(reader, fmt, clamp_negative),
+                                             iter(text.close, None), sent))  # frees head
     with _csv_reader(path, _GAMES_HEADERS[fmt]) as reader:
         return _season(_checked_rows(reader, fmt, clamp_negative))
 
@@ -496,9 +509,11 @@ def _spare_cpu() -> bool:  # a second CPU, and no other thread for a fork to cop
 
 @contextmanager
 def _child(work: Callable[[], Iterable]):
-    """Fork a child that marshals each list work() gives, then writes each as an 8-byte length
-    and its bytes, and a length of 0 as the end mark; yield their items, each list read when
-    reached (EOFError: no end mark). A child not read to its end is killed if alive, and reaped."""
+    """Fork a child that marshals the items work() gives in parts of at most 1,024, writes each
+    part as an 8-byte length and its bytes, then a length of 0 as the end mark; yield the items,
+    each part read when reached (EOFError: no end mark). A child not read to its end is killed if
+    alive, and reaped. A forked stage suppresses its failures around this to return the two-process
+    result, then runs its one-process code: a failed or lost child reruns the stage here."""
     pid, ended = 0, False
     read_end, write_end = os.pipe()
     try:
@@ -506,7 +521,9 @@ def _child(work: Callable[[], Iterable]):
             pid = os.fork()
             if pid == 0:  # no output, no exit handlers
                 try:
-                    for data in [marshal.dumps(part) for part in work()] + [b""]:
+                    items = iter(work())
+                    parts = iter(lambda: list(islice(items, 1024)), [])
+                    for data in [*map(marshal.dumps, parts), b""]:
                         out.write(len(data).to_bytes(8, "little") + data)
                     out.flush()
                 finally:
@@ -537,39 +554,14 @@ def _child(work: Callable[[], Iterable]):
 
 def _fanout(compute: Callable, items: Sequence) -> list:
     """[compute(x) for x in items], the second half's results, which marshal must send, from a
-    forked child when there are more than _FANOUT_ITEMS items and _spare_cpu allows. A half the
-    child did not send is computed here, so the first error in item order is raised here."""
+    forked child when there are more than _FANOUT_ITEMS items and _spare_cpu allows. After a
+    failed child all are computed again here, so the first error in item order is raised here."""
     cut = len(items) // 2
     if len(items) > _FANOUT_ITEMS and _spare_cpu():
-        with suppress(OSError), _child(lambda: [list(map(compute, items[cut:]))]) as sent:
-            head = list(map(compute, items[:cut]))
-            with suppress(OSError, ValueError, EOFError):  # the child failed
-                return head + list(sent)
-            return head + list(map(compute, items[cut:]))
+        with (suppress(OSError, ValueError, EOFError),  # the child failed
+              _child(lambda: map(compute, items[cut:])) as sent):
+            return [*map(compute, items[:cut]), *sent]
     return list(map(compute, items))
-
-
-def _parse_split(path: str | Path, fmt: str, clamp_negative: bool) -> SeasonDataset | None:
-    """parse_games in two processes, or None on any error, conflict or lost child. A forked child
-    checks the rows after the cut (the first LF at or after the middle of a regular file without a
-    quote before it) and sends them in parts, for _season to group after this process's own."""
-    try:
-        if not (os.path.isfile(path) and os.path.getsize(path) >= _SPLIT_BYTES and _spare_cpu()):
-            return None
-        with open(path, "rb") as fh:
-            head = io.BytesIO(fh.read(os.fstat(fh.fileno()).st_size // 2) + fh.readline())
-            if b'"' in head.getvalue():  # a quote could hide the cut's LF inside a cell
-                return None
-            def tail() -> Iterator[list]:  # in the child: with closes the wrapper, which would
-                with io.TextIOWrapper(fh, "utf-8", newline="") as text:  # warn under -X dev
-                    rows = _checked_rows(csv.reader(_without_nul(text)), fmt, clamp_negative)
-                    yield from iter(lambda: list(islice(rows, 1024)), [])
-            text = io.TextIOWrapper(head, "utf-8-sig", newline="")
-            with _child(tail) as sent, _csv_reader(path, _GAMES_HEADERS[fmt], text) as reader:
-                return _season(chain(_checked_rows(reader, fmt, clamp_negative),
-                                     iter(text.close, None), sent))  # then frees head's bytes
-    except (OSError, GcproiError, ValueError, EOFError):  # EOFError: the child failed
-        return None
 
 
 def parse_salaries(path: str | Path) -> SalaryTable:

@@ -1,3 +1,4 @@
+import math
 import os
 import traceback
 from contextlib import contextmanager
@@ -76,46 +77,47 @@ def recorded_kills(monkeypatch):
     return kills
 
 
+#: The functions whose work ingest._child may fork off, as forced_forks names them.
+FORKED_STAGES = ("parse_games", "season_reports", "roi_table")
+
+
 @pytest.fixture
-def forced_split(monkeypatch):
-    """Make parse_games split every regular file it may, whatever its size and
-    the host's CPUs. Returns the list of child pids that os.fork has given this
-    process since, so a test can tell that a child really parsed a half."""
+def forced_forks(monkeypatch):
+    """Make every forked stage fork a child whatever the host's CPUs: parse_games
+    for any regular file it may split, whatever its size, and season_reports
+    and roi_table for any non-empty list. Returns the (stage, pid) of each child
+    os.fork has given this process since, stage being the one of FORKED_STAGES
+    on the stack (None for another caller), so a test can tell that a child
+    really did a stage's work."""
     forks = []
     fork = os.fork
 
     def counted_fork():
         pid = fork()
         if pid:
-            forks.append(pid)
+            names = {frame.f_code.co_name for frame, _ in traceback.walk_stack(None)}
+            forks.append((next((s for s in FORKED_STAGES if s in names), None), pid))
         return pid
 
     monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-@pytest.fixture
-def forced_fanout(monkeypatch):
-    """Make season_reports and roi_table fork a child for any non-empty list of
-    games or salary entries, whatever its length and the host's CPUs. Returns
-    the (stage, pid) of each child os.fork has given them since, stage being
-    "season_reports" or "roi_table"; the children of a split parse are not listed."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        names = {frame.f_code.co_name for frame, _ in traceback.walk_stack(None)} if pid else ()
-        if "_fanout" in names:
-            forks.append(("season_reports" if "season_reports" in names else "roi_table", pid))
-        return pid
-
     monkeypatch.setattr(ingest, "_FANOUT_ITEMS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def forks_of(forks, stage: str) -> list[int]:
+    """The pids of forced_forks' record that stage forked."""
+    return [pid for name, pid in forks if name == stage]
+
+
+@contextmanager
+def one_process():
+    """Run every forked stage in this process alone, as a host with one CPU does."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ingest, "_SPLIT_BYTES", math.inf)
+        m.setattr(ingest, "_FANOUT_ITEMS", math.inf)
+        yield
 
 
 @pytest.fixture(scope="session")

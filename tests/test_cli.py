@@ -16,6 +16,7 @@ import gcproi
 from gcproi import cli, parse_games, parse_salaries, sgv
 from gcproi.cli import main
 
+from conftest import forks_of
 from test_golden import CASES, FORMS, SYNTH
 
 
@@ -297,12 +298,13 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, data_dir, capsys)
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_gives_the_same_error_when_the_games_parse_splits(case, tmp_path, data_dir,
-                                                                    capsys, forced_split):
+                                                                    capsys, forced_forks):
     _check_bad_input(case, tmp_path, data_dir, capsys)
     # Only a regular file is split: the games files of the cases that fail on them.
     forks = {"games-not-utf8": 1, "directory": 0, "missing-file": 0,
              "breakeven-games-empty": 0}
-    assert len(forced_split) == forks.get(case, len(forced_split))
+    parses = forks_of(forced_forks, "parse_games")
+    assert len(parses) == forks.get(case, len(parses))
 
 
 def _check_bad_input(case, tmp_path, data_dir, capsys):
@@ -323,12 +325,12 @@ def _check_bad_input(case, tmp_path, data_dir, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_fifo_games_input_gives_the_bytes_of_the_file(tmp_path, data_dir, capsysbinary,
-                                                        forced_split):
+                                                        forced_forks):
     """parse_games never opens a FIFO to split it, so its bytes are read once."""
     argv = ["gcp", "--game-id", "2023040401", "--games"]
     assert main(argv + [str(data_dir / "bosphi_games.csv")]) == 0
     want = capsysbinary.readouterr()
-    assert len(forced_split) == 1
+    assert len(forks_of(forced_forks, "parse_games")) == 1
     fifo = tmp_path / "games.fifo"
     os.mkfifo(fifo)
     copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
@@ -340,7 +342,7 @@ def test_a_fifo_games_input_gives_the_bytes_of_the_file(tmp_path, data_dir, caps
         writer.wait()
     assert code == 0
     assert capsysbinary.readouterr() == want
-    assert len(forced_split) == 1
+    assert len(forks_of(forced_forks, "parse_games")) == 1
 
 
 #: A NUL put into one cell of a bosphi input: (file, 1-based line, column

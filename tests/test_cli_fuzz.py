@@ -13,16 +13,14 @@ reads back as CSV or JSON. The seed of each test comes from its name.
 import csv
 import io
 import json
-import math
 import random
 import zlib
 
 import pytest
 
-from gcproi import ingest
 from gcproi.cli import main
 
-from conftest import BOSPHI_GAME_ID, DATA_DIR
+from conftest import BOSPHI_GAME_ID, DATA_DIR, forks_of, one_process
 
 CASES_PER_TEST = 28  # 9 subcommands x 2 formats x 28: about 500 cases
 
@@ -80,8 +78,7 @@ def _run(argv, capsysbinary):
 @pytest.mark.parametrize("form", FORMATS)
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, request, tmp_path,
-                                                                 monkeypatch, capsysbinary,
-                                                                 forced_split, forced_fanout):
+                                                                 capsysbinary, forced_forks):
     rng = random.Random(zlib.crc32(request.node.name.encode()))
     games_text = (DATA_DIR / "bosphi_games.csv").read_text(encoding="utf-8")
     salaries_text = (DATA_DIR / "bosphi_salaries.csv").read_text(encoding="utf-8")
@@ -96,9 +93,7 @@ def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, requ
                          encoding="utf-8", newline="")
         salaries.write_text(salaries_text if mutate_games else _mutate(rng, salaries_text),
                             encoding="utf-8", newline="")
-        with monkeypatch.context() as m:
-            m.setattr(ingest, "_SPLIT_BYTES", math.inf)
-            m.setattr(ingest, "_FANOUT_ITEMS", math.inf)
+        with one_process():
             alone = _run(argv, capsysbinary)
         split = _run(argv, capsysbinary)
         assert split == alone, games.read_bytes()
@@ -117,7 +112,7 @@ def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, requ
             assert code in (2, 3)
             assert err.startswith(b"error: ") and err.endswith(b"\n") and err.count(b"\n") == 1
     assert set(codes) - {2}, "every case failed; the mutations reach no command"
-    fanned = [pid for _, pid in forced_fanout]
-    assert set(forced_split) - set(fanned), "no case was parsed in two processes"
+    assert forks_of(forced_forks, "parse_games"), "no case was parsed in two processes"
     if sub not in ("gcp", "validate", "breakeven"):  # the others read every game's report
-        assert "season_reports" in dict(forced_fanout), "no case made its reports in two processes"
+        assert forks_of(forced_forks, "season_reports"), \
+            "no case made its reports in two processes"

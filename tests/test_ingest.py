@@ -41,8 +41,8 @@ from gcproi.ingest import (
 )
 from gcproi.synth import SynthConfig, synth_season
 
-from conftest import (DATA_DIR, make_game, make_line, no_child_left, raises_exactly,
-                      recorded_kills)
+from conftest import (DATA_DIR, forks_of, make_game, make_line, no_child_left, one_process,
+                      raises_exactly, recorded_kills)
 
 
 def test_golden_game_parses_to_one_record_with_ten_a_side(bosphi):
@@ -938,6 +938,30 @@ def test_a_line_keeps_its_values_as_a_tuple():
     assert hash(game) == hash(game._replace())
 
 
+def test_a_line_of_int_and_bool_values_holds_floats_that_write_and_parse_back(tmp_path):
+    a = PlayerGameLine("a", "A", "g1", [True, 2, False, 0] + [1] * 33)
+    b = PlayerGameLine("b", "B", "g1", [0] * 36 + [True])
+    assert a.values == (1.0, 2.0, 0.0, 0.0) + (1.0,) * 33 and b.values == (0.0,) * 36 + (1.0,)
+    assert {type(v) for ln in (a, b) for v in ln.values} == {float}
+    ds = SeasonDataset([GameRecord("g1", DAY, "A", "B", (a, b))], {"a": "A a", "b": "B b"})
+    for write, fmt in ((write_games_csv, "derived"), (write_raw_games_csv, "raw")):
+        path = tmp_path / f"{fmt}.csv"
+        write(ds, path)
+        assert parse_games(path, fmt) == ds
+
+
+def test_a_game_keeps_its_lines_as_a_tuple():
+    lines = [make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1", MIN=1)]
+    game = GameRecord("g1", DAY, "A", "B", lines)
+    lines.append(make_line("a", "A", "g1", MIN=2))  # the caller's list changes after the checks
+    assert type(game.lines) is tuple and game.lines == tuple(lines[:2])
+    assert hash(game) == hash(game._replace())
+    assert GameRecord("g1", DAY, "A", "B", iter(lines[:2])) == game
+    assert GameRecord("g1", DAY, "A", "B", game.lines).lines is game.lines  # not copied
+    with pytest.raises(SchemaError, match="duplicate line for player 'a'"):
+        GameRecord("g1", DAY, "A", "B", lines)
+
+
 @pytest.mark.parametrize("values", [
     (-0.0,) * 37, (5e-324,) * 37, (1e308, 1e308) + (0.0,) * 35,
 ], ids=["negative-zero", "smallest-subnormal", "sum-overflows"])
@@ -1471,11 +1495,11 @@ def test_a_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, parse, head
 
 # --- parse_games in two processes --------------------------------------------
 #
-# With the forced_split fixture parse_games forks a child for any regular file
+# With the forced_forks fixture parse_games forks a child for any regular file
 # without a quote before the cut, here the first LF at or after the middle of
 # the file. In _two_games' file that is the end of line 21: game 2023040401
 # (lines 2-21) goes to this process and game 2023040602 (lines 22-41) to the
-# child. Each case must give what the sequential parse gives: an equal dataset
+# child. Each case must give what the one-process parse gives: an equal dataset
 # with the same name order, value bits and one string per id, or an error of
 # the same type, text, line and column.
 
@@ -1493,17 +1517,18 @@ def _outcome(parse, path, fmt, clamp_negative):
 
 
 def _assert_split_parity(path, forks, forked=True, fmt="derived", clamp_negative=False):
-    """parse_games, forced to split, gives what the sequential parse gives."""
-    sequential = _outcome(ingest._parse_sequential, path, fmt, clamp_negative)
+    """parse_games, forced to split, gives what the one-process parse gives."""
+    with one_process():
+        alone = _outcome(parse_games, path, fmt, clamp_negative)
     split = _outcome(parse_games, path, fmt, clamp_negative)
-    assert len(forks) == forked
-    if not isinstance(sequential, SeasonDataset):
-        assert split == sequential
+    assert len(forks_of(forks, "parse_games")) == forked
+    if not isinstance(alone, SeasonDataset):
+        assert split == alone
         return
-    assert isinstance(split, SeasonDataset) and split == sequential
-    assert list(split.player_names.items()) == list(sequential.player_names.items())
+    assert isinstance(split, SeasonDataset) and split == alone
+    assert list(split.player_names.items()) == list(alone.player_names.items())
     bits = [[v.hex() for g in ds.games for ln in g.lines for v in ln.values]
-            for ds in (split, sequential)]
+            for ds in (split, alone)]
     assert bits[0] == bits[1]
     shared: dict[str, str] = {}
     assert all(shared.setdefault(i, i) is i
@@ -1513,10 +1538,10 @@ def _assert_split_parity(path, forks, forked=True, fmt="derived", clamp_negative
 
 @pytest.mark.parametrize("line_no, cells, expected", ERROR_PARITY.values(), ids=ERROR_PARITY)
 def test_a_split_parse_gives_the_recorded_error_of_each_corrupted_cell(
-        tmp_path, data_dir, forced_split, line_no, cells, expected):
+        tmp_path, data_dir, forced_forks, line_no, cells, expected):
     path = _two_games(tmp_path / "games.csv", data_dir, {line_no: cells})
     assert _head_lines(path) == 21
-    _assert_split_parity(path, forced_split)
+    _assert_split_parity(path, forced_forks)
 
 
 def _straddling_games(path, data_dir, cells_by_line):
@@ -1552,7 +1577,7 @@ STRADDLING = {
 
 @pytest.mark.parametrize("cells_by_line", STRADDLING.values(), ids=STRADDLING)
 def test_rows_on_both_sides_of_the_cut_give_the_sequential_result(
-        tmp_path, data_dir, forced_split, cells_by_line):
+        tmp_path, data_dir, forced_forks, cells_by_line):
     cells_by_line = dict(cells_by_line)
     if cells_by_line.pop("two-games", False):
         path = _two_games(tmp_path / "games.csv", data_dir, cells_by_line)
@@ -1560,7 +1585,7 @@ def test_rows_on_both_sides_of_the_cut_give_the_sequential_result(
         path = _straddling_games(tmp_path / "games.csv", data_dir, cells_by_line)
         assert _head_lines(path) == 21
     assert all(line_no > _head_lines(path) for line_no in cells_by_line)
-    _assert_split_parity(path, forced_split)
+    _assert_split_parity(path, forced_forks)
 
 
 def _replace_last(data: bytes, old: bytes, new: bytes) -> bytes:
@@ -1589,20 +1614,20 @@ BYTE_EDITS = {
 
 @pytest.mark.parametrize("edit, forked", BYTE_EDITS.values(), ids=BYTE_EDITS)
 def test_a_split_parse_of_edited_bytes_gives_the_sequential_result(
-        tmp_path, data_dir, forced_split, edit, forked):
+        tmp_path, data_dir, forced_forks, edit, forked):
     path = _two_games(tmp_path / "games.csv", data_dir)
     path.write_bytes(edit(path.read_bytes()))
-    _assert_split_parity(path, forced_split, forked)
+    _assert_split_parity(path, forced_forks, forked)
 
 
 def test_a_cell_over_the_field_limit_after_the_cut_gives_the_sequential_error(
-        tmp_path, data_dir, forced_split):
+        tmp_path, data_dir, forced_forks):
     path = _two_games(tmp_path / "games.csv", data_dir)
     path.write_bytes(_replace_last(path.read_bytes(), b"Paul Reed", b"x" * 2000))
     limit = csv.field_size_limit(1000)
     try:
         assert _head_lines(path) < 41
-        _assert_split_parity(path, forced_split)
+        _assert_split_parity(path, forced_forks)
     finally:
         csv.field_size_limit(limit)
 
@@ -1610,30 +1635,30 @@ def test_a_cell_over_the_field_limit_after_the_cut_gives_the_sequential_error(
 @pytest.mark.parametrize("clamp_negative", [False, True], ids=["strict", "clamped"])
 @pytest.mark.parametrize("negative", [False, True], ids=["consistent", "negative-after-cut"])
 def test_a_split_parse_of_source_stats_gives_the_sequential_result(
-        tmp_path, data_dir, forced_split, clamp_negative, negative):
+        tmp_path, data_dir, forced_forks, clamp_negative, negative):
     path = tmp_path / "raw.csv"
     write_raw_games_csv(parse_games(_two_games(tmp_path / "games.csv", data_dir)), path)
-    del forced_split[:]
+    del forced_forks[:]
     if negative:  # FGM above FGA on the last line: FG2X goes negative
         row = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
         row[RAW_GAMES_HEADER.index("FGM")] = "99"
         lines = path.read_text(encoding="utf-8").splitlines()[:-1] + [",".join(row)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _assert_split_parity(path, forced_split, fmt="raw", clamp_negative=clamp_negative)
+    _assert_split_parity(path, forced_forks, fmt="raw", clamp_negative=clamp_negative)
 
 
-def test_a_season_parses_to_the_same_dataset_in_two_processes(tmp_path, forced_split):
+def test_a_season_parses_to_the_same_dataset_in_two_processes(tmp_path, forced_forks):
     ds, _, _ = synth_season(SynthConfig(seed=5, teams=4, games_per_team=12))
     path = tmp_path / "season.csv"
     write_games_csv(ds, path)
-    assert _assert_split_parity(path, forced_split) == ds
+    assert _assert_split_parity(path, forced_forks) == ds
 
 
 @pytest.mark.parametrize("line_no", [None, 3, 22, 30],
                          ids=["parses", "error-before-the-cut",
                               "error-on-the-first-row-after-the-cut", "error-after-the-cut"])
 def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_handler(
-        tmp_path, data_dir, forced_split, capfd, monkeypatch, line_no):
+        tmp_path, data_dir, forced_forks, capfd, monkeypatch, line_no):
     path = _two_games(tmp_path / "games.csv", data_dir, line_no and {line_no: {"FG3O": "x"}})
     kills = recorded_kills(monkeypatch)
     handler = partial(os.write, 1, b"an exit handler ran\n")
@@ -1651,7 +1676,7 @@ def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_han
                     parse_games(path)
     finally:
         atexit.unregister(handler)
-    assert len(forced_split) == 1
+    assert len(forks_of(forced_forks, "parse_games")) == 1
     no_child_left()
     assert capfd.readouterr() == ("", "")
     if line_no != 3:  # this process read the pipe to its end, so the child had exited
@@ -1659,7 +1684,7 @@ def test_a_split_parse_reaps_its_child_which_writes_nothing_and_runs_no_exit_han
 
 
 def test_an_interrupt_in_this_process_kills_and_reaps_the_child(
-        tmp_path, data_dir, forced_split, monkeypatch):
+        tmp_path, data_dir, forced_forks, monkeypatch):
     path = _two_games(tmp_path / "games.csv", data_dir)
     parent = os.getpid()
     checked_rows = ingest._checked_rows
@@ -1676,22 +1701,24 @@ def test_an_interrupt_in_this_process_kills_and_reaps_the_child(
     with pytest.raises(KeyboardInterrupt):
         parse_games(path)
     assert time.monotonic() - start < 30
-    assert kills == [(forced_split[0], signal.SIGKILL)]
+    assert kills == [(forks_of(forced_forks, "parse_games")[0], signal.SIGKILL)]
     no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
 def test_a_split_parse_works_when_the_caller_ignores_sigchld(
-        tmp_path, data_dir, forced_split, monkeypatch):
+        tmp_path, data_dir, forced_forks, monkeypatch):
     # The kernel then reaps the child itself, so it may be gone before os.waitpid
     # and its pid free for another process: a parse read to its end kills nothing.
     path = _two_games(tmp_path / "games.csv", data_dir)
     kills = recorded_kills(monkeypatch)
     handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert parse_games(path) == ingest._parse_sequential(path, "derived", False)
+        split = parse_games(path)
+        with one_process():
+            assert split == parse_games(path)
     finally:
         signal.signal(signal.SIGCHLD, handler)
-    assert len(forced_split) == 1
+    assert len(forks_of(forced_forks, "parse_games")) == 1
     assert kills == []
     no_child_left()
