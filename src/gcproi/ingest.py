@@ -91,10 +91,10 @@ class PlayerGameLine(_LineFields):
     """One player's stat row for one game. Building one rejects a value that
     is negative, NaN or infinite, as parse_games rejects its cell, naming the
     first such field; -0.0 is a zero. It rejects values that are not
-    iterable, or a value that is not a number, as a SchemaError too, and
-    keeps the values as a tuple of floats, so a caller's list cannot change
-    them. parse_games and synth_season, whose values are checked already,
-    build lines with tuple.__new__."""
+    iterable, a value that is not a number and an int beyond the float range
+    as a SchemaError too, and keeps the values as a tuple of floats, so a
+    caller's list cannot change them. parse_games and synth_season, whose
+    values are checked already, build lines with tuple.__new__."""
 
     __slots__ = ()
     _make = _construct
@@ -108,11 +108,14 @@ class PlayerGameLine(_LineFields):
                               f"are not a sequence: {type(values).__name__}") from None
         for f, v in zip(FIELD_ORDER, values):
             try:
-                if 0.0 <= v < math.inf:
+                nonnegative = 0.0 <= v  # TypeError: "1", None have no order against a float
+                if float(v) < math.inf and nonnegative:  # OverflowError: an int out of range
                     continue
                 fault = f"must be finite and non-negative, got {v!r}"
-            except TypeError:  # "1", None: no order against a float
+            except TypeError:
                 fault = f"is not a number: {v!r}"
+            except OverflowError:  # never as text, which can pass int's digit limit
+                fault = "is an int beyond the float range"
             raise SchemaError(f"stat {f.name} of player {player_id!r} in game {game_id!r} "
                               f"{fault}")
         return super().__new__(cls, player_id, team_id, game_id, tuple(map(float, values)))
@@ -135,7 +138,8 @@ class _GameFields(NamedTuple):
 
 class GameRecord(_GameFields):
     """One game: two distinct team ids and the player lines of both teams,
-    kept as a tuple. Building one rejects a line of another game or team, a
+    kept as a tuple. Building one rejects a date whose type is not datetime.date
+    (parse_games reads none other back), a line of another game or team, a
     second line of one player, a row without the 37 fields, and a team
     without an active line (one with a positive value), and splits the
     active lines into the two rosters, each in lines order. Equality ignores the rosters."""
@@ -146,6 +150,9 @@ class GameRecord(_GameFields):
     def __new__(cls, game_id: str, date: Date, team1: str, team2: str,
                 lines: tuple[PlayerGameLine, ...]) -> GameRecord:
         self = super().__new__(cls, game_id, date, team1, team2, tuple(lines))
+        if type(date) is not Date:  # a str or datetime would not write what parse_games reads
+            raise SchemaError(f"the date of game {game_id!r} is not a datetime.date: "
+                              f"{type(date).__name__}")
         if team1 == team2:
             raise SchemaError(f"game {game_id!r} lists team {team1!r} twice")
         width = len(FIELD_ORDER)
@@ -458,7 +465,7 @@ def _checked_rows(reader, fmt: str, clamp_negative: bool) -> Iterator[tuple]:
 
 def _season(rows: Iterable[tuple]) -> SeasonDataset:
     """The SeasonDataset of _checked_rows' rows, each checked against those before it."""
-    # game_id -> [game_id, date text, team1, team2, first line, each team's lines, player ids]
+    # game_id -> [game_id, date text, first line, {team: lines, opponent: lines}, player ids]
     pending: dict[str, list] = {}
     player_names: dict[str, str] = {}
     shared: dict[str, str] = {}  # one str object per team and player id
@@ -472,31 +479,29 @@ def _season(rows: Iterable[tuple]) -> SeasonDataset:
         player_id = shared.setdefault(player_id, player_id)
         game = pending.get(game_id)
         if game is None:
-            game = pending[game_id] = [game_id, date_text, team,
-                                       shared.setdefault(opponent, opponent), line_no,
-                                       [], [], set()]
+            game = pending[game_id] = [game_id, date_text, line_no,
+                                       {team: [], shared.setdefault(opponent, opponent): []}, set()]
         elif date_text != game[1]:
             raise SchemaError(f"game {game_id!r} has conflicting dates {game[1]} and {date_text}",
                               line_no, "date")
-        elif not (team == game[2] and opponent == game[3]
-                  or team == game[3] and opponent == game[2]):
+        game_id, _, _, sides, players = game
+        lines = sides.get(team)
+        if lines is None or opponent not in sides:
             raise SchemaError(f"game {game_id!r} has conflicting team pairs", line_no, "team")
-        game_id = game[0]
-        players = game[7]
         if player_id in players:
             raise SchemaError(f"duplicate line for player {player_id!r} in game "
                               f"{game_id!r}", line_no)
         players.add(player_id)
-        game[5 if team == game[2] else 6].append(  # PlayerGameLine(...), at C speed
+        lines.append(  # PlayerGameLine(...), at C speed
             tuple.__new__(PlayerGameLine, (player_id, team, game_id, values)))
 
     games = []
-    for game_id, date_text, t1, t2, first_line, lines1, lines2, _ in pending.values():
-        lines1.sort(key=_player_id)
-        lines2.sort(key=_player_id)
+    for game_id, date_text, first_line, sides, _ in pending.values():
+        for lines in sides.values():
+            lines.sort(key=_player_id)
         try:
-            games.append(GameRecord(game_id, Date.fromisoformat(date_text), t1, t2,
-                                    (*lines1, *lines2)))
+            games.append(GameRecord(game_id, Date.fromisoformat(date_text), *sides,
+                                    chain.from_iterable(sides.values())))
         except SchemaError as exc:  # a team without an active line: no row checks that
             raise SchemaError(str(exc), first_line) from None
     return SeasonDataset(games, player_names)

@@ -10,7 +10,7 @@ import sys
 import tempfile
 import time
 import warnings
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from functools import partial
 from pathlib import Path
 
@@ -925,6 +925,26 @@ def test_a_line_rejects_values_that_are_not_a_sequence_of_numbers(values, messag
     with pytest.raises(SchemaError) as exc:
         PlayerGameLine("p", "A", "g1", values)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("big", [10**400, 2**1024, -(10**5000)],
+                         ids=["ten-to-the-400", "two-to-the-1024", "minus-ten-to-the-5000"])
+def test_a_line_rejects_an_int_beyond_the_float_range_without_writing_it(big):
+    # -(10**5000) has more digits than int-to-text conversion allows.
+    with pytest.raises(SchemaError) as exc:
+        PlayerGameLine("p", "A", "g1", [1.0, big] + [1.0] * 35)
+    assert str(exc.value) == "stat FG2O of player 'p' in game 'g1' is an int beyond the float range"
+
+
+@pytest.mark.parametrize("day", ["2024-01-01", datetime(2024, 1, 1, 5)], ids=["str", "datetime"])
+def test_a_game_rejects_a_date_that_is_not_a_date(day):
+    """A str date could not be written, and a datetime would be written as a
+    text parse_games rejects."""
+    lines = (make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1", MIN=1))
+    with pytest.raises(SchemaError) as exc:
+        GameRecord("g1", day, "A", "B", lines)
+    assert str(exc.value) == (f"the date of game 'g1' is not a datetime.date: "
+                              f"{type(day).__name__}")
 
 
 def test_a_line_keeps_its_values_as_a_tuple():

@@ -1,7 +1,9 @@
 import ast
 import importlib
+import importlib.util
 import json
 import statistics
+import sys
 import types
 from pathlib import Path
 
@@ -71,6 +73,18 @@ def test_each_bench_record_holds_correct_runs_and_their_medians(path):
             assert side["median"] == {
                 name: statistics.median(run["metrics"][name]["value"] for run in runs)
                 for name in end_to_end}
+
+
+def test_the_season_checker_imports_and_runs_nothing(monkeypatch, capsys):
+    """tests/season_checks.py, which CI runs as a script, fails here on a syntax
+    error or a gcproi name it no longer finds; importing it prints nothing."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it puts src/ first
+    spec = importlib.util.spec_from_file_location("season_checks",
+                                                  REPO / "tests" / "season_checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main) and module.DIGESTS
+    assert capsys.readouterr() == ("", "")
 
 
 SOURCES = Path(gcproi.__file__).parent
