@@ -19,13 +19,13 @@ width-checked, from _records; parse_games reads a large file's halves in two
 processes at once (see _child), and on any failure again in one. Datasets and
 salary tables hold no reference cycles, are immutable (name and salary maps are
 read-only copies) and thread-safe. Each record rejects what its parser rejects,
-so a writer never emits it: a PlayerGameLine a negative, NaN or infinite stat, a
-GameRecord an empty id (by the parser's _check_ids) and a team without an active
-line, a SalaryTable a bad entry (by the parser's _check_salary). Output has one
-path: every CSV row, here and in the CLI, is _row_text's text, unterminated and
-quoting a cell with a CR or an LF; _write writes every file or stream. The games
-writers quote id cells once per game side (game, date, team, opponent) and once
-per player (id, name), and join stat texts unquoted.
+so a writer never emits it: a PlayerGameLine a row without 37 stats and a negative,
+NaN or infinite stat, a GameRecord an empty id (by the parser's _check_ids) and a
+team without an active line, a SalaryTable a bad entry (by the parser's
+_check_salary). Output has one path: every CSV row, here and in the CLI, is
+_row_text's text, unterminated and quoting a cell with a CR or an LF; _write writes
+every file or stream. The games writers quote id cells once per game side (game,
+date, team, opponent) and once per player (id, name), and join stat texts unquoted.
 
 One lookup, _StatValue, parses and checks every stat cell. A text that is
 integral or short (at most 5 characters, as "37.8" or "0.25") is parsed once
@@ -46,7 +46,7 @@ import signal
 import threading
 from contextlib import contextmanager, suppress
 from datetime import date as Date
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -88,13 +88,13 @@ class _LineFields(NamedTuple):
 
 
 class PlayerGameLine(_LineFields):
-    """One player's stat row for one game. Building one rejects a value that
-    is negative, NaN or infinite, as parse_games rejects its cell, naming the
-    first such field; -0.0 is a zero. It rejects values that are not
-    iterable, a value that is not a number and an int beyond the float range
-    as a SchemaError too, and keeps the values as a tuple of floats, so a
-    caller's list cannot change them. parse_games and synth_season, whose
-    values are checked already, build lines with tuple.__new__."""
+    """One player's stat row for one game. Building one rejects a row without
+    the 37 fields, then a value that is negative, NaN or infinite, as
+    parse_games rejects its cell, naming the first such field; -0.0 is a zero.
+    It rejects values that are not iterable, a value that is not a number and
+    an int beyond the float range as a SchemaError too, and keeps the values
+    as a tuple of floats, so a caller's list cannot change them. parse_games
+    and synth_season, whose values are checked already, use tuple.__new__."""
 
     __slots__ = ()
     _make = _construct
@@ -106,6 +106,9 @@ class PlayerGameLine(_LineFields):
         except TypeError:
             raise SchemaError(f"the values of player {player_id!r} in game {game_id!r} "
                               f"are not a sequence: {type(values).__name__}") from None
+        if len(values) != len(FIELD_ORDER):  # first: float() converts values past the 37th
+            raise SchemaError(f"player {player_id!r} in game {game_id!r} has {len(values)} of "
+                              f"{len(FIELD_ORDER)} fields")
         for f, v in zip(FIELD_ORDER, values):
             try:
                 nonnegative = 0.0 <= v  # TypeError: "1", None have no order against a float
@@ -116,6 +119,8 @@ class PlayerGameLine(_LineFields):
                 fault = f"is not a number: {v!r}"
             except OverflowError:  # never as text, which can pass int's digit limit
                 fault = "is an int beyond the float range"
+            except ArithmeticError:  # decimal.InvalidOperation: a Decimal NaN has no order
+                fault = f"must be finite and non-negative, got {v!r}"
             raise SchemaError(f"stat {f.name} of player {player_id!r} in game {game_id!r} "
                               f"{fault}")
         return super().__new__(cls, player_id, team_id, game_id, tuple(map(float, values)))
@@ -140,9 +145,9 @@ class GameRecord(_GameFields):
     """One game: two distinct team ids and the player lines of both teams,
     kept as a tuple. Building one rejects a date whose type is not datetime.date
     (parse_games reads none other back), a line of another game or team, a
-    second line of one player, a row without the 37 fields, and a team
-    without an active line (one with a positive value), and splits the
-    active lines into the two rosters, each in lines order. Equality ignores the rosters."""
+    second line of one player and a team without an active line (one with a
+    positive value), and splits the active lines into the two rosters, each
+    in lines order. Equality ignores the rosters."""
 
     __setattr__ = __delattr__ = _read_only
     _make = _construct
@@ -155,7 +160,6 @@ class GameRecord(_GameFields):
                               f"{type(date).__name__}")
         if team1 == team2:
             raise SchemaError(f"game {game_id!r} lists team {team1!r} twice")
-        width = len(FIELD_ORDER)
         rosters: dict[str, list[PlayerGameLine]] = {team1: [], team2: []}
         players: set[str] = set()
         for ln in self.lines:
@@ -166,12 +170,8 @@ class GameRecord(_GameFields):
             if ln.player_id in players:
                 raise SchemaError(f"duplicate line for player {ln.player_id!r} in game "
                                   f"{game_id!r}")
-            values = ln.values
-            if len(values) != width:
-                raise SchemaError(f"player {ln.player_id!r} in game {game_id!r} has "
-                                  f"{len(values)} of {width} fields")
             players.add(ln.player_id)
-            if any(_positive(values)):  # a line is active if one value is positive
+            if any(_positive(ln.values)):  # a line is active if one value is positive
                 roster.append(ln)
         _check_ids((game_id, team1, team2, *players))
         for t, roster in rosters.items():
@@ -208,8 +208,8 @@ class _SeasonFields(NamedTuple):
 class SeasonDataset(_SeasonFields):
     """The games given, ordered by (date, game_id), and a read-only copy of
     the player-name lookup (empty when left out). Building one rejects a
-    repeated game id and maps each game id to its game and each team to its
-    games (team_games, read-only); the player index is built on first use.
+    repeated game id and, in one pass, maps each game id to its game, each team
+    to its games (team_games, read-only) and each player to its player_runs.
     Equality ignores them; unpickling, _make and _replace order and index again."""
 
     __setattr__ = __delattr__ = _read_only
@@ -222,32 +222,24 @@ class SeasonDataset(_SeasonFields):
                                MappingProxyType(dict(player_names)))
         by_id: dict[str, GameRecord] = {}
         team_games: dict[str, list[GameRecord]] = {}
+        runs: dict[str, list[list]] = {}  # player -> [team, first, last] per run
         for g in self.games:
             if g.game_id in by_id:
                 raise SchemaError(f"game id {g.game_id!r} is repeated")
             by_id[g.game_id] = g
             for t in g.teams:
-                team_games.setdefault(t, []).append(g)
-        self.__dict__.update(_games_by_id=by_id, team_games=MappingProxyType(
-            {t: tuple(gs) for t, gs in team_games.items()}))
-        return self
-
-    @cached_property
-    def _runs(self) -> dict[str, tuple[tuple[str, int, int], ...]]:
-        """Player -> the player's runs (see player_runs), for every player
-        with an active line."""
-        runs: dict[str, list[list]] = {}
-        position = dict.fromkeys(self.team_games, -1)  # team -> g's index in team_games
-        for g in self.games:
-            for team in g.teams:
-                idx = position[team] = position[team] + 1
-                for ln in g.roster(team):
+                idx = len(team_games.setdefault(t, []))  # g's index in team_games[t]
+                team_games[t].append(g)
+                for ln in g.roster(t):
                     player_runs = runs.setdefault(ln.player_id, [])
-                    if player_runs and player_runs[-1][0] == team:
+                    if player_runs and player_runs[-1][0] == t:
                         player_runs[-1][2] = idx
                     else:
-                        player_runs.append([team, idx, idx])
-        return {p: tuple(map(tuple, r)) for p, r in runs.items()}
+                        player_runs.append([t, idx, idx])
+        self.__dict__.update(_games_by_id=by_id, team_games=MappingProxyType(
+            {t: tuple(gs) for t, gs in team_games.items()}),
+            _runs={p: tuple(map(tuple, r)) for p, r in runs.items()})
+        return self
 
     @property
     def player_ids(self) -> set[str]:

@@ -11,6 +11,7 @@ import tempfile
 import time
 import warnings
 from datetime import date, datetime, timedelta
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -936,6 +937,25 @@ def test_a_line_rejects_an_int_beyond_the_float_range_without_writing_it(big):
     assert str(exc.value) == "stat FG2O of player 'p' in game 'g1' is an int beyond the float range"
 
 
+@pytest.mark.parametrize("values", [
+    (1.0,) * 36, [1.0] * 37 + ["x"], [1.0] * 37 + [10**400], [-1.0] * 36, (),
+], ids=["row-of-36-fields", "text-as-38th", "big-int-as-38th", "negative-row-of-36", "empty"])
+def test_a_line_of_another_width_is_rejected_before_its_values(values):
+    with raises_exactly(SchemaError, f"player 'c' in game 'g1' has {len(values)} of 37 fields"):
+        PlayerGameLine("c", "A", "g1", values)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "-NaN", "sNaN"])
+def test_a_line_rejects_a_decimal_nan_naming_its_field(bad):
+    """A Decimal NaN has no order against a float: comparing raises
+    decimal.InvalidOperation, which is a SchemaError here too."""
+    message = (f"stat MIN of player 'a' in game 'g' must be finite and non-negative, "
+               f"got {Decimal(bad)!r}")
+    with raises_exactly(SchemaError, message):
+        PlayerGameLine("a", "A", "g", [Decimal(bad)] + [1.0] * 36)
+    assert PlayerGameLine("a", "A", "g", [Decimal("1.5")] * 37).values == (1.5,) * 37
+
+
 @pytest.mark.parametrize("day", ["2024-01-01", datetime(2024, 1, 1, 5)], ids=["str", "datetime"])
 def test_a_game_rejects_a_date_that_is_not_a_date(day):
     """A str date could not be written, and a datetime would be written as a
@@ -1234,10 +1254,8 @@ PAIR = (make_line("a", "A", "g1", MIN=1), make_line("b", "B", "g1", MIN=1))
     ("B", (make_line("c", "A", "g2", MIN=1),),
      "line of player 'c' ('A', game 'g2') is not part of game 'g1'"),
     ("B", (make_line("a", "B", "g1", MIN=2),), "duplicate line for player 'a' in game 'g1'"),
-    ("B", (PlayerGameLine("c", "A", "g1", (1.0,) * 36),),
-     "player 'c' in game 'g1' has 36 of 37 fields"),
 ], ids=["team-listed-twice", "line-of-another-team", "line-of-another-game",
-        "repeated-player", "row-of-36-fields"])
+        "repeated-player"])
 def test_a_game_that_breaks_an_invariant_cannot_be_built(team2, extra, message):
     with raises_exactly(SchemaError, message):
         make_game("g1", DAY, "A", team2, PAIR + extra)
@@ -1318,8 +1336,7 @@ def test_games_and_seasons_from_equal_fields_are_equal_whatever_they_have_indexe
     assert a1 == b1 and a1 is not b1 and hash(a1) == hash(b1)
     a = SeasonDataset(games=(a1, a2), player_names={"a": "Ann"})
     b = SeasonDataset(games=(b1, b2), player_names={"a": "Ann"})
-    assert a.player_runs("a") == (("A", 0, 1),)  # builds a's _runs
-    assert "_runs" in vars(a) and "_runs" not in vars(b)
+    assert a.player_runs("a") == (("A", 0, 1),)
     assert a == b
     assert a != SeasonDataset(games=(b1,), player_names={"a": "Ann"})
     assert a != SeasonDataset(games=(b1, b2), player_names={"a": "Bo"})

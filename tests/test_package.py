@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 import statistics
 import sys
 import types
@@ -85,6 +86,16 @@ def test_the_season_checker_imports_and_runs_nothing(monkeypatch, capsys):
     spec.loader.exec_module(module)
     assert callable(module.main) and module.DIGESTS
     assert capsys.readouterr() == ("", "")
+
+
+def test_the_package_source_stays_below_the_line_gate_of_ci():
+    """CI fails when `cat src/gcproi/*.py | wc -l` is not below the N of its
+    `test "$lines" -lt N` step; this reads N from the workflow and counts the
+    same way, so a local run fails exactly when that gate would."""
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    [bound] = re.findall(r'test "\$lines" -lt (\d+)', workflow)
+    lines = sum(path.read_bytes().count(b"\n") for path in (REPO / "src" / "gcproi").glob("*.py"))
+    assert lines < int(bound)
 
 
 SOURCES = Path(gcproi.__file__).parent
