@@ -7,7 +7,7 @@ per-game internal rate of return against the salary investment.
 """
 
 from .errors import GcproiError
-from .fields import FIELD_ORDER, RAW_STATS, FieldId, derive_fields, underive_fields
+from .fields import RAW_STATS, FieldId, derive_fields, underive_fields
 from .finance import (
     CashFlowSeries,
     breakeven_gcp,
@@ -21,7 +21,6 @@ from .finance import (
 from .gcp import (
     game_report,
     season_reports,
-    team_totals,
 )
 from .ingest import (
     GameRecord,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import finance, gcp, reporting, synth
 from .errors import GcproiError, MissingSalary
-from .fields import FIELD_ORDER
+from .fields import FieldId
 from .ingest import (
     SalaryTable,
     SeasonDataset,
@@ -94,7 +94,7 @@ def cmd_gcp(args) -> int:
     report = gcp.game_report(game)  # first, so that a total overflow is the error shown
     sides = []  # (team, weight, active field names, shares) per printed team
     for team in report if args.team is None else [args.team]:
-        active = [f.name for f, t in zip(FIELD_ORDER, gcp.team_totals(game, team)) if t > 0.0]
+        active = [f.name for f, t in zip(FieldId, gcp.team_totals(game, team)) if t > 0.0]
         sides.append((team, 1.0 / len(active), active, report[team]))
 
     if args.format == "json":

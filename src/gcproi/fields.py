@@ -60,12 +60,9 @@ class FieldId(enum.IntEnum):
     ADRC = 36  # Adj. Defensive Rebound Chances
 
 
-#: Canonical field ordering (definition order of the enum).
-FIELD_ORDER: tuple[FieldId, ...] = tuple(FieldId)
+assert len(FieldId) == 37
 
-assert len(FIELD_ORDER) == 37
-
-#: One stat row: 37 floats in FIELD_ORDER, indexed by FieldId.
+#: One stat row: 37 floats in FieldId order, indexed by FieldId.
 StatRow = tuple[float, ...]
 
 #: Fractional fields; everything else is an event count. A tuple, not a
@@ -129,8 +126,8 @@ def underive_fields(row: StatRow) -> StatRow:
     """Turn a stat row back into source stats in RAW_STATS order, walking
     ADJUSTMENTS from last to first and adding the subtrahends back. Exact
     inverse of derive_fields on integer counts."""
-    if len(row) != len(FIELD_ORDER):
-        raise ValueError(f"expected {len(FIELD_ORDER)} fields, got {len(row)}")
+    if len(row) != len(FieldId):
+        raise ValueError(f"expected {len(FieldId)} fields, got {len(row)}")
     out = list(row)
     for field, subtrahends in reversed(ADJUSTMENTS):
         value = out[field]

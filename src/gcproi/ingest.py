@@ -54,10 +54,10 @@ from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import GcproiError, NegativeDerivedField, SchemaError
-from .fields import FIELD_ORDER, RAW_STATS, StatRow, derive_fields, underive_fields
+from .fields import RAW_STATS, FieldId, StatRow, derive_fields, underive_fields
 
 ID_COLUMNS = ("game_id", "date", "team", "opponent", "player_id", "player_name")
-GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + tuple(f.name for f in FIELD_ORDER)
+GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + tuple(f.name for f in FieldId)
 RAW_GAMES_HEADER: tuple[str, ...] = ID_COLUMNS + RAW_STATS
 SALARIES_HEADER: tuple[str, ...] = ("player_id", "player_name", "salary_usd")
 _GAMES_HEADERS = {"derived": GAMES_HEADER, "raw": RAW_GAMES_HEADER}
@@ -106,10 +106,10 @@ class PlayerGameLine(_LineFields):
         except TypeError:
             raise SchemaError(f"the values of player {player_id!r} in game {game_id!r} "
                               f"are not a sequence: {type(values).__name__}") from None
-        if len(values) != len(FIELD_ORDER):  # first: float() converts values past the 37th
+        if len(values) != len(FieldId):  # first: float() converts values past the 37th
             raise SchemaError(f"player {player_id!r} in game {game_id!r} has {len(values)} of "
-                              f"{len(FIELD_ORDER)} fields")
-        for f, v in zip(FIELD_ORDER, values):
+                              f"{len(FieldId)} fields")
+        for f, v in zip(FieldId, values):
             try:
                 nonnegative = 0.0 <= v  # TypeError: "1", None have no order against a float
                 if float(v) < math.inf and nonnegative:  # OverflowError: an int out of range
@@ -185,16 +185,17 @@ class GameRecord(_GameFields):
         return (self.team1, self.team2)
 
     def roster(self, team_id: str) -> tuple[PlayerGameLine, ...]:
-        """The team's active lines in lines order; () for a team not in the game."""
-        return self._rosters.get(team_id, ())
+        """The team's active lines in lines order; a GcproiError for a team not in the game."""
+        if team_id not in self._rosters:
+            raise GcproiError(f"team {team_id!r} not in game {self.game_id!r}")
+        return self._rosters[team_id]
 
     def totals(self, team_id: str) -> StatRow:
-        """Each field summed with math.fsum over the team's roster; 37 zeros
-        for a team not in the game. A sum beyond the float range is a
-        GcproiError."""
+        """Each field summed with math.fsum over the team's roster. A team not
+        in the game and a sum beyond the float range are GcproiErrors."""
         rows = [ln.values for ln in self.roster(team_id)]
         try:
-            return tuple(map(math.fsum, zip(*rows))) if rows else (0.0,) * len(FIELD_ORDER)
+            return tuple(map(math.fsum, zip(*rows)))
         except OverflowError:  # finite values whose sum overflows
             raise GcproiError(f"a total of team {team_id!r} in game {self.game_id!r} "
                               f"exceeds the float range") from None

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import GcproiError
-from .fields import FIELD_ORDER, FRACTIONAL_FIELDS, FieldId
+from .fields import FRACTIONAL_FIELDS, FieldId
 from .finance import CashFlowSeries, npv
 from .ingest import GameRecord, PlayerGameLine, SalaryTable, SeasonDataset, _reduce
 
@@ -35,6 +35,10 @@ MINUTES_MAX = 40.0
 SALARY_MIN = 500_000
 SALARY_MAX = 50_000_000
 START_DATE = Date(2024, 1, 1)
+
+#: The most player-lines (teams * games_per_team * roster_max) a config may ask for. Each bench
+#: config asks for 41,820; a `gcproi synth` run at this bound peaks at 548 MB (CPython 3.11).
+MAX_PLAYER_LINES = 1_000_000
 
 #: One float per count value, shared by every line that draws it.
 _COUNT_VALUES = tuple(map(float, range(COUNT_MAX + 1)))
@@ -66,6 +70,9 @@ class SynthConfig(NamedTuple):
         if not (1 <= self.roster_min <= self.roster_max):
             raise GcproiError(
                 f"need 1 <= roster_min <= roster_max, got {self.roster_min}..{self.roster_max}")
+        if (lines := self.teams * self.games_per_team * self.roster_max) > MAX_PLAYER_LINES:
+            raise GcproiError(f"teams * games_per_team * roster_max is {lines} player-lines, "
+                              f"more than MAX_PLAYER_LINES = {MAX_PLAYER_LINES}")
         for prob in (self.miss_prob, *self.miss_prob_overrides.values()):
             if not (0.0 <= prob <= 1.0):
                 raise GcproiError(f"miss probability out of [0, 1]: {prob}")
@@ -81,7 +88,6 @@ class SynthBookkeeping(NamedTuple):
     schedule: dict[str, tuple[str, ...]]  # team -> ordered game ids
     missed: dict[str, tuple[str, ...]]  # player -> game ids missed
     appearances: dict[str, int]  # player -> active game count
-    zero_fields: dict[str, tuple[FieldId, ...]]  # team -> planted silent fields
 
 
 def _round_robin(teams: list[str], rounds: int) -> list[list[tuple[str, str]]]:
@@ -108,7 +114,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     Draws from random.Random(cfg.seed), in order: randint(roster_min,
     roster_max) per team; per game and team, home first, random() per
     rostered player (a miss when below their miss probability), then per
-    active player randrange(COUNT_MAX + 1) per count field in FIELD_ORDER
+    active player randrange(COUNT_MAX + 1) per count field in FieldId order
     and uniform(1.0, MINUTES_MAX) per fractional field in FRACTIONAL_FIELDS
     order, silenced fields skipped; last, randint(SALARY_MIN, SALARY_MAX)
     per player in id order. randrange and uniform are written out inline,
@@ -120,13 +126,14 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
     count_stop = COUNT_MAX + 1
     count_bits = count_stop.bit_length()
     minutes_span = MINUTES_MAX - 1.0
+    width = len(FieldId)
 
     teams = [f"T{i:02d}" for i in range(cfg.teams)]
     rosters = {
         t: tuple(f"{t}P{j:02d}" for j in range(rng.randint(cfg.roster_min, cfg.roster_max)))
         for t in teams
     }
-    count_fields = [int(f) for f in FIELD_ORDER if f not in FRACTIONAL_FIELDS]
+    count_fields = [int(f) for f in FieldId if f not in FRACTIONAL_FIELDS]
     fraction_fields = [int(f) for f in FRACTIONAL_FIELDS]
     # Per team, the count and fractional fields drawn, in order, and whether
     # minutes are rescaled; a silenced field is never drawn.
@@ -172,7 +179,7 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
                 team_lines = []
                 for player in actives:
                     appearances[player] += 1
-                    values = [0.0] * len(FIELD_ORDER)
+                    values = [0.0] * width
                     for f in drawn_counts:
                         # randrange(count_stop), without its two Python frames
                         r = getrandbits(count_bits)
@@ -208,7 +215,6 @@ def synth_season(cfg: SynthConfig) -> tuple[SeasonDataset, SalaryTable, SynthBoo
         schedule={t: tuple(v) for t, v in schedule.items()},
         missed={p: tuple(v) for p, v in missed.items()},
         appearances=appearances,
-        zero_fields={t: tuple(v) for t, v in cfg.zero_fields.items()},
     )
     return ds, salaries, book
 

@@ -1,5 +1,8 @@
 import math
 import os
+import resource
+import subprocess
+import sys
 import traceback
 from contextlib import contextmanager
 from datetime import date, timedelta
@@ -14,9 +17,9 @@ from gcproi import (
     SeasonDataset,
     parse_games,
     season_reports,
-    team_totals,
 )
 from gcproi import ingest
+from gcproi.gcp import team_totals
 from gcproi.errors import GcproiError
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -118,6 +121,25 @@ def one_process():
         m.setattr(ingest, "_SPLIT_BYTES", math.inf)
         m.setattr(ingest, "_FANOUT_ITEMS", math.inf)
         yield
+
+
+#: The address-space cap and the time limit of a capped_cli child.
+CHILD_MEMORY = 600 * 2**20
+CHILD_SECONDS = 60
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def capped_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `python -m gcproi.cli *argv` in a child whose address space is capped at
+    CHILD_MEMORY, and wait at most CHILD_SECONDS for it (subprocess.TimeoutExpired
+    beyond). The cap is set in the child after the fork, never in this process, so
+    a command that would allocate without bound ends in a MemoryError there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ingest.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "gcproi.cli", *argv], env=env,
+                          capture_output=True, timeout=CHILD_SECONDS, preexec_fn=_cap_memory)
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,13 @@ must give the same exit code and the same stdout and stderr bytes. The exit code
 be 0, 1 (validate, which then writes no error), 2 or 3; a 2 or a 3 writes
 exactly one stderr line, starting with "error: ", and a 0 writes output that
 reads back as CSV or JSON. The seed of each test comes from its name.
+
+The argv gate gives every numeric flag of every subcommand each of NUMBERS, on
+the golden pair: the exit code must be 0, 1, 2 or 3, with no traceback, and
+stderr empty, one "error: " line, or argparse's usage and error lines on exit 2.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -18,9 +23,9 @@ import zlib
 
 import pytest
 
-from gcproi.cli import main
+from gcproi.cli import build_parser, main
 
-from conftest import BOSPHI_GAME_ID, DATA_DIR, forks_of, one_process
+from conftest import BOSPHI_GAME_ID, DATA_DIR, capped_cli, forks_of, one_process
 
 CASES_PER_TEST = 28  # 9 subcommands x 2 formats x 28: about 500 cases
 
@@ -116,3 +121,76 @@ def test_mutated_inputs_give_one_documented_outcome_split_or_not(sub, form, requ
     if sub not in ("gcp", "validate", "breakeven"):  # the others read every game's report
         assert forks_of(forced_forks, "season_reports"), \
             "no case made its reports in two processes"
+
+
+#: The values the argv gate gives each numeric flag.
+NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), "9" * 400, ""]
+
+#: synth's size flags, which run in a capped child: a size the command
+#: accepted would allocate in proportion to it.
+SIZE_FLAGS = ["--teams", "--games", "--roster-min", "--roster-max"]
+
+
+def _numeric_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every flag that argparse reads as an int or a float."""
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[0]) for name, parser in subparsers.choices.items()
+            for action in parser._actions if action.type in (int, float)]
+
+
+def _argv(sub: str, flag: str, value: str, out_dir) -> list[str]:
+    """The subcommand on the golden pair with flag=value, in place of any value
+    the subcommand needs for it."""
+    needs = {"synth": ["--out-dir", str(out_dir)],
+             "breakeven": ["--salary", "48070000", "--n-games", "82"]}.get(sub, [])
+    if flag in needs:
+        i = needs.index(flag)
+        needs = needs[:i] + needs[i + 2:]
+    if sub not in ("synth", "histogram"):
+        needs += ["--salaries", str(DATA_DIR / "bosphi_salaries.csv")]
+    if sub != "synth":
+        needs += ["--games", str(DATA_DIR / "bosphi_games.csv")]
+    return [sub, *needs, f"{flag}={value}"]
+
+
+def _check(sub: str, value: str, code: int, err: str, parsed: bool) -> None:
+    """One documented outcome: argparse's usage and error lines with exit 2 when it
+    rejected the value (parsed false), else 0, 1, 2 or 3 and at most one error line."""
+    case = (value[:20], code, err[-400:])
+    if not parsed:
+        assert code == 2 and err.startswith("usage: gcproi "), case
+        assert err.splitlines()[-1].startswith(f"gcproi {sub}: error: "), case
+    elif code in (0, 1):
+        assert err == "", case
+    else:
+        assert code in (2, 3), case
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, case
+
+
+def test_the_argv_gate_reaches_every_numeric_flag():
+    flags = _numeric_flags()
+    assert len(flags) == 20
+    assert {flag for sub, flag in flags if sub == "synth"} >= set(SIZE_FLAGS)
+
+
+@pytest.mark.parametrize("sub, flag", [c for c in _numeric_flags()
+                                       if not (c[0] == "synth" and c[1] in SIZE_FLAGS)])
+def test_every_numeric_flag_value_gives_a_documented_exit(sub, flag, tmp_path, capsys):
+    reached = 0
+    for value in NUMBERS:
+        try:
+            code, parsed = main(_argv(sub, flag, value, tmp_path / "out")), True
+        except SystemExit as exc:  # argparse rejected the value
+            code, parsed = exc.code, False
+        _check(sub, value, code, capsys.readouterr().err, parsed)
+        reached += parsed
+    assert reached >= 3, "argparse rejected nearly every value; the gate tests no command"
+
+
+@pytest.mark.parametrize("flag", SIZE_FLAGS)
+def test_every_synth_size_value_gives_a_documented_exit_in_a_capped_child(flag, tmp_path):
+    for value in NUMBERS:
+        run = capped_cli(_argv("synth", flag, value, tmp_path / "out"))
+        err = run.stderr.decode()
+        _check("synth", value, run.returncode, err, not err.startswith("usage: "))

@@ -14,11 +14,11 @@ from gcproi import (
     gcp_histogram,
     irr,
     season_reports,
-    team_totals,
     write_games_csv,
 )
 from gcproi.cli import main
 from gcproi.errors import GcproiError, SchemaError
+from gcproi.gcp import team_totals
 
 from conftest import (
     BOS_EXPECTED,

@@ -1223,7 +1223,7 @@ def test_validate_reports_the_overflow_error_of_team_totals(tmp_path, data_dir):
     _rewrite_row(first, data_dir / "bosphi_games.csv", 2, {FieldId.MIN: "1e308"})
     _rewrite_row(path, first, 3, {FieldId.MIN: "1e308"})  # two BOS rows
     ds = parse_games(path)
-    from gcproi import team_totals
+    from gcproi.gcp import team_totals
     with pytest.raises(GcproiError) as exc:
         team_totals(ds.games[0], "BOS")
     [violation] = validate_dataset(ds)
@@ -1232,7 +1232,7 @@ def test_validate_reports_the_overflow_error_of_team_totals(tmp_path, data_dir):
 
 def test_validate_team_totals_equal_player_sums(bosphi):
     # Definition check: totals are exactly the per-column sums.
-    from gcproi import team_totals
+    from gcproi.gcp import team_totals
     game = bosphi.games[0]
     for team in game.teams:
         totals = team_totals(game, team)
@@ -1267,7 +1267,15 @@ def test_a_game_stores_each_roster_in_lines_order():
     game = make_game("g1", DAY, "A", "B", lines)
     assert game.roster("B") == (lines[0], lines[2])
     assert game.roster("A") == (lines[1],)
-    assert game.roster("C") == ()
+    with raises_exactly(GcproiError, "team 'C' not in game 'g1'"):
+        game.roster("C")
+
+
+@pytest.mark.parametrize("read", ["roster", "totals"])
+def test_a_team_outside_the_game_has_no_roster_and_no_totals(read):
+    game = make_game("g1", DAY, "A", "B", PAIR)
+    with raises_exactly(GcproiError, "team 'C' not in game 'g1'"):
+        getattr(game, read)("C")
 
 
 def test_a_season_that_breaks_an_invariant_cannot_be_built():

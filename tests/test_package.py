@@ -16,13 +16,13 @@ import gcproi
 #: builds, and the base error. Result types and the other errors are
 #: imported from their modules.
 PUBLIC_NAMES = [
-    "CashFlowSeries", "FIELD_ORDER", "FieldId", "GameRecord", "GcproiError",
+    "CashFlowSeries", "FieldId", "GameRecord", "GcproiError",
     "PlayerGameLine", "RAW_STATS", "SalaryTable", "SeasonDataset",
     "SynthConfig", "breakeven_gcp", "cash_flows", "comparison",
     "derive_fields", "game_report", "gcp_histogram", "histogram_bins",
     "irr", "leaderboard_pvgcp", "npv", "parse_games", "parse_salaries",
     "player_schedule", "pvgcp", "roi_table",
-    "salary_summary", "season_reports", "sgv", "synth_season", "team_totals",
+    "salary_summary", "season_reports", "sgv", "synth_season",
     "underive_fields", "validate_dataset", "write_games_csv", "write_raw_games_csv",
     "write_salaries_csv",
 ]
@@ -34,7 +34,7 @@ def test_the_package_exports_only_what_callers_use():
     names = sorted(name for name, value in vars(gcproi).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 35
+    assert len(names) == 33
 
 
 def test_every_function_the_benchmark_traces_exists():

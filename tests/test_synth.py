@@ -23,10 +23,11 @@ from gcproi import (
     write_games_csv,
 )
 from gcproi.errors import AllZeroFlows, GcproiError
-from gcproi.fields import FIELD_ORDER, FRACTIONAL_FIELDS
-from gcproi.synth import COUNT_MAX, MINUTES_MAX, SALARY_MAX, SALARY_MIN, irr_oracle
+from gcproi.fields import FRACTIONAL_FIELDS
+from gcproi.synth import (COUNT_MAX, MAX_PLAYER_LINES, MINUTES_MAX, SALARY_MAX, SALARY_MIN,
+                          irr_oracle)
 
-from conftest import active_set, raises_exactly
+from conftest import active_set, capped_cli, raises_exactly
 
 
 def dataset_bytes(ds) -> bytes:
@@ -81,8 +82,7 @@ def test_forced_full_miss_player_is_a_total_default():
 def test_planted_zero_field_shrinks_the_active_set():
     cfg = SynthConfig(seed=4, teams=4, games_per_team=4,
                       zero_fields={"T02": (FieldId.CHGD,)})
-    ds, _, book = synth_season(cfg)
-    assert book.zero_fields["T02"] == (FieldId.CHGD,)
+    ds, _, _ = synth_season(cfg)
     reports = season_reports(ds)
     for g in ds.team_games["T02"]:
         active = active_set(g, "T02")
@@ -123,15 +123,15 @@ def reference_draws(cfg, games):
                                 rosters[team][0])]
             rows = []
             for _ in actives:
-                row = [0.0] * len(FIELD_ORDER)
-                for f in FIELD_ORDER:
+                row = [0.0] * len(FieldId)
+                for f in FieldId:
                     if f not in FRACTIONAL_FIELDS and f not in silenced:
                         row[f] = float(rng.randrange(COUNT_MAX + 1))
                 for f in FRACTIONAL_FIELDS:
                     if f not in silenced:
                         row[f] = rng.uniform(1.0, MINUTES_MAX)
                 rows.append(row)
-            for f in FIELD_ORDER:
+            for f in FieldId:
                 if (f not in FRACTIONAL_FIELDS and f not in silenced
                         and all(row[f] == 0.0 for row in rows)):
                     rows[0][f] = 1.0
@@ -195,6 +195,25 @@ def test_invalid_configs_are_rejected():
         synth_season(SynthConfig(roster_min=5, roster_max=3))
     with raises_exactly(GcproiError, "miss probability out of [0, 1]: 1.5"):
         synth_season(SynthConfig(miss_prob=1.5))
+
+
+BOUND_ERROR = ("teams * games_per_team * roster_max is 100000000 player-lines, "
+               "more than MAX_PLAYER_LINES = 1000000")
+
+
+def test_a_config_beyond_the_player_line_bound_is_refused_before_anything_is_built():
+    cfg = SynthConfig(teams=2, games_per_team=1, roster_min=50_000_000, roster_max=50_000_000)
+    with raises_exactly(GcproiError, BOUND_ERROR):
+        cfg.validate()
+    SynthConfig(teams=2, games_per_team=1, roster_max=MAX_PLAYER_LINES // 2).validate()
+
+
+def test_the_cli_refuses_an_oversized_config_with_one_error_line(tmp_path):
+    out_dir = tmp_path / "out"
+    run = capped_cli(["synth", "--teams", "2", "--games", "1", "--roster-min", "50000000",
+                      "--roster-max", "50000000", "--out-dir", str(out_dir)])
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", f"error: {BOUND_ERROR}\n".encode())
+    assert not out_dir.exists()
 
 
 def test_a_team_silenced_in_every_field_is_an_invalid_config():
