@@ -24,7 +24,6 @@ from pathlib import Path
 
 from . import finance, gcp, reporting, synth
 from .errors import GcproiError, MissingSalary
-from .fields import FieldId
 from .ingest import (
     SalaryTable,
     SeasonDataset,
@@ -91,11 +90,11 @@ def _sgv_for(args, ds: SeasonDataset | None = None, salaries: SalaryTable | None
 def cmd_gcp(args) -> int:
     ds = parse_games(args.games)
     game = ds.get_game(args.game_id)
-    report = gcp.game_report(game)  # first, so that a total overflow is the error shown
-    sides = []  # (team, weight, active field names, shares) per printed team
-    for team in report if args.team is None else [args.team]:
-        active = [f.name for f, t in zip(FieldId, gcp.team_totals(game, team)) if t > 0.0]
-        sides.append((team, 1.0 / len(active), active, report[team]))
+    # Both sides first, so that a total overflow is the error shown; team -> (w, active, shares)
+    sides = {team: gcp._side(game, team) for team in game.teams}
+    if args.team is not None:
+        game.roster(args.team)  # the error of a team not in the game
+        sides = {args.team: sides[args.team]}
 
     if args.format == "json":
         payload = {
@@ -103,12 +102,12 @@ def cmd_gcp(args) -> int:
             "teams": [
                 {
                     "team": team,
-                    "weight": weight,
+                    "weight": w,
                     "active_field_count": len(active),
-                    "active_fields": sorted(active),
+                    "active_fields": sorted(f.name for f in active),
                     "players": shares,
                 }
-                for team, weight, active, shares in sides
+                for team, (w, active, shares) in sides.items()
             ],
         }
         _write(_stdout() if args.out is None else args.out, [json.dumps(payload, indent=2) + "\n"])
@@ -116,9 +115,9 @@ def cmd_gcp(args) -> int:
 
     header = ["game_id", "team", "player_id", "player_name", "weight",
               "active_fields", "gcp"]
-    rows = [[game.game_id, team, player_id, ds.player_name(player_id), repr(weight),
+    rows = [[game.game_id, team, player_id, ds.player_name(player_id), repr(w),
              str(len(active)), share]
-            for team, weight, active, shares in sides for player_id, share in shares.items()]
+            for team, (w, active, shares) in sides.items() for player_id, share in shares.items()]
     _emit(header, rows, {"gcp": 4}, args)
     return EXIT_OK
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 import operator
 
-from .fields import StatRow
+from .fields import FieldId, StatRow
 from .ingest import GameRecord, SeasonDataset, _fanout
 
 
 #: One game's report: team id -> player id -> GCP, for active players only.
 GameGcp = dict[str, dict[str, float]]
+
+_FIELDS = tuple(FieldId)  # zip walks a tuple faster than the enum class
 
 
 def team_totals(game: GameRecord, team_id: str) -> StatRow:
@@ -33,18 +35,17 @@ def team_totals(game: GameRecord, team_id: str) -> StatRow:
     return game.totals(team_id)
 
 
-def _side(game: GameRecord, team_id: str) -> dict[str, float]:
-    """One team's side of the game report: player id -> GCP.
-
-    Each zero team total is replaced by an inf divisor: a field the team
-    never recorded then adds an exact +0.0 term to a player's share sum, and
-    fsum is correctly rounded, so that term changes nothing.
-    """
+def _side(game: GameRecord, team_id: str) -> tuple[float, list[FieldId], dict[str, float]]:
+    """One team's side of the game, from one sum of its totals: the weight, the active
+    fields in FieldId order, and player id -> GCP. Each zero team total is replaced by an
+    inf divisor: a field the team never recorded then adds an exact +0.0 term to a
+    player's share sum, and fsum is correctly rounded, so that term changes nothing."""
     totals = team_totals(game, team_id)
-    w = 1.0 / sum(t > 0.0 for t in totals)
+    active = [f for f, t in zip(_FIELDS, totals) if t > 0.0]
+    w = 1.0 / len(active)
     divisors = tuple(t if t > 0.0 else math.inf for t in totals)
-    return {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
-            for ln in game.roster(team_id)}
+    return w, active, {ln.player_id: w * math.fsum(map(operator.truediv, ln.values, divisors))
+                       for ln in game.roster(team_id)}
 
 
 def game_report(game: GameRecord) -> GameGcp:
@@ -52,7 +53,7 @@ def game_report(game: GameRecord) -> GameGcp:
     id in game.teams order. Player order inside each team map follows roster
     order, so output is deterministic for a given dataset.
     """
-    return {team_id: _side(game, team_id) for team_id in game.teams}
+    return {team_id: _side(game, team_id)[2] for team_id in game.teams}
 
 
 def season_reports(ds: SeasonDataset) -> dict[str, GameGcp]:

@@ -44,6 +44,13 @@ MAX_PLAYER_LINES = 1_000_000
 _COUNT_VALUES = tuple(map(float, range(COUNT_MAX + 1)))
 
 
+def _text(n) -> str:
+    """n as text, but an int beyond 2**256, which may be too long to print, as that bound."""
+    if isinstance(n, int) and not -2**256 <= n <= 2**256:
+        return "below -2**256" if n < 0 else "over 2**256"
+    return str(n)
+
+
 class SynthConfig(NamedTuple):
     """Knobs for synthetic-season generation. Identical config and seed
     reproduce the identical dataset. A map knob left out is an empty
@@ -63,19 +70,22 @@ class SynthConfig(NamedTuple):
     __reduce__ = _reduce
 
     def validate(self) -> None:
+        for name, count in zip(self._fields[1:5], self[1:5]):  # teams .. roster_max
+            if not isinstance(count, int):
+                raise GcproiError(f"{name} must be an int, got {type(count).__name__}")
         if self.teams < 2 or self.teams % 2 != 0:
-            raise GcproiError(f"teams must be even and >= 2, got {self.teams}")
+            raise GcproiError(f"teams must be even and >= 2, got {_text(self.teams)}")
         if self.games_per_team < 1:
-            raise GcproiError(f"games_per_team must be >= 1, got {self.games_per_team}")
+            raise GcproiError(f"games_per_team must be >= 1, got {_text(self.games_per_team)}")
         if not (1 <= self.roster_min <= self.roster_max):
-            raise GcproiError(
-                f"need 1 <= roster_min <= roster_max, got {self.roster_min}..{self.roster_max}")
+            raise GcproiError(f"need 1 <= roster_min <= roster_max, "
+                              f"got {_text(self.roster_min)}..{_text(self.roster_max)}")
         if (lines := self.teams * self.games_per_team * self.roster_max) > MAX_PLAYER_LINES:
-            raise GcproiError(f"teams * games_per_team * roster_max is {lines} player-lines, "
-                              f"more than MAX_PLAYER_LINES = {MAX_PLAYER_LINES}")
+            raise GcproiError(f"teams * games_per_team * roster_max is {_text(lines)} "
+                              f"player-lines, more than MAX_PLAYER_LINES = {MAX_PLAYER_LINES}")
         for prob in (self.miss_prob, *self.miss_prob_overrides.values()):
             if not (0.0 <= prob <= 1.0):
-                raise GcproiError(f"miss probability out of [0, 1]: {prob}")
+                raise GcproiError(f"miss probability out of [0, 1]: {_text(prob)}")
         for team, fields in self.zero_fields.items():
             if set(FieldId) <= set(fields):  # the team would have no active line
                 raise GcproiError(f"zero_fields silences every field of team {team!r}")

@@ -9,11 +9,15 @@ import pytest
 from gcproi import (
     CashFlowSeries,
     FieldId,
+    GameRecord,
     SeasonDataset,
+    SynthConfig,
     game_report,
     gcp_histogram,
     irr,
+    parse_games,
     season_reports,
+    synth_season,
     write_games_csv,
 )
 from gcproi.cli import main
@@ -22,6 +26,8 @@ from gcproi.gcp import team_totals
 
 from conftest import (
     BOS_EXPECTED,
+    BOSPHI_GAME_ID,
+    DATA_DIR,
     GOLDEN_TOL,
     PHI_EXPECTED,
     active_set,
@@ -322,3 +328,50 @@ def test_a_solver_result_field_cannot_be_assigned(field):
     with pytest.raises(AttributeError):
         setattr(result, field, 0.0)
     assert getattr(result, field) is before
+
+
+def test_gcp_prints_each_sides_weight_and_fields_from_the_shares_computation(tmp_path):
+    """Over a synth season with fields silenced on two teams, `gcp --format json`
+    prints for every game, with --team absent and set to each side, the active
+    fields that have a positive team total, 1 over their count, and the shares of
+    game_report, bit for bit."""
+    silenced = {"T00": (FieldId.CHGD, FieldId.DEFL, FieldId.SAST), "T03": (FieldId.BLKA,)}
+    ds, _, _ = synth_season(SynthConfig(seed=5, games_per_team=5, zero_fields=silenced))
+    write_games_csv(ds, tmp_path / "games.csv")
+    ds = parse_games(tmp_path / "games.csv")
+    out = tmp_path / "gcp.json"
+    for game in ds.games:
+        report = game_report(game)
+        for team in (None, *game.teams):
+            argv = ["gcp", "--games", str(tmp_path / "games.csv"), "--game-id", game.game_id,
+                    "--format", "json", "--out", str(out)]
+            assert main(argv + (["--team", team] if team else [])) == 0
+            sides = json.loads(out.read_text(encoding="utf-8"))["teams"]
+            assert [side["team"] for side in sides] == ([team] if team else list(game.teams))
+            for side in sides:
+                active = active_set(game, side["team"])
+                assert side["active_fields"] == sorted(f.name for f in active)
+                assert side["active_field_count"] == len(active)
+                assert side["weight"] == 1.0 / len(active)
+                shares = report[side["team"]]
+                assert list(side["players"]) == list(shares)
+                assert [v.hex() for v in side["players"].values()] == \
+                    [v.hex() for v in shares.values()]
+    assert {len(active_set(g, "T00")) for g in ds.team_games["T00"]} == {len(FieldId) - 3}
+    assert {len(active_set(g, "T03")) for g in ds.team_games["T03"]} == {len(FieldId) - 1}
+
+
+@pytest.mark.parametrize("team", [None, "BOS", "PHI"])
+def test_gcp_sums_each_teams_totals_once(team, tmp_path, monkeypatch):
+    """The weight and active fields printed come from the sum that gave the shares."""
+    calls, totals = [], GameRecord.totals
+
+    def counted(game, team_id):
+        calls.append(team_id)
+        return totals(game, team_id)
+
+    monkeypatch.setattr(GameRecord, "totals", counted)
+    argv = ["gcp", "--games", str(DATA_DIR / "bosphi_games.csv"), "--game-id", BOSPHI_GAME_ID,
+            "--out", str(tmp_path / "gcp.csv")]
+    assert main(argv + (["--team", team] if team else [])) == 0
+    assert sorted(calls) == ["BOS", "PHI"]

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import statistics
@@ -11,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import gcproi
+from gcproi import cli, ingest
+
+from conftest import BOSPHI_GAME_ID, DATA_DIR, one_process
 
 #: The package namespace: the pipeline's functions, the types a caller
 #: builds, and the base error. Result types and the other errors are
@@ -49,6 +53,76 @@ def test_every_function_the_benchmark_traces_exists():
         value = getattr(importlib.import_module(f"gcproi.{module}"), function, None)
         assert isinstance(value, types.FunctionType), f"{module}.{function}"
         assert not function.startswith("_")
+
+
+#: The modules whose public functions the benchmark wraps (benchmarks/spans.py LAYERS).
+LAYERS = ("ingest", "fields", "gcp", "finance", "reporting", "cli", "synth")
+
+
+def _traced_by_command() -> dict[str, set[str]]:
+    """Per metric prefix of BENCHMARK.json, what its run must call: "module.function"
+    for each <prefix>.<module>.<function>.<stat> metric, and "module" for each
+    <prefix>.<module>.self_s metric, which sums the module's functions."""
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    traced: dict[str, set[str]] = {}
+    for metric in bench["per_layer"]:
+        prefix, *rest = metric["name"].split(".")
+        if len(rest) == 3 or len(rest) == 2 and rest[0] in LAYERS and rest[1] == "self_s":
+            traced.setdefault(prefix, set()).add(".".join(rest[:-1]))
+    return traced
+
+
+def _bench_argv(prefix: str, out_dir: Path) -> list[str]:
+    """The benchmark's command for a metric prefix, on the golden pair."""
+    games, salaries = str(DATA_DIR / "bosphi_games.csv"), str(DATA_DIR / "bosphi_salaries.csv")
+    return {
+        "roi": ["roi", "--games", games, "--salaries", salaries],
+        "pvgcp_board": ["pvgcp-board", "--games", games, "--salaries", salaries],
+        "histogram": ["histogram", "--games", games],
+        "gcp": ["gcp", "--games", games, "--game-id", BOSPHI_GAME_ID],
+        "compare": ["compare", "--games", games, "--player-a", "jayson-tatum",
+                    "--player-b", "joel-embiid"],
+        "validate": ["validate", "--games", games],
+        "synth": ["synth", "--out-dir", str(out_dir / "synth")],
+    }[prefix] + ([] if prefix == "synth" else ["--out", str(out_dir / "out")])
+
+
+@pytest.mark.parametrize("prefix", sorted(_traced_by_command()))
+def test_every_function_the_benchmark_traces_is_called_by_its_command(prefix, tmp_path,
+                                                                      monkeypatch):
+    """Each traced function is wrapped at every module binding, as the benchmark's
+    tracer does, and its command is run in this process with every forked stage
+    in this process too; a refactor that stops calling one fails here, not only
+    in the traced benchmark run. The raw prefix is the benchmark's raw-schema
+    round trip, whose parse_games_raw span wraps parse_games."""
+    raw = tmp_path / "raw_games.csv"
+    ds = ingest.parse_games(DATA_DIR / "bosphi_games.csv")
+    ingest.write_raw_games_csv(ds, raw)
+    modules = {name: importlib.import_module(f"gcproi.{name}") for name in LAYERS}
+    called: set[str] = set()
+
+    def counted(name: str, fn):
+        def wrapper(*args, **kwargs):
+            called.update((name, name.split(".")[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {id(fn): counted(f"{layer}.{attr}", fn)
+                for layer, mod in modules.items() for attr, fn in vars(mod).items()
+                if not attr.startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == mod.__name__}
+    for mod in (gcproi, *modules.values()):
+        for attr, value in list(vars(mod).items()):
+            if id(value) in wrappers and inspect.isfunction(value):
+                monkeypatch.setattr(mod, attr, wrappers[id(value)])
+    with one_process():
+        if prefix == "raw":
+            assert ingest.parse_games(raw, fmt="raw") == ds
+        else:
+            assert cli.main(_bench_argv(prefix, tmp_path)) == 0
+    expected = {name.replace("ingest.parse_games_raw", "ingest.parse_games")
+                for name in _traced_by_command()[prefix]}
+    assert sorted(expected - called) == []
 
 
 @pytest.mark.parametrize("path", sorted(REPO.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -208,6 +208,28 @@ def test_a_config_beyond_the_player_line_bound_is_refused_before_anything_is_bui
     SynthConfig(teams=2, games_per_team=1, roster_max=MAX_PLAYER_LINES // 2).validate()
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"teams": -(10**5000)}, "teams must be even and >= 2, got below -2**256"),
+    ({"teams": 2, "games_per_team": 10**5000},
+     "teams * games_per_team * roster_max is over 2**256 player-lines, more than "
+     "MAX_PLAYER_LINES = 1000000"),
+    ({"roster_min": 10**5000}, "need 1 <= roster_min <= roster_max, got over 2**256..10"),
+    ({"miss_prob": -(10**5000)}, "miss probability out of [0, 1]: below -2**256"),
+    ({"teams": 2**63}, "teams * games_per_team * roster_max is 553402322211286548480 "
+                       "player-lines, more than MAX_PLAYER_LINES = 1000000"),
+    ({"games_per_team": 6.0}, "games_per_team must be an int, got float"),
+    ({"teams": "4"}, "teams must be an int, got str"),
+    ({"roster_min": None}, "roster_min must be an int, got NoneType"),
+    ({"roster_max": 10.5}, "roster_max must be an int, got float"),
+], ids=["huge-teams", "huge-games", "huge-roster", "huge-prob", "2**63-teams",
+        "float-games", "str-teams", "none-roster-min", "float-roster-max"])
+def test_a_count_of_any_type_or_size_is_a_named_error_before_anything_is_built(knobs, message):
+    """An int too long to print is named by a bound (CPython 3.11+ refuses to print
+    one of over 4,300 digits), and a count that is not an int is refused by name."""
+    with raises_exactly(GcproiError, message):
+        synth_season(SynthConfig(**knobs))
+
+
 def test_the_cli_refuses_an_oversized_config_with_one_error_line(tmp_path):
     out_dir = tmp_path / "out"
     run = capped_cli(["synth", "--teams", "2", "--games", "1", "--roster-min", "50000000",
